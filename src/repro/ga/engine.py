@@ -385,9 +385,14 @@ class GeneticEngine:
             if on_generation is not None:
                 on_generation(self._snapshot(population, costs))
 
-        assert self._best is not None
+        best = self._best
+        if best is None:
+            # No genome fit the memory (every cost is inf): report the final
+            # population's first genome at inf so callers such as the
+            # two-step schemes fold this run like any other.
+            best = population[0]
         return GAResult(
-            best_genome=self._best,
+            best_genome=best,
             best_cost=self._best_cost,
             num_evaluations=self._evaluations,
             history=self._history,

@@ -4,7 +4,8 @@ A DNN model is a directed acyclic graph ``G = (V, E)`` whose vertices are
 layers and whose edge ``(u, v)`` says the output of ``u`` feeds ``v``
 (Sec 4.1.1). The class below keeps deterministic insertion order for all
 iteration (so seeded experiments are reproducible), validates acyclicity
-and connectivity eagerly, and caches the topological order.
+and connectivity eagerly, and caches the topological order and the views
+derived from it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Iterable, Iterator
 
 from ..errors import GraphError
 from .ops import LayerSpec
+from .topology import GraphTopology
 
 
 class ComputationGraph:
@@ -26,6 +28,9 @@ class ComputationGraph:
         self._topo_cache: tuple[str, ...] | None = None
         self._topo_index_cache: dict[str, int] | None = None
         self._succ_map_cache: dict[str, tuple[str, ...]] | None = None
+        self._edges_cache: tuple[tuple[str, str], ...] | None = None
+        self._compute_cache: tuple[str, ...] | None = None
+        self._topology_cache: GraphTopology | None = None
         self._arrays_cache: dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -55,6 +60,9 @@ class ComputationGraph:
         self._topo_cache = None
         self._topo_index_cache = None
         self._succ_map_cache = None
+        self._edges_cache = None
+        self._compute_cache = None
+        self._topology_cache = None
         self._arrays_cache.clear()
         return spec.name
 
@@ -110,12 +118,14 @@ class ComputationGraph:
 
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
-        """All ``(producer, consumer)`` pairs, deterministic order."""
-        return tuple(
-            (parent, child)
-            for child in self._layers
-            for parent in self._preds[child]
-        )
+        """All ``(producer, consumer)`` pairs, deterministic order (cached)."""
+        if self._edges_cache is None:
+            self._edges_cache = tuple(
+                (parent, child)
+                for child in self._layers
+                for parent in self._preds[child]
+            )
+        return self._edges_cache
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -124,8 +134,12 @@ class ComputationGraph:
 
     @property
     def compute_names(self) -> tuple[str, ...]:
-        """Names of all non-input layers, in topological order."""
-        return tuple(n for n in self.topological_order() if not self.layer(n).is_input)
+        """Names of all non-input layers, in topological order (cached)."""
+        if self._compute_cache is None:
+            self._compute_cache = tuple(
+                n for n in self.topological_order() if not self._layers[n].is_input
+            )
+        return self._compute_cache
 
     @property
     def output_names(self) -> tuple[str, ...]:
@@ -160,6 +174,18 @@ class ComputationGraph:
                 name: i for i, name in enumerate(self.topological_order())
             }
         return self._topo_index_cache
+
+    def topology(self) -> GraphTopology:
+        """Cached :class:`~repro.graphs.topology.GraphTopology` for this graph.
+
+        Integer-id predecessor/successor tuples and edge list, indexed by
+        topological position; the partition layer's normalization and
+        validation run over these instead of layer names. Built on first
+        use, not with the graph.
+        """
+        if self._topology_cache is None:
+            self._topology_cache = GraphTopology(self)
+        return self._topology_cache
 
     def arrays(self, bytes_per_element: int = 1):
         """Cached :class:`~repro.graphs.arrays.GraphArrays` for this graph.

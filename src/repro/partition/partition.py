@@ -23,19 +23,16 @@ class Partition:
     __slots__ = ("graph", "_assignment", "_sets", "_key", "__weakref__")
 
     def __init__(self, graph: ComputationGraph, assignment: Mapping[str, int]):
-        from .validity import check_partition  # deferred: circular import
+        from .validity import partition_labels  # deferred: circular import
 
-        check_partition(graph, assignment)
+        labels, count = partition_labels(graph, assignment)
         self.graph = graph
         self._assignment = dict(assignment)
-        count = max(self._assignment.values()) + 1
-        sets: list[set[str]] = [set() for _ in range(count)]
+        sets: list[list[str]] = [[] for _ in range(count)]
         for name, index in self._assignment.items():
-            sets[index].add(name)
-        self._sets = tuple(frozenset(s) for s in sets)
-        self._key = tuple(
-            self._assignment[name] for name in graph.compute_names
-        )
+            sets[index].append(name)
+        self._sets = tuple(map(frozenset, sets))
+        self._key = tuple(map(labels.__getitem__, graph.topology().compute))
 
     # ------------------------------------------------------------------
     @staticmethod

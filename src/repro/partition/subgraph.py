@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ..errors import GraphError
 from ..graphs.graph import ComputationGraph
 
 
@@ -15,35 +16,41 @@ def weakly_connected_components(
     Connectivity counts only direct edges between members — "any subgraph
     should be connected in G, otherwise meaningless" (Sec 4.1.1).
     Components are returned in topological order of their earliest member.
-    Union-find keeps this near-linear; it runs on every operator output.
+    A flood fill over the graph's integer topology keeps this linear in
+    the members and their edges; it runs on every operator output.
     """
-    members = set(members)
-    # Union in sorted order so the union-find's internal roots (and the
-    # resulting bucket layout) are identical across processes — set
-    # iteration order is hash-seed dependent.
-    ordered = sorted(members)
-    parent = {n: n for n in ordered}
-
-    def find(node: str) -> str:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    for node in ordered:
-        for other in graph.predecessors(node):
-            if other in members:
-                ra, rb = find(node), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-    buckets: dict[str, set[str]] = {}
-    for node in ordered:
-        buckets.setdefault(find(node), set()).add(node)
-    topo_index = graph.topo_index()
-    components = [frozenset(c) for c in buckets.values()]
-    components.sort(key=lambda c: min(topo_index[n] for n in c))
+    topo = graph.topology()
+    index = topo.index
+    try:
+        ids = sorted({index[n] for n in members})
+    except KeyError as exc:
+        raise GraphError(f"unknown layer {exc.args[0]!r}") from None
+    preds, succs, names = topo.preds, topo.succs, topo.names
+    pending = bytearray(len(names))
+    for i in ids:
+        pending[i] = 1
+    left = len(ids)
+    components: list[frozenset[str]] = []
+    # Seeds in ascending id order: each component's seed is its earliest
+    # member, so components come out in topological order.
+    for seed in ids:
+        if not pending[seed]:
+            continue
+        pending[seed] = 0
+        component = [seed]
+        for node in component:  # grows while it is walked: a BFS queue
+            for other in preds[node]:
+                if pending[other]:
+                    pending[other] = 0
+                    component.append(other)
+            for other in succs[node]:
+                if pending[other]:
+                    pending[other] = 0
+                    component.append(other)
+        components.append(frozenset([names[i] for i in component]))
+        left -= len(component)
+        if not left:
+            break
     return components
 
 

@@ -16,43 +16,97 @@ cross edges link them), and renumbers by a deterministic topological sort
 of the condensation. Every GA operator funnels its output through it,
 which is what lets crossover and the mutations stay simple while still
 "guaranteeing the validity of genomes" (Sec 4.4.3).
+
+Normalization and validation both run over the graph's integer topology
+(:meth:`~repro.graphs.graph.ComputationGraph.topology`);
+:mod:`repro.partition.reference` keeps the name-keyed original as the
+test oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from ..errors import PartitionError
 from ..graphs.graph import ComputationGraph
+from ..graphs.topology import GraphTopology
 from .partition import Partition
 from .subgraph import weakly_connected_components
 
 
-def check_partition(graph: ComputationGraph, assignment: Mapping[str, int]) -> None:
-    """Raise :class:`PartitionError` unless ``assignment`` is valid."""
+def partition_labels(
+    graph: ComputationGraph, assignment: Mapping[str, int]
+) -> tuple[list[int], int]:
+    """Validate ``assignment``; return its per-id labels and subgraph count.
+
+    ``labels[i]`` is the subgraph of the layer with topology id ``i``
+    (``-1`` for model inputs). One pass over the integer edge list checks
+    precedence and unions the endpoints of same-subgraph edges: every
+    subgraph is connected exactly when the union-find is left with one
+    root per subgraph. Raises :class:`PartitionError` on a bad domain,
+    non-dense indices, a precedence violation or a disconnected subgraph.
+    """
+    topo = graph.topology()
+    index = topo.index
+    mask = topo.compute_mask
+    labels = [-1] * len(mask)
+    for name, sub in assignment.items():
+        i = index.get(name)
+        if i is None or not mask[i]:
+            _raise_domain(graph, assignment)
+        labels[i] = sub
+    if len(assignment) != len(topo.compute):
+        _raise_domain(graph, assignment)
+    indices = set(assignment.values())
+    count = len(indices)
+    if min(indices) != 0 or indices != set(range(count)):
+        raise PartitionError(f"subgraph indices are not dense: {sorted(indices)[:10]}")
+    parent = list(range(len(mask)))
+    roots = len(topo.compute)
+    for u, v in topo.edges:
+        a = labels[u]
+        if a < 0:  # model input: no subgraph
+            continue
+        b = labels[v]
+        if a > b:
+            raise PartitionError(
+                f"precedence violated on edge ({topo.names[u]!r}, "
+                f"{topo.names[v]!r}): {a} > {b}"
+            )
+        if a == b:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                roots -= 1
+    if roots != count:
+        _raise_disconnected(graph, assignment)
+    return labels, count
+
+
+def _raise_domain(graph: ComputationGraph, assignment: Mapping[str, int]) -> NoReturn:
+    """Name the missing and extra layers of a bad assignment domain."""
     compute = set(graph.compute_names)
     assigned = set(assignment)
-    if assigned != compute:
-        missing = sorted(compute - assigned)
-        extra = sorted(assigned - compute)
-        raise PartitionError(
-            f"bad assignment domain: missing={missing[:5]} extra={extra[:5]}"
-        )
-    indices = set(assignment.values())
-    if min(indices) != 0 or indices != set(range(len(indices))):
-        raise PartitionError(f"subgraph indices are not dense: {sorted(indices)[:10]}")
-    for producer, consumer in graph.edges:
-        if producer in assignment and consumer in assignment:
-            if assignment[producer] > assignment[consumer]:
-                raise PartitionError(
-                    f"precedence violated on edge ({producer!r}, {consumer!r}): "
-                    f"{assignment[producer]} > {assignment[consumer]}"
-                )
-    groups: dict[int, set[str]] = {}
+    missing = sorted(compute - assigned)
+    extra = sorted(assigned - compute)
+    raise PartitionError(
+        f"bad assignment domain: missing={missing[:5]} extra={extra[:5]}"
+    )
+
+
+def _raise_disconnected(
+    graph: ComputationGraph, assignment: Mapping[str, int]
+) -> NoReturn:
+    """Name the first disconnected subgraph (one exists: the root count is off)."""
+    groups: dict[int, list[str]] = {}
     for name, index in assignment.items():
-        groups.setdefault(index, set()).add(name)
-    for index, members in groups.items():
-        components = weakly_connected_components(graph, members)
+        groups.setdefault(index, []).append(name)
+    for index in sorted(groups):
+        components = weakly_connected_components(graph, groups[index])
         if len(components) != 1:
             raise PartitionError(
                 f"subgraph {index} is disconnected: "
@@ -60,137 +114,134 @@ def check_partition(graph: ComputationGraph, assignment: Mapping[str, int]) -> N
             )
 
 
-def _condensation_order(
-    graph: ComputationGraph, groups: list[frozenset[str]]
-) -> list[int]:
-    """Topological order of group indices after SCC contraction is a DAG."""
-    topo_index = graph.topo_index()
-    owner: dict[str, int] = {}
-    for gi, group in enumerate(groups):
-        for name in group:
-            owner[name] = gi
-    succ: dict[int, set[int]] = {gi: set() for gi in range(len(groups))}
-    indegree = {gi: 0 for gi in range(len(groups))}
-    for producer, consumer in graph.edges:
-        a, b = owner.get(producer), owner.get(consumer)
-        if a is None or b is None or a == b:
-            continue
-        if b not in succ[a]:
-            succ[a].add(b)
-            indegree[b] += 1
-    rank = {gi: min(topo_index[n] for n in group) for gi, group in enumerate(groups)}
-    ready = sorted(
-        (gi for gi in indegree if indegree[gi] == 0), key=lambda gi: rank[gi]
-    )
-    order: list[int] = []
-    while ready:
-        ready.sort(key=lambda gi: rank[gi])
-        node = ready.pop(0)
-        order.append(node)
-        for nxt in succ[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != len(groups):
-        raise PartitionError("quotient graph still cyclic after contraction")
-    return order
+def check_partition(graph: ComputationGraph, assignment: Mapping[str, int]) -> None:
+    """Raise :class:`PartitionError` unless ``assignment`` is valid."""
+    partition_labels(graph, assignment)
 
 
-def _contract_cycles(
-    graph: ComputationGraph, groups: list[frozenset[str]]
-) -> list[frozenset[str]]:
-    """Merge groups lying on quotient cycles (Tarjan SCC contraction)."""
-    owner: dict[str, int] = {}
-    for gi, group in enumerate(groups):
-        for name in group:
-            owner[name] = gi
-    succ: dict[int, set[int]] = {gi: set() for gi in range(len(groups))}
-    for producer, consumer in graph.edges:
-        a, b = owner.get(producer), owner.get(consumer)
-        if a is not None and b is not None and a != b:
-            succ[a].add(b)
-
-    # Iterative Tarjan over the quotient graph.
-    index_counter = 0
+def _strong_components(succ: list[set[int]]) -> list[list[int]]:
+    """Strongly connected components of an integer digraph (iterative Tarjan)."""
+    size = len(succ)
+    order = [-1] * size
+    low = [0] * size
+    on_stack = bytearray(size)
     stack: list[int] = []
-    on_stack: set[int] = set()
-    indices: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
     sccs: list[list[int]] = []
-
-    for root in range(len(groups)):
-        if root in indices:
+    counter = 0
+    for root in range(size):
+        if order[root] >= 0:
             continue
-        work = [(root, iter(sorted(succ[root])))]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
+        order[root] = low[root] = counter
+        counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in indices:
-                    indices[nxt] = lowlink[nxt] = index_counter
-                    index_counter += 1
+                if order[nxt] < 0:
+                    order[nxt] = low[nxt] = counter
+                    counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(succ[nxt]))))
-                    advanced = True
+                    on_stack[nxt] = 1
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
+                if on_stack[nxt] and order[nxt] < low[node]:
+                    low[node] = order[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == order[node]:
+                    scc = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = 0
+                        scc.append(member)
+                        if member == node:
+                            break
+                    sccs.append(scc)
+    return sccs
 
-    merged = [
-        frozenset().union(*(groups[gi] for gi in scc)) for scc in sccs
-    ]
-    return merged
+
+def _quotient(
+    topo: GraphTopology, members: list[list[int]], owner: list[int]
+) -> list[set[int]]:
+    """Successor sets of the quotient graph; fills ``owner`` (id -> group)."""
+    for gi, ids in enumerate(members):
+        for i in ids:
+            owner[i] = gi
+    succs = topo.succs
+    quotient: list[set[int]] = []
+    for gi, ids in enumerate(members):
+        targets = set()
+        for i in ids:
+            for j in succs[i]:
+                targets.add(owner[j])
+        targets.discard(gi)
+        quotient.append(targets)
+    return quotient
 
 
 def normalize_groups(
     graph: ComputationGraph, groups: Sequence[Iterable[str]]
 ) -> Partition:
     """Repair any raw grouping of the compute layers into a valid partition."""
-    compute = set(graph.compute_names)
-    seen: set[str] = set()
-    cleaned: list[frozenset[str]] = []
+    topo = graph.topology()
+    index, names = topo.index, topo.names
+    # 1. Claim layers: the first group naming a layer wins, unknown names
+    #    and inputs are dropped, unclaimed layers become singletons.
+    free = bytearray(topo.compute_mask)
+    members: list[list[int]] = []
     for group in groups:
-        members = {n for n in group if n in compute and n not in seen}
-        seen.update(members)
-        if not members:
-            continue
-        cleaned.extend(weakly_connected_components(graph, members))
-    unassigned = compute - seen
-    for name in sorted(unassigned):
-        cleaned.append(frozenset([name]))
+        ids: list[int] = []
+        for name in group:
+            i = index.get(name)
+            if i is not None and free[i]:
+                free[i] = 0
+                ids.append(i)
+        # 2. Split every multi-layer group into its components.
+        if len(ids) > 1:
+            parts = weakly_connected_components(graph, [names[i] for i in ids])
+            if len(parts) > 1:
+                members.extend([index[n] for n in part] for part in parts)
+                continue
+        if ids:
+            members.append(ids)
+    members.extend([i] for i in topo.compute if free[i])
 
-    contracted = _contract_cycles(graph, cleaned)
-    # Contraction may merge previously split components into a connected
-    # whole, but the union of a quotient cycle can also pick up pieces
-    # that were only linked through nodes outside the cycle; re-split any
-    # group that came out disconnected.
-    final: list[frozenset[str]] = []
-    for group in contracted:
-        final.extend(weakly_connected_components(graph, group))
-    final = _contract_cycles(graph, final)
-    order = _condensation_order(graph, final)
-    ordered = [final[gi] for gi in order]
-    return Partition.from_groups(graph, ordered)
+    # 3. Merge groups lying on quotient cycles. Each strongly connected
+    #    set of connected groups is linked by its own cross edges, so the
+    #    merged groups stay connected and their condensation is acyclic.
+    owner = [-1] * len(names)
+    quotient = _quotient(topo, members, owner)
+    sccs = _strong_components(quotient)
+    if len(sccs) != len(members):
+        members = [[i for gi in scc for i in members[gi]] for scc in sccs]
+        quotient = _quotient(topo, members, owner)
+
+    # 4. Kahn's sort of the condensation, always taking the ready group
+    #    with the earliest topological member (ids are distinct, and
+    #    ``owner`` maps a group's earliest id back to the group).
+    indegree = [0] * len(members)
+    for targets in quotient:
+        for gi in targets:
+            indegree[gi] += 1
+    ready = [min(ids) for gi, ids in enumerate(members) if not indegree[gi]]
+    heapify(ready)
+    position = [0] * len(members)
+    placed = 0
+    while ready:
+        gi = owner[heappop(ready)]
+        position[gi] = placed
+        placed += 1
+        for nxt in quotient[gi]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                heappush(ready, min(members[nxt]))
+    return Partition(graph, {names[i]: position[owner[i]] for i in topo.compute})
 
 
 def split_infeasible(

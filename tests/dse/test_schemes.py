@@ -75,6 +75,18 @@ class TestTwoStep:
         samples = [s for s, _ in result.history]
         assert samples == sorted(samples)
 
+    def test_candidate_nothing_fits_in_is_folded(self, evaluator):
+        # The grid walks large to small; its last candidate holds no
+        # layer, so that candidate's GA finds no feasible genome and
+        # reports inf, and the fold keeps the larger candidate's result.
+        space = CapacitySpace(mode=BufferMode.SHARED, shared_candidates=(64, kb(512)))
+        result = grid_search_ga(
+            evaluator, space, stride=1, max_candidates=2, ga_config=SMALL_GA
+        )
+        assert result.memory == MemoryConfig.shared(kb(512))
+        assert result.best_cost < float("inf")
+        assert result.num_evaluations == 2 * 4 * SMALL_GA.population_size
+
 
 class TestCoOpt:
     def test_cocco_partition_only(self, evaluator):

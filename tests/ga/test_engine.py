@@ -128,6 +128,23 @@ class TestEngine:
         result = GeneticEngine(problem, config).run()
         assert result.num_evaluations <= 45  # one final generation may finish
 
+    def test_no_feasible_genome_reports_inf(self):
+        # A shared buffer no single layer fits in: every genome prices at
+        # inf, and the run still returns a (valid) genome instead of
+        # asserting.
+        graph = build_chain(depth=4, size=32, channels=8)
+        nothing_fits = MemoryConfig.shared(64)
+        evaluator = Evaluator(graph, AcceleratorConfig(memory=nothing_fits))
+        problem = OptimizationProblem(
+            evaluator=evaluator, metric=Metric.ENERGY, fixed_memory=nothing_fits
+        )
+        config = GAConfig(population_size=4, generations=2, seed=0)
+        result = GeneticEngine(problem, config).run()
+        assert result.best_cost == float("inf")
+        assert result.num_evaluations == 12
+        assert result.history == []
+        check_partition(graph, result.best_genome.partition.assignment)
+
     def test_record_samples(self, co_problem):
         config = GAConfig(
             population_size=8, generations=3, seed=3, record_samples=True

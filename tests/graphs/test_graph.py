@@ -105,6 +105,38 @@ class TestTopology:
             g.validate()
 
 
+class TestCachedViews:
+    def test_views_are_cached(self, diamond_graph):
+        assert diamond_graph.compute_names is diamond_graph.compute_names
+        assert diamond_graph.edges is diamond_graph.edges
+        assert diamond_graph.topology() is diamond_graph.topology()
+
+    def test_add_layer_invalidates_views(self, chain_graph):
+        compute, edges = chain_graph.compute_names, chain_graph.edges
+        topo = chain_graph.topology()
+        chain_graph.add_layer(
+            LayerSpec("conv5", OpKind.CONV, TensorShape(32, 32, 8)), ["conv4"]
+        )
+        assert chain_graph.compute_names == (*compute, "conv5")
+        assert chain_graph.edges == (*edges, ("conv4", "conv5"))
+        assert chain_graph.topology() is not topo
+        assert chain_graph.topology().names[-1] == "conv5"
+
+
+@given(random_dags())
+def test_topology_ids_mirror_the_named_graph(graph):
+    topo = graph.topology()
+    assert topo.names == graph.topological_order()
+    assert topo.index == graph.topo_index()
+    names = topo.names
+    assert [(names[u], names[v]) for u, v in topo.edges] == list(graph.edges)
+    assert tuple(names[i] for i in topo.compute) == graph.compute_names
+    for i, name in enumerate(names):
+        assert tuple(names[p] for p in topo.preds[i]) == graph.predecessors(name)
+        assert tuple(names[s] for s in topo.succs[i]) == graph.successors(name)
+        assert topo.compute_mask[i] == (not graph.layer(name).is_input)
+
+
 class TestAggregates:
     def test_total_weight_bytes(self):
         g = build_chain(depth=3, channels=8)

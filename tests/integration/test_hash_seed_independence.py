@@ -1,6 +1,6 @@
 """Hash-seed independence of the sorted-set-iteration fixes.
 
-Each primitive fixed in this PR (union-find bucketing, interface-input
+Each primitive fixed here (union-find bucketing, interface-input
 discovery, tiling derivation, subgraph extraction, crossover's decided
 map, quotient reachability) used to iterate a ``set`` raw — so its
 internal visit order, and in some cases its output, depended on
@@ -42,6 +42,7 @@ SCENARIO = textwrap.dedent(
         quotient_reachable,
         weakly_connected_components,
     )
+    from repro.partition.validity import normalize_groups
 
 
     def conv(name, shape, channels):
@@ -78,6 +79,19 @@ SCENARIO = textwrap.dedent(
         graph, {"stem", "alpha", "gamma", "head"}
     )
     out["wcc"] = [sorted(c) for c in components]
+
+    # partition/validity.py: claim, split, cycle merge and condensation
+    # order over integer ids. {alpha, beta} share no edge and is split;
+    # each half then sits on a quotient cycle through the stem group and
+    # is merged back into it. The assignment's key order is the
+    # checkpointed one, so it is kept unsorted.
+    normalized = normalize_groups(
+        graph, [{"stem", "gamma", "join"}, {"alpha", "beta"}, {"head"}]
+    )
+    out["normalize"] = {
+        "sets": [sorted(s) for s in normalized.subgraph_sets],
+        "assignment": list(normalized.assignment.items()),
+    }
 
     # partition/subgraph.py: adjacency built from an edge set
     edges = {(0, 1), (1, 2), (0, 3), (3, 2), (2, 4)}
@@ -176,6 +190,7 @@ class TestHashSeedIndependence:
         payload = json.loads(run_with_hash_seed("0"))
         assert set(payload) == {
             "wcc",
+            "normalize",
             "qr",
             "extract",
             "tiling",
@@ -188,3 +203,8 @@ class TestHashSeedIndependence:
         }
         # fast and reference pipelines agree on the profile itself
         assert payload["profile_fast"] == payload["profile_reference"]
+        # the grouping really needed a split and a cycle merge
+        assert payload["normalize"]["sets"] == [
+            ["alpha", "beta", "gamma", "join", "stem"],
+            ["head"],
+        ]

@@ -42,6 +42,12 @@ class TestConstruction:
             Partition(chain_graph, {"in": 0, "conv1": 0, "conv2": 0,
                                     "conv3": 0, "conv4": 0})
 
+    def test_input_in_place_of_a_layer_rejected(self, fig5_graph):
+        # The right size, dense and in order, but in_b is a model input
+        # and node0 is missing.
+        with pytest.raises(PartitionError):
+            Partition(fig5_graph, {"in_b": 0, "node1": 1, "node2": 2})
+
 
 class TestValidityRules:
     def test_precedence_violation_rejected(self, chain_graph):
