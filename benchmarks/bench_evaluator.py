@@ -182,21 +182,20 @@ def stage_population(graph, accel, population: int, seed: int, reps: int) -> dic
         for _ in range(population)
     ]
 
-    def build(cls, incremental):
+    def build(cls):
         return OptimizationProblem(
             evaluator=cls(graph, accel),
             metric=Metric.EMA,
             alpha=None,
             fixed_memory=memory,
-            incremental=incremental,
         )
 
     def evaluate(problem):
         repaired = [problem.repair(g) for g in raw]
         return repaired, [problem.cost(g) for g in repaired]
 
-    fast_problem = build(Evaluator, True)
-    ref_problem = build(ReferenceEvaluator, False)
+    fast_problem = build(Evaluator)
+    ref_problem = build(ReferenceEvaluator)
     fast_genomes, fast_costs = evaluate(fast_problem)
     ref_genomes, ref_costs = evaluate(ref_problem)
     if [g.key() for g in fast_genomes] != [g.key() for g in ref_genomes]:
@@ -213,14 +212,14 @@ def stage_population(graph, accel, population: int, seed: int, reps: int) -> dic
         if fast_cost != ref_cost:
             raise AssertionError("PartitionCost not bit-identical")
 
-    def timed(cls, incremental) -> float:
-        problem = build(cls, incremental)
+    def timed(cls) -> float:
+        problem = build(cls)
         t0 = time.perf_counter()
         evaluate(problem)
         return time.perf_counter() - t0
 
-    t_fast = _best_of(reps, lambda: timed(Evaluator, True))
-    t_ref = _best_of(reps, lambda: timed(ReferenceEvaluator, False))
+    t_fast = _best_of(reps, lambda: timed(Evaluator))
+    t_ref = _best_of(reps, lambda: timed(ReferenceEvaluator))
     return {
         "ops": population,
         "fast_ops_per_sec": population / t_fast,
@@ -302,7 +301,7 @@ def stage_generations(
 ) -> dict:
     """Short GA run: warm-cache behaviour across generations."""
 
-    def run(cls, incremental):
+    def run(cls):
         problem = OptimizationProblem(
             evaluator=cls(graph, accel),
             metric=Metric.EMA,
@@ -313,14 +312,13 @@ def stage_generations(
             population_size=population,
             generations=generations,
             seed=seed,
-            incremental=incremental,
         )
         t0 = time.perf_counter()
         result = GeneticEngine(problem, config).run()
         return result, time.perf_counter() - t0
 
-    fast_result, _ = run(Evaluator, True)
-    ref_result, _ = run(ReferenceEvaluator, False)
+    fast_result, _ = run(Evaluator)
+    ref_result, _ = run(ReferenceEvaluator)
     if (
         fast_result.best_cost != ref_result.best_cost
         or fast_result.history != ref_result.history
@@ -330,8 +328,8 @@ def stage_generations(
         raise AssertionError("incremental GA diverged from reference GA")
     evaluations = fast_result.num_evaluations
 
-    t_fast = _best_of(reps, lambda: run(Evaluator, True)[1])
-    t_ref = _best_of(reps, lambda: run(ReferenceEvaluator, False)[1])
+    t_fast = _best_of(reps, lambda: run(Evaluator)[1])
+    t_ref = _best_of(reps, lambda: run(ReferenceEvaluator)[1])
     return {
         "ops": evaluations,
         "fast_ops_per_sec": evaluations / t_fast,

@@ -7,6 +7,7 @@ import sys
 
 from ..errors import ReproError
 from ..experiments.common import SCALES
+from ..runs.suite import SCHEMES
 from . import commands
 
 
@@ -147,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--metrics", default="energy",
                        help="comma list of metrics: ema,energy")
     suite.add_argument("--schemes", default="cocco",
-                       help="comma list of schemes: "
-                            "cocco,rs,gs,sa,nsga,islands")
+                       help="comma list of schemes: " + ",".join(SCHEMES))
     suite.add_argument("--bytes-per-element", default="1",
                        help="comma list of element widths in bytes")
     suite.add_argument("--alphas", default="0.002",

@@ -203,3 +203,12 @@ class ReferenceEvaluator(Evaluator):
             energy_pj=cost.energy_pj,
             latency_cycles=cost.latency_cycles,
         )
+
+    def prime_summaries(
+        self,
+        populations: Sequence[Sequence[frozenset[str]]],
+        memories: MemoryConfig | Sequence[MemoryConfig] | None = None,
+    ) -> int:
+        # No batch pricing: it would leave fast-path profiles in the
+        # profile cache for the naive pipeline to read back.
+        return 0

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
+from ..runs.suite import CAPPED_SCHEMES
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,6 @@ def _split(pool: int, count: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(count)]
 
 
-#: Schemes that stop exactly at a sample cap and resume from their
-#: checkpoint (GA generation snapshots, SA step snapshots, island-model
-#: composite snapshots, two-step candidate-cursor snapshots). The one
-#: remaining cell-atomic scheme is ``nsga`` (its archive-deduplicated
-#: evaluation counting cannot stop exactly mid-generation): it runs to
-#: completion whenever run, possibly overdrawing its allocation — which
-#: is why it always resolves in its first grant round, while a
-#: checkpointable cell may span several (replayed exhaustion rounds).
-CHECKPOINTABLE_SCHEMES = frozenset({"cocco", "sa", "islands", "rs", "gs"})
-
-
 @dataclass(frozen=True)
 class BudgetView:
     """The scheduler's verdict for the current durable state."""
@@ -145,7 +135,7 @@ def compute_allocations(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     checkpointable = {
-        cell.key: cell.scheme in CHECKPOINTABLE_SCHEMES for cell in cells
+        cell.key: cell.scheme in CAPPED_SCHEMES for cell in cells
     }
     allocations = {cell.key: 0 for cell in cells}
     active = [cell.key for cell in cells]

@@ -71,14 +71,6 @@ class NSGAConfig:
     workers: int = 1
     #: Genomes per parallel work unit (None: auto-chunked per batch).
     eval_chunk_size: int | None = None
-    #: Incremental (delta) genome evaluation (see
-    #: :class:`~repro.ga.engine.GAConfig.incremental`); metric costs are
-    #: bit-identical with the flag on or off.
-    incremental: bool = True
-    #: Population batch pricing (see
-    #: :class:`~repro.ga.engine.GAConfig.batch_pricing`); metric costs
-    #: stay bit-identical.
-    batch_pricing: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -346,8 +338,6 @@ def _nsga2(
         metric=metric,
         alpha=1.0,
         space=space,
-        incremental=config.incremental,
-        batch_pricing=config.batch_pricing,
     )
     archive = _Archive(problem, metric)
 

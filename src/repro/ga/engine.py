@@ -53,17 +53,6 @@ class GAConfig:
     workers: int = 1
     #: Genomes per parallel work unit (None: auto-chunked per batch).
     eval_chunk_size: int | None = None
-    #: Incremental (delta) genome evaluation: children re-price only the
-    #: subgraphs that differ from already-seen genomes, and repair probes
-    #: skip pricing entirely. Objective values are bit-identical with the
-    #: flag on or off, and identical for any ``workers`` setting.
-    incremental: bool = True
-    #: Population batch pricing: score each batch by first pricing all
-    #: its unseen subgraphs at once (deduped, shape-class tensor ops,
-    #: GOMA-style closed-form direct solves — see
-    #: :mod:`repro.cost.batch`). Bit-identical to per-genome pricing;
-    #: effective only together with :attr:`incremental`.
-    batch_pricing: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -139,8 +128,6 @@ class GeneticEngine:
     ):
         self.problem = problem
         self.config = config or GAConfig()
-        self.problem.incremental = self.config.incremental
-        self.problem.batch_pricing = self.config.batch_pricing
         self._external_backend = backend
         self._rng = random.Random(self.config.seed)
         self._evaluations = 0

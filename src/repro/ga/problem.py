@@ -32,6 +32,14 @@ class OptimizationProblem:
     With ``alpha`` set the objective is Formula 2 (co-exploration); with
     ``alpha=None`` it is Formula 1 at the fixed ``memory``. ``space`` being
     ``None`` pins every genome to ``fixed_memory``.
+
+    Fitness is incremental: :meth:`cost` reads
+    :meth:`~repro.cost.evaluator.Evaluator.summarize` (cached
+    per-subgraph scalar aggregates, so a child genome re-prices only the
+    subgraphs that differ from its parents), and repair probes use the
+    pricing-free :meth:`~repro.cost.evaluator.Evaluator.feasible`. A
+    :class:`~repro.cost.reference.ReferenceEvaluator` turns both back
+    into full pricing, bit-identically.
     """
 
     evaluator: Evaluator
@@ -39,22 +47,6 @@ class OptimizationProblem:
     alpha: float | None = None
     space: CapacitySpace | None = None
     fixed_memory: MemoryConfig | None = None
-    #: Incremental (delta) evaluation: fitness comes from
-    #: :meth:`~repro.cost.evaluator.Evaluator.summarize` (per-subgraph
-    #: scalar aggregates, cached — a child genome re-prices only the
-    #: subgraphs that differ from its parents) and repair probes use the
-    #: pricing-free :meth:`~repro.cost.evaluator.Evaluator.feasible`.
-    #: Disabling falls back to building a full PartitionCost per genome;
-    #: objective values are bit-identical either way.
-    incremental: bool = True
-    #: Population batch pricing: before a batch of genomes is scored,
-    #: :meth:`prime` hands all their unseen subgraphs to
-    #: :meth:`~repro.cost.evaluator.Evaluator.prime_summaries` — deduped,
-    #: shape-class batched tensor pricing with closed-form direct solves
-    #: (see :mod:`repro.cost.batch`) — so the per-genome scoring runs
-    #: over cached scalars. Bit-identical to serial scoring; only takes
-    #: effect together with :attr:`incremental`.
-    batch_pricing: bool = True
     _fitness_cache: dict = field(default_factory=dict, repr=False)
     _cost_task: CostTask | None = field(default=None, repr=False)
 
@@ -88,12 +80,9 @@ class OptimizationProblem:
     def repair(self, genome: Genome) -> Genome:
         """In-situ tuning: split subgraphs that exceed the buffer capacity."""
         memory = self.memory_of(genome)
-        if self.incremental:
-            def fits(members: frozenset[str]) -> bool:
-                return self.evaluator.feasible(members, memory)
-        else:
-            def fits(members: frozenset[str]) -> bool:
-                return self.evaluator.subgraph_cost(members, memory).feasible
+
+        def fits(members: frozenset[str]) -> bool:
+            return self.evaluator.feasible(members, memory)
 
         repaired = split_infeasible(genome.partition, fits)
         if repaired is genome.partition:
@@ -103,12 +92,14 @@ class OptimizationProblem:
     def prime(self, genomes: Sequence[Genome]) -> None:
         """Batch-price all unseen subgraphs of a genome batch at once.
 
-        A no-op unless both :attr:`incremental` and :attr:`batch_pricing`
-        are on. Priming only fills the evaluator's summary cache, so the
+        Hands them to :meth:`~repro.cost.evaluator.Evaluator.
+        prime_summaries` — deduped, shape-class batched tensor pricing
+        with closed-form direct solves (see :mod:`repro.cost.batch`).
+        Priming only fills the evaluator's summary cache, so the
         subsequent per-genome :meth:`cost` calls return bit-identical
         values — just without per-genome pricing work.
         """
-        if not (self.incremental and self.batch_pricing) or not genomes:
+        if not genomes:
             return
         self.evaluator.prime_summaries(
             [g.partition.subgraph_sets for g in genomes],
@@ -126,28 +117,24 @@ class OptimizationProblem:
     def cost(self, genome: Genome) -> float:
         """Objective value only, memoized per genome key.
 
-        With :attr:`incremental` (the default) the value is derived from
-        :meth:`Evaluator.summarize` — running sums over cached
-        per-subgraph scalars — instead of a full :class:`PartitionCost`;
-        the two are bit-identical.
+        Derived from :meth:`Evaluator.summarize` — running sums over
+        cached per-subgraph scalars — instead of a full
+        :class:`PartitionCost`; the two are bit-identical.
         """
         key = genome.key()
         hit = self._fitness_cache.get(key)
         if hit is not None:
             return hit
-        if self.incremental:
-            memory = self.memory_of(genome)
-            summary = self.evaluator.summarize(
-                genome.partition.subgraph_sets, memory
-            )
-            if self.alpha is None:
-                value = partition_objective(summary, self.metric)
-            else:
-                value = co_opt_objective(
-                    summary, memory, self.alpha, self.metric
-                )
+        memory = self.memory_of(genome)
+        summary = self.evaluator.summarize(
+            genome.partition.subgraph_sets, memory
+        )
+        if self.alpha is None:
+            value = partition_objective(summary, self.metric)
         else:
-            value, _ = self.evaluate(genome)
+            value = co_opt_objective(
+                summary, memory, self.alpha, self.metric
+            )
         self._fitness_cache[key] = value
         return value
 

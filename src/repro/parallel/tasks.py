@@ -78,8 +78,6 @@ class ParetoCostTask(_EvaluatorStatsMixin):
 
     Returns only the metric axis; the capacity axis is a pure attribute
     of the genome's memory configuration and is derived in the parent.
-    Uses the evaluator's incremental summary path when the problem runs
-    incrementally (the default) — the metric value is bit-identical.
     """
 
     def __init__(self, problem: Any, metric: Any) -> None:
@@ -88,15 +86,9 @@ class ParetoCostTask(_EvaluatorStatsMixin):
 
     def prime(self, genomes: Iterable[Any]) -> None:
         """Batch-price a chunk's unseen subgraphs before per-genome calls."""
-        problem = self.problem
-        if not (
-            getattr(problem, "incremental", False)
-            and getattr(problem, "batch_pricing", False)
-        ):
-            return
         genomes = list(genomes)
         if genomes:
-            problem.evaluator.prime_summaries(
+            self.problem.evaluator.prime_summaries(
                 [g.partition.subgraph_sets for g in genomes],
                 [g.memory for g in genomes],
             )
@@ -104,15 +96,9 @@ class ParetoCostTask(_EvaluatorStatsMixin):
     def __call__(self, genome: Any) -> float:
         from ..cost.objective import partition_objective
 
-        evaluator = self.problem.evaluator
-        if getattr(self.problem, "incremental", False):
-            cost = evaluator.summarize(
-                genome.partition.subgraph_sets, genome.memory
-            )
-        else:
-            cost = evaluator.evaluate(
-                genome.partition.subgraph_sets, genome.memory
-            )
+        cost = self.problem.evaluator.summarize(
+            genome.partition.subgraph_sets, genome.memory
+        )
         if not cost.feasible:
             return float("inf")
         return partition_objective(cost, self.metric)

@@ -76,7 +76,6 @@ from .checkpoint import (
 from .registry import RunRegistry
 from .seeds import derive_seed
 
-SCHEMES = ("cocco", "rs", "gs", "sa", "nsga", "islands")
 MODES = ("separate", "shared")
 METRICS = ("ema", "energy")
 
@@ -229,372 +228,340 @@ def cell_accelerator(cell: SuiteCell) -> AcceleratorConfig:
     )
 
 
-def _run_cocco_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-    eval_workers: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """Co-opt GA with streamed history + generation-level resume.
+class _Scheme:
+    """One search scheme as :func:`_drive` runs it in a suite cell.
 
-    Equivalent to ``cocco_co_optimize(..., refine=False)`` but drives
-    the engine directly so an interrupted cell continues from its
-    ``checkpoint.json`` bit-identically instead of starting over.
+    An entry builds its ``config`` (``configure``), describes its
+    checkpoints — the history line each streams (``tick_key`` first,
+    then position fields) and whether one is the search's final state —
+    and wraps its codec pair (``encode``/``decode``), its entry point
+    (``search``) and its ``outcome``: ``(best_cost, memory,
+    partition_cost)`` of a finished search. :func:`_drive` owns the rest.
 
-    ``sample_cap`` (when set) bounds the cell's cumulative evaluation
-    count through ``GAConfig.max_samples`` — the engine stops exactly at
-    the cap. A cell that hits the cap before finishing its generations
-    returns ``finished=False`` with its checkpoint left in place; a
-    later call with a higher cap resumes the same trajectory.
+    Codec functions and entry points are called by their module-level
+    names inside the methods, never stored on the entry, so wrappers
+    installed on those globals (perfbench's tracer) see every call.
     """
-    metric = _metric(cell.metric)
-    problem = OptimizationProblem(
-        evaluator=evaluator, metric=metric, alpha=cell.alpha,
-        space=_space(cell.mode),
-    )
-    overrides: dict[str, Any] = {}
-    if sample_cap is not None:
-        overrides["max_samples"] = sample_cap
-    if eval_workers is not None:
-        overrides["workers"] = eval_workers
-    config = scale.co_opt_ga_config(seed=seed, **overrides)
-    engine = GeneticEngine(problem, config)
-    last_generation = -1
 
-    def hook(checkpoint) -> None:
-        nonlocal last_generation
-        last_generation = checkpoint.generation
-        entry = {
-            "generation": checkpoint.generation,
+    #: History key of a checkpoint's monotonic position.
+    tick_key = "generation"
+    #: ``False`` for a cell-atomic scheme: it ignores ``sample_cap``
+    #: and always runs whole; the budget scheduler charges its exact
+    #: evaluation count.
+    capped = True
+    #: Persist the checkpoint of every N-th tick only.
+    checkpoint_every = 1
+
+    def __init__(
+        self, cell: SuiteCell, seed: int, evaluator: Evaluator, scale: Scale,
+        sample_cap: int | None, eval_workers: int | None,
+    ):
+        self.cell = cell
+        self.seed = seed
+        self.evaluator = evaluator
+        self.scale = scale
+        self.metric = _metric(cell.metric)
+        self.space = _space(cell.mode)
+        self.sample_cap = sample_cap if self.capped else None
+        self.worker_kwargs = (
+            {} if eval_workers is None else {"workers": eval_workers}
+        )
+        self.config = self.configure()
+
+    def tick(self, checkpoint) -> int:
+        return checkpoint.generation
+
+    def position(self, checkpoint) -> dict[str, Any]:
+        return {}
+
+    def entry(self, checkpoint) -> dict[str, Any]:
+        """The checkpoint's ``history.jsonl`` line."""
+        return {
+            self.tick_key: self.tick(checkpoint),
+            **self.position(checkpoint),
             "evaluations": checkpoint.evaluations,
             "best_cost": _stream_cost(checkpoint.best_cost),
         }
-        run.log_history(entry)
-        emit("progress", scheme="cocco", **entry)
-        run.save_checkpoint(ga_checkpoint_to_dict(checkpoint))
 
-    state = run.load_checkpoint()
-    if state is not None:
-        checkpoint = ga_checkpoint_from_dict(state, evaluator.graph)
-        last_generation = checkpoint.generation
-        if (
-            sample_cap is not None
-            and checkpoint.evaluations >= sample_cap
-            and checkpoint.generation < config.generations
-        ):
-            # Already at (or past) this cap: nothing to do until the
-            # budget scheduler grants more.
-            return {"num_evaluations": checkpoint.evaluations}, False
-        run.truncate_history(checkpoint.generation)
-        result = engine.resume(checkpoint, on_generation=hook)
-    else:
-        result = engine.run(on_generation=hook)
-
-    finished = sample_cap is None or last_generation >= config.generations
-    if not finished:
-        return {"num_evaluations": result.num_evaluations}, False
-    _, partition_cost = problem.evaluate(result.best_genome)
-    return {
-        "best_cost": result.best_cost,
-        "memory": result.best_genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }, True
+    def finished(self, checkpoint) -> bool:
+        return checkpoint.generation >= self.config.generations
 
 
-def _run_sa_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """SA cell with streamed history + step-level checkpoint resume.
+class _CoOpt(_Scheme):
+    """A scheme searching the cell's Formula 2 problem directly."""
 
-    The chain state is tiny — (current genome, temperature, step, RNG
-    state) — so every ``checkpoint_interval`` steps the whole search is
-    snapshotted; an interrupted cell replays at most the steps since the
-    last snapshot, bit-identically. ``sample_cap`` bounds cumulative
-    evaluations exactly (the chain stops mid-schedule and resumes when
-    the budget scheduler grants more).
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.problem = OptimizationProblem(
+            evaluator=self.evaluator, metric=self.metric,
+            alpha=self.cell.alpha, space=self.space,
+        )
+
+    def outcome(self, result):
+        _, partition_cost = self.problem.evaluate(result.best_genome)
+        return result.best_cost, result.best_genome.memory, partition_cost
+
+
+class _Cocco(_CoOpt):
+    """Co-opt GA, checkpointed every generation.
+
+    Equivalent to ``cocco_co_optimize(..., refine=False)``, but drives
+    the engine directly so a cell resumes from its checkpoint; the cap
+    is the engine's ``max_samples``.
     """
-    metric = _metric(cell.metric)
-    problem = OptimizationProblem(
-        evaluator=evaluator, metric=metric, alpha=cell.alpha,
-        space=_space(cell.mode),
-    )
-    config = scale.co_opt_sa_config(seed=seed)
-    last_step = -1
 
-    def hook(checkpoint) -> None:
-        nonlocal last_step
-        last_step = checkpoint.step
-        entry = {
-            "step": checkpoint.step,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
-        }
-        run.log_history(entry)
-        emit("progress", scheme="sa", **entry)
-        run.save_checkpoint(sa_checkpoint_to_dict(checkpoint))
+    def configure(self):
+        overrides = dict(self.worker_kwargs)
+        if self.sample_cap is not None:
+            overrides["max_samples"] = self.sample_cap
+        return self.scale.co_opt_ga_config(seed=self.seed, **overrides)
 
-    state = run.load_checkpoint()
-    resume_from = None
-    if state is not None:
-        resume_from = sa_checkpoint_from_dict(state, evaluator.graph)
-        last_step = resume_from.step
-        if (
-            sample_cap is not None
-            and resume_from.evaluations >= sample_cap
-            and resume_from.step < config.steps
-        ):
-            return {"num_evaluations": resume_from.evaluations}, False
-        run.truncate_history(resume_from.step, key="step")
-    result = simulated_annealing(
-        problem,
-        config,
-        on_step=hook,
-        resume_from=resume_from,
-        max_evaluations=sample_cap,
-    )
+    def encode(self, checkpoint):
+        return ga_checkpoint_to_dict(checkpoint)
 
-    finished = sample_cap is None or last_step >= config.steps
-    if not finished:
-        return {"num_evaluations": result.num_evaluations}, False
-    _, partition_cost = problem.evaluate(result.best_genome)
-    return {
-        "best_cost": result.best_cost,
-        "memory": result.best_genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }, True
+    def decode(self, state):
+        return ga_checkpoint_from_dict(state, self.evaluator.graph)
+
+    def search(self, hook, resume_from):
+        engine = GeneticEngine(self.problem, self.config)
+        if resume_from is None:
+            return engine.run(on_generation=hook)
+        return engine.resume(resume_from, on_generation=hook)
 
 
-def _run_islands_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-    eval_workers: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """Island-model cell with composite checkpoint resume.
+class _Annealing(_CoOpt):
+    """SA, checkpointed every ``checkpoint_interval`` steps + final."""
 
-    Every island generation yields an ``IslandsCheckpoint`` (all island
-    engines + migration RNG + epoch/island cursor); an interrupted cell
-    resumes mid-island bit-identically. ``sample_cap`` bounds the
-    *global* evaluation count across islands exactly, so budgeted
-    campaigns stop island cells at their allocation and grow them later.
+    tick_key = "step"
+
+    def configure(self):
+        return self.scale.co_opt_sa_config(seed=self.seed)
+
+    def tick(self, checkpoint):
+        return checkpoint.step
+
+    def finished(self, checkpoint):
+        return checkpoint.step >= self.config.steps
+
+    def encode(self, checkpoint):
+        return sa_checkpoint_to_dict(checkpoint)
+
+    def decode(self, state):
+        return sa_checkpoint_from_dict(state, self.evaluator.graph)
+
+    def search(self, hook, resume_from):
+        return simulated_annealing(
+            self.problem, self.config, on_step=hook,
+            resume_from=resume_from, max_evaluations=self.sample_cap,
+        )
+
+
+class _Islands(_CoOpt):
+    """Island-model GA, checkpointed every island generation.
+
+    The composite checkpoint holds every island's engine plus the
+    migration RNG and the epoch/island cursor; the cap bounds the
+    *global* evaluation count across islands.
     """
-    metric = _metric(cell.metric)
-    problem = OptimizationProblem(
-        evaluator=evaluator, metric=metric, alpha=cell.alpha,
-        space=_space(cell.mode),
-    )
-    overrides: dict[str, Any] = {}
-    if eval_workers is not None:
-        overrides["workers"] = eval_workers
-    config = scale.islands_config(seed=seed, **overrides)
-    last = None
 
-    def hook(checkpoint) -> None:
-        nonlocal last
-        last = checkpoint
-        entry = {
-            "tick": islands_mod.checkpoint_tick(checkpoint, config),
+    tick_key = "tick"
+
+    def configure(self):
+        return self.scale.islands_config(seed=self.seed, **self.worker_kwargs)
+
+    def tick(self, checkpoint):
+        return islands_mod.checkpoint_tick(checkpoint, self.config)
+
+    def position(self, checkpoint):
+        return {
             "epoch": checkpoint.epoch,
             "island": checkpoint.island,
             "generation": checkpoint.generation,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
         }
-        run.log_history(entry)
-        emit("progress", scheme="islands", **entry)
-        run.save_checkpoint(islands_checkpoint_to_dict(checkpoint))
 
-    state = run.load_checkpoint()
-    resume_from = None
-    if state is not None:
-        resume_from = islands_checkpoint_from_dict(state, evaluator.graph)
-        last = resume_from
-        if (
-            sample_cap is not None
-            and resume_from.evaluations >= sample_cap
-            and not islands_mod.checkpoint_finished(resume_from, config)
-        ):
-            return {"num_evaluations": resume_from.evaluations}, False
-        run.truncate_history(
-            islands_mod.checkpoint_tick(resume_from, config), key="tick"
+    def finished(self, checkpoint):
+        return islands_mod.checkpoint_finished(checkpoint, self.config)
+
+    def encode(self, checkpoint):
+        return islands_checkpoint_to_dict(checkpoint)
+
+    def decode(self, state):
+        return islands_checkpoint_from_dict(state, self.evaluator.graph)
+
+    def search(self, hook, resume_from):
+        return island_search(
+            self.problem, self.config, on_generation=hook,
+            resume_from=resume_from, max_samples=self.sample_cap,
         )
-    result = island_search(
-        problem, config,
-        on_generation=hook, resume_from=resume_from, max_samples=sample_cap,
-    )
-
-    finished = sample_cap is None or (
-        last is not None and islands_mod.checkpoint_finished(last, config)
-    )
-    if not finished:
-        return {"num_evaluations": result.num_evaluations}, False
-    _, partition_cost = problem.evaluate(result.best_genome)
-    return {
-        "best_cost": result.best_cost,
-        "memory": result.best_genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }, True
 
 
-#: NSGA-II checkpoints carry the whole evaluation archive (it grows with
-#: every generation), so persisting one per generation would rewrite
-#: O(generations x archive) JSON. Snapshot every N generations instead;
-#: a resume recomputes at most N-1 generations, still bit-identically.
-_NSGA_CHECKPOINT_EVERY = 5
+class _NSGA(_Scheme):
+    """NSGA-II frontier run, reported at the cell's alpha.
 
+    Cell-atomic: archive-deduplicated evaluation counting cannot stop
+    exactly mid-generation. Its checkpoints carry the whole evaluation
+    archive, which grows every generation, so persisting one per
+    generation would rewrite O(generations x archive) JSON; every fifth
+    is kept instead, and a resume recomputes at most four generations.
+    """
 
-def _run_nsga_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    eval_workers: int | None = None,
-) -> dict[str, Any]:
-    """NSGA-II frontier run, reported at the cell's alpha."""
-    config = NSGAConfig(
-        population_size=max(4, scale.ga_population),
-        generations=scale.ga_generations,
-        seed=seed,
-        workers=eval_workers if eval_workers is not None else 1,
-    )
+    capped = False
+    checkpoint_every = 5
 
-    def hook(checkpoint) -> None:
-        entry = {
+    def configure(self):
+        return NSGAConfig(
+            population_size=max(4, self.scale.ga_population),
+            generations=self.scale.ga_generations,
+            seed=self.seed,
+            **self.worker_kwargs,
+        )
+
+    def entry(self, checkpoint):
+        return {
             "generation": checkpoint.generation,
             "evaluations": checkpoint.evaluations,
         }
-        run.log_history(entry)
-        emit("progress", scheme="nsga", **entry)
-        if checkpoint.generation % _NSGA_CHECKPOINT_EVERY == 0:
-            run.save_checkpoint(nsga_checkpoint_to_dict(checkpoint))
 
-    state = run.load_checkpoint()
-    resume_from = None
-    if state is not None:
-        resume_from = nsga_checkpoint_from_dict(state, evaluator.graph)
-        run.truncate_history(resume_from.generation)
-    result = nsga2_co_optimize(
-        evaluator,
-        _space(cell.mode),
-        metric=_metric(cell.metric),
-        config=config,
-        on_generation=hook,
-        resume_from=resume_from,
-    )
-    point = result.select_by_alpha(cell.alpha)
-    partition_cost = evaluator.evaluate(
-        point.genome.partition.subgraph_sets, point.genome.memory
-    )
-    return {
-        "best_cost": point.formula2(cell.alpha),
-        "memory": point.genome.memory,
-        "partition_cost": partition_cost,
-        "num_evaluations": result.num_evaluations,
-    }
+    def encode(self, checkpoint):
+        return nsga_checkpoint_to_dict(checkpoint)
+
+    def decode(self, state):
+        return nsga_checkpoint_from_dict(state, self.evaluator.graph)
+
+    def search(self, hook, resume_from):
+        return nsga2_co_optimize(
+            self.evaluator, self.space, metric=self.metric,
+            config=self.config, on_generation=hook, resume_from=resume_from,
+        )
+
+    def outcome(self, result):
+        point = result.select_by_alpha(self.cell.alpha)
+        genome = point.genome
+        partition_cost = self.evaluator.evaluate(
+            genome.partition.subgraph_sets, genome.memory
+        )
+        return point.formula2(self.cell.alpha), genome.memory, partition_cost
 
 
-def _run_two_step_cell(
-    cell: SuiteCell,
-    seed: int,
-    evaluator: Evaluator,
-    scale: Scale,
-    run,
-    sample_cap: int | None = None,
-    eval_workers: int | None = None,
-) -> tuple[dict[str, Any], bool]:
-    """RS+GA / GS+GA cells with candidate-cursor checkpoint resume.
+class _TwoStep(_Scheme):
+    """RS+GA / GS+GA, checkpointed every inner-GA generation.
 
-    Every inner GA generation yields a ``TwoStepCheckpoint`` (candidate
-    cursor + that candidate's engine state + folded telemetry), so an
-    interrupted cell resumes *mid-candidate* instead of from candidate
-    zero. ``sample_cap`` bounds the cumulative evaluation count across
-    candidates exactly — these cells no longer run cell-atomically
-    under ``repro suite --budget``.
+    The checkpoint holds the candidate cursor, that candidate's engine
+    state and the folded telemetry, so a cell resumes mid-candidate; the
+    cap bounds the cumulative evaluation count across candidates.
     """
-    metric = _metric(cell.metric)
-    space = _space(cell.mode)
-    overrides: dict[str, Any] = {}
-    if eval_workers is not None:
-        overrides["workers"] = eval_workers
-    ga_config = scale.ga_config(seed=seed, **overrides)
+
+    tick_key = "tick"
+
+    def configure(self):
+        return self.scale.ga_config(seed=self.seed, **self.worker_kwargs)
+
+    def tick(self, checkpoint):
+        return two_step_mod.checkpoint_tick(checkpoint, self.config)
+
+    def position(self, checkpoint):
+        return {
+            "candidate": checkpoint.candidate,
+            "generation": checkpoint.generation,
+        }
+
+    def finished(self, checkpoint):
+        return two_step_mod.checkpoint_finished(checkpoint, self.config)
+
+    def encode(self, checkpoint):
+        return two_step_checkpoint_to_dict(checkpoint, kind=self.cell.scheme)
+
+    def decode(self, state):
+        return two_step_checkpoint_from_dict(
+            state, self.evaluator.graph, kind=self.cell.scheme
+        )
+
+    def outcome(self, result):
+        return result.best_cost, result.memory, result.partition_cost
+
+
+class _RandomSearch(_TwoStep):
+    def search(self, hook, resume_from):
+        return random_search_ga(
+            self.evaluator, self.space, metric=self.metric,
+            alpha=self.cell.alpha, num_candidates=self.scale.rs_candidates,
+            ga_config=self.config, seed=self.seed,
+            on_checkpoint=hook, resume_from=resume_from,
+            max_evaluations=self.sample_cap,
+        )
+
+
+class _GridSearch(_TwoStep):
+    def search(self, hook, resume_from):
+        return grid_search_ga(
+            self.evaluator, self.space, metric=self.metric,
+            alpha=self.cell.alpha, stride=self.scale.gs_stride,
+            max_candidates=self.scale.gs_max_candidates,
+            ga_config=self.config,
+            on_checkpoint=hook, resume_from=resume_from,
+            max_evaluations=self.sample_cap,
+        )
+
+
+#: The search schemes a cell can run, in ``--schemes`` help order. A new
+#: scheme is one entry here plus its codec pair in
+#: :mod:`repro.runs.checkpoint`.
+_SCHEME_TABLE: dict[str, type[_Scheme]] = {
+    "cocco": _Cocco,
+    "rs": _RandomSearch,
+    "gs": _GridSearch,
+    "sa": _Annealing,
+    "nsga": _NSGA,
+    "islands": _Islands,
+}
+SCHEMES = tuple(_SCHEME_TABLE)
+#: Schemes that stop exactly at a sample cap and resume from their
+#: checkpoint; the others run cell-atomically.
+CAPPED_SCHEMES = frozenset(
+    name for name, scheme in _SCHEME_TABLE.items() if scheme.capped
+)
+
+
+def _drive(scheme: _Scheme, run) -> tuple[tuple | None, int]:
+    """Run one scheme durably; returns ``(outcome, evaluations)``.
+
+    Every checkpoint the search yields streams one history line and one
+    ``progress`` event, and every ``checkpoint_every``-th is persisted.
+    A stored checkpoint is resumed bit-identically, after dropping any
+    history line written past it. ``outcome`` is ``None`` when the
+    search stopped at its sample cap unfinished: its checkpoint stays in
+    place, and a later call with a higher cap resumes the same
+    trajectory.
+    """
+    cap = scheme.sample_cap
     last = None
 
     def hook(checkpoint) -> None:
         nonlocal last
         last = checkpoint
-        entry = {
-            "tick": two_step_mod.checkpoint_tick(checkpoint, ga_config),
-            "candidate": checkpoint.candidate,
-            "generation": checkpoint.generation,
-            "evaluations": checkpoint.evaluations,
-            "best_cost": _stream_cost(checkpoint.best_cost),
-        }
+        entry = scheme.entry(checkpoint)
         run.log_history(entry)
-        emit("progress", scheme=cell.scheme, **entry)
-        run.save_checkpoint(
-            two_step_checkpoint_to_dict(checkpoint, kind=cell.scheme)
-        )
+        emit("progress", scheme=scheme.cell.scheme, **entry)
+        if entry[scheme.tick_key] % scheme.checkpoint_every == 0:
+            run.save_checkpoint(scheme.encode(checkpoint))
 
     state = run.load_checkpoint()
     resume_from = None
     if state is not None:
-        resume_from = two_step_checkpoint_from_dict(
-            state, evaluator.graph, kind=cell.scheme
-        )
-        last = resume_from
+        resume_from = last = scheme.decode(state)
         if (
-            sample_cap is not None
-            and resume_from.evaluations >= sample_cap
-            and not two_step_mod.checkpoint_finished(resume_from, ga_config)
+            cap is not None
+            and resume_from.evaluations >= cap
+            and not scheme.finished(resume_from)
         ):
-            return {"num_evaluations": resume_from.evaluations}, False
-        run.truncate_history(
-            two_step_mod.checkpoint_tick(resume_from, ga_config), key="tick"
-        )
-    if cell.scheme == "rs":
-        dse = random_search_ga(
-            evaluator, space, metric=metric, alpha=cell.alpha,
-            num_candidates=scale.rs_candidates,
-            ga_config=ga_config, seed=seed,
-            on_checkpoint=hook, resume_from=resume_from,
-            max_evaluations=sample_cap,
-        )
-    else:
-        dse = grid_search_ga(
-            evaluator, space, metric=metric, alpha=cell.alpha,
-            stride=scale.gs_stride, max_candidates=scale.gs_max_candidates,
-            ga_config=ga_config,
-            on_checkpoint=hook, resume_from=resume_from,
-            max_evaluations=sample_cap,
-        )
-
-    finished = sample_cap is None or (
-        last is not None
-        and two_step_mod.checkpoint_finished(last, ga_config)
-    )
-    if not finished:
-        return {"num_evaluations": dse.num_evaluations}, False
-    return {
-        "best_cost": dse.best_cost,
-        "memory": dse.memory,
-        "partition_cost": dse.partition_cost,
-        "num_evaluations": dse.num_evaluations,
-    }, True
+            # Already at (or past) this cap: nothing to do until the
+            # budget scheduler grants more.
+            return None, resume_from.evaluations
+        run.truncate_history(scheme.tick(resume_from), key=scheme.tick_key)
+    result = scheme.search(hook, resume_from)
+    if cap is not None and (last is None or not scheme.finished(last)):
+        return None, result.num_evaluations
+    return scheme.outcome(result), result.num_evaluations
 
 
 def _maybe_fault(
@@ -635,14 +602,11 @@ def run_cell(
     the cell incomplete (and resumable), never half-recorded.
 
     ``sample_cap`` (from the campaign budget scheduler) bounds the
-    cell's cumulative evaluation count for the checkpoint-resumable
-    schemes (``cocco``, ``sa``, ``islands``, ``rs``, ``gs``); a cell
-    stopped at its cap returns a ``status="exhausted"`` row *without*
-    writing ``result.json`` — it stays resumable and continues when a
-    later call raises the cap. ``nsga`` is the one remaining cell-atomic
-    scheme (its archive-dedup evaluation counting cannot stop exactly
-    mid-generation): it always runs to completion and its exact
-    evaluation count is charged against the budget by the scheduler.
+    cell's cumulative evaluation count for :data:`CAPPED_SCHEMES`; a
+    cell stopped at its cap returns a ``status="exhausted"`` row
+    *without* writing ``result.json`` — it stays resumable and continues
+    when a later call raises the cap. The other schemes (``nsga``) run
+    whole; the scheduler charges their exact evaluation count.
     ``eval_workers`` fans the cell's *evaluations* out across local
     worker processes (results are bit-identical for any value — only
     wall-clock changes).
@@ -707,7 +671,7 @@ def _execute_cell(
     sample_cap: int | None = None,
     eval_workers: int | None = None,
 ) -> dict[str, Any]:
-    """The scheme dispatch and result persistence of :func:`run_cell`."""
+    """The scheme run and result persistence of :func:`run_cell`."""
     if evaluator is None:
         evaluator = Evaluator(get_model(cell.network), cell_accelerator(cell))
     # Warm-start from the registry's persisted per-(network, element
@@ -718,55 +682,34 @@ def _execute_cell(
     warm = registry.load_warm_summaries(cell.network, cell.bytes_per_element)
     if warm:
         evaluator.absorb_summaries(warm)
-    scale = SCALES[cell.scale]
-    finished = True
-    if cell.scheme == "cocco":
-        outcome, finished = _run_cocco_cell(
-            cell, seed, evaluator, scale, run,
-            sample_cap=sample_cap, eval_workers=eval_workers,
-        )
-    elif cell.scheme == "sa":
-        outcome, finished = _run_sa_cell(
-            cell, seed, evaluator, scale, run, sample_cap=sample_cap
-        )
-    elif cell.scheme == "islands":
-        outcome, finished = _run_islands_cell(
-            cell, seed, evaluator, scale, run,
-            sample_cap=sample_cap, eval_workers=eval_workers,
-        )
-    elif cell.scheme == "nsga":
-        outcome = _run_nsga_cell(
-            cell, seed, evaluator, scale, run, eval_workers=eval_workers
-        )
-    else:
-        outcome, finished = _run_two_step_cell(
-            cell, seed, evaluator, scale, run,
-            sample_cap=sample_cap, eval_workers=eval_workers,
-        )
+    scheme = _SCHEME_TABLE[cell.scheme](
+        cell, seed, evaluator, SCALES[cell.scale], sample_cap, eval_workers
+    )
+    outcome, evaluations = _drive(scheme, run)
     registry.save_warm_summaries(
         cell.network, cell.bytes_per_element, evaluator.export_summaries()
     )
     # Cache/batch-pricing counters for the aggregation layer's hit-rate
     # series (write-only; the search never reads telemetry back).
     emit("evaluator.stats", cell=cell.cell_id, stats=evaluator.stats())
-    if not finished:
+    if outcome is None:
         return {
             **config,
             "seed": seed,
             "status": "exhausted",
-            "num_evaluations": outcome["num_evaluations"],
+            "num_evaluations": evaluations,
         }
-    cost = outcome["partition_cost"]
+    best_cost, memory, cost = outcome
     result = {
         **config,
         "seed": seed,
         "status": "complete",
-        "best_cost": outcome["best_cost"],
-        "capacity_bytes": outcome["memory"].total_bytes,
+        "best_cost": best_cost,
+        "capacity_bytes": memory.total_bytes,
         "ema_bytes": cost.ema_bytes,
         "energy_pj": cost.energy_pj,
         "num_subgraphs": cost.num_subgraphs,
-        "num_evaluations": outcome["num_evaluations"],
+        "num_evaluations": evaluations,
     }
     run.finish(result)
     return result

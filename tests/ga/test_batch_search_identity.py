@@ -1,11 +1,13 @@
 """Batch pricing is invisible to every search loop, for any backend.
 
-``batch_pricing`` only changes *when* subgraphs are priced (all at once,
+Batch pricing only changes *when* subgraphs are priced (all at once,
 per batch, through the tensorized fast path) — never what any genome
-costs. These tests run each searcher twice with identical seeds, flag on
-vs off, and demand identical trajectories: best cost, best genome,
-evaluation counts, and history. The process-pool cases additionally pin
-that chunk-level priming composes with warm-summary shipping.
+costs. These tests run each searcher twice with identical seeds, on the
+:class:`Evaluator` and on the :class:`ReferenceEvaluator` (which prices
+nothing in batch and every genome in full), and demand identical
+trajectories: best cost, best genome, evaluation counts, and history.
+The process-pool cases additionally pin that chunk-level priming
+composes with warm-summary shipping.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from repro.config import MemoryConfig
 from repro.cost.evaluator import Evaluator
 from repro.cost.objective import Metric
+from repro.cost.reference import ReferenceEvaluator
 from repro.dse.nsga import NSGAConfig, nsga2_co_optimize
 from repro.dse.two_step import random_search_ga
 from repro.experiments.common import paper_accelerator
@@ -29,19 +32,19 @@ from repro.units import kb, mb
 MEMORY = MemoryConfig.separate(mb(1), kb(1152))
 
 
-def _problem(name: str = "resnet50") -> OptimizationProblem:
+def _problem(
+    name: str = "resnet50", evaluator_cls=Evaluator
+) -> OptimizationProblem:
     return OptimizationProblem(
-        evaluator=Evaluator(get_model(name), paper_accelerator()),
+        evaluator=evaluator_cls(get_model(name), paper_accelerator()),
         metric=Metric.EMA,
         fixed_memory=MEMORY,
     )
 
 
-def _ga_trace(batch: bool, seed: int, backend=None):
-    problem = _problem()
-    config = GAConfig(
-        population_size=14, generations=3, seed=seed, batch_pricing=batch
-    )
+def _ga_trace(evaluator_cls, seed: int, backend=None):
+    problem = _problem(evaluator_cls=evaluator_cls)
+    config = GAConfig(population_size=14, generations=3, seed=seed)
     result = GeneticEngine(problem, config, backend=backend).run()
     return (
         result.best_cost,
@@ -55,28 +58,25 @@ def _ga_trace(batch: bool, seed: int, backend=None):
 class TestGAIdentity:
     @pytest.mark.parametrize("seed", (0, 1))
     def test_serial_identical(self, seed):
-        on = _ga_trace(True, seed)
-        off = _ga_trace(False, seed)
-        assert on[:4] == off[:4]
-        assert on[4] > 0  # the batch path actually ran
-        assert off[4] == 0
+        fast = _ga_trace(Evaluator, seed)
+        reference = _ga_trace(ReferenceEvaluator, seed)
+        assert fast[:4] == reference[:4]
+        assert fast[4] > 0  # the batch path actually ran
+        assert reference[4] == 0
 
     def test_process_pool_identical(self):
-        serial = _ga_trace(True, seed=2)
+        serial = _ga_trace(Evaluator, seed=2)
         with ProcessPoolBackend(workers=2, chunk_size=4) as backend:
-            pooled = _ga_trace(True, seed=2, backend=backend)
+            pooled = _ga_trace(Evaluator, seed=2, backend=backend)
         assert pooled[:4] == serial[:4]
 
 
 class TestIslandsIdentity:
     def test_island_search_identical(self):
-        def run(batch: bool):
-            problem = _problem("mobilenet_v2")
+        def run(evaluator_cls):
+            problem = _problem("mobilenet_v2", evaluator_cls)
             config = IslandConfig(
-                base=GAConfig(
-                    population_size=8, generations=2, seed=4,
-                    batch_pricing=batch,
-                ),
+                base=GAConfig(population_size=8, generations=2, seed=4),
                 num_islands=2,
                 epochs=2,
                 epoch_generations=2,
@@ -90,21 +90,21 @@ class TestIslandsIdentity:
                 problem.evaluator.num_batch_priced,
             )
 
-        on = run(True)
-        off = run(False)
-        assert on[:3] == off[:3]
-        assert on[3] > 0
+        fast = run(Evaluator)
+        reference = run(ReferenceEvaluator)
+        assert fast[:3] == reference[:3]
+        assert fast[3] > 0
+        assert reference[3] == 0
 
 
 class TestNSGAIdentity:
     @pytest.mark.parametrize("seed", (0, 3))
     def test_nsga_identical(self, seed):
-        def run(batch: bool):
-            evaluator = Evaluator(get_model("googlenet"), paper_accelerator())
-            config = NSGAConfig(
-                population_size=10, generations=2, seed=seed,
-                batch_pricing=batch,
+        def run(evaluator_cls):
+            evaluator = evaluator_cls(
+                get_model("googlenet"), paper_accelerator()
             )
+            config = NSGAConfig(population_size=10, generations=2, seed=seed)
             result = nsga2_co_optimize(
                 evaluator, CapacitySpace.paper_separate(), Metric.EMA, config
             )
@@ -115,10 +115,11 @@ class TestNSGAIdentity:
                 evaluator.num_batch_priced,
             )
 
-        on = run(True)
-        off = run(False)
-        assert on[:3] == off[:3]
-        assert on[3] > 0
+        fast = run(Evaluator)
+        reference = run(ReferenceEvaluator)
+        assert fast[:3] == reference[:3]
+        assert fast[3] > 0
+        assert reference[3] == 0
 
     def test_nsga_process_pool_identical(self):
         def run(backend):
@@ -145,16 +146,14 @@ class TestNSGAIdentity:
 
 class TestTwoStepIdentity:
     def test_random_search_ga_identical(self):
-        def run(batch: bool):
-            evaluator = Evaluator(get_model("unet"), paper_accelerator())
+        def run(evaluator_cls):
+            evaluator = evaluator_cls(get_model("unet"), paper_accelerator())
             result = random_search_ga(
                 evaluator,
                 CapacitySpace.paper_separate(),
                 num_candidates=2,
                 metric=Metric.EMA,
-                ga_config=GAConfig(
-                    population_size=8, generations=2, batch_pricing=batch
-                ),
+                ga_config=GAConfig(population_size=8, generations=2),
                 seed=6,
             )
             return (
@@ -164,7 +163,8 @@ class TestTwoStepIdentity:
                 evaluator.num_batch_priced,
             )
 
-        on = run(True)
-        off = run(False)
-        assert on[:3] == off[:3]
-        assert on[3] > 0
+        fast = run(Evaluator)
+        reference = run(ReferenceEvaluator)
+        assert fast[:3] == reference[:3]
+        assert fast[3] > 0
+        assert reference[3] == 0

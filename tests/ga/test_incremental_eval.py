@@ -2,9 +2,9 @@
 
 The incremental path must (a) price a child genome by re-pricing only
 the subgraphs that differ from already-seen genomes, (b) produce
-objective values bit-identical to from-scratch evaluation and to the
-retained reference pipeline, and (c) compose with parallel workers
-(including warm-state sharing) without changing any result.
+objective values bit-identical to the retained reference pipeline,
+which prices every genome from scratch, and (c) compose with parallel
+workers (including warm-state sharing) without changing any result.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.graphs.zoo import get_model
 from repro.parallel.backend import ProcessPoolBackend, SerialBackend
 
 
-def make_problem(incremental: bool = True, model: str = "googlenet",
+def make_problem(model: str = "googlenet",
                  evaluator_cls=Evaluator) -> OptimizationProblem:
     graph = get_model(model)
     return OptimizationProblem(
@@ -33,7 +33,6 @@ def make_problem(incremental: bool = True, model: str = "googlenet",
         metric=Metric.EMA,
         alpha=None,
         fixed_memory=paper_memory(),
-        incremental=incremental,
     )
 
 
@@ -72,7 +71,8 @@ class TestIncrementalIdentity:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_incremental_matches_from_scratch(self, seed):
         rng = random.Random(seed)
-        incremental, scratch = make_problem(True), make_problem(False)
+        incremental = make_problem()
+        scratch = make_problem(evaluator_cls=ReferenceEvaluator)
         for _ in range(6):
             genome = incremental.repair(
                 Genome(
@@ -83,8 +83,8 @@ class TestIncrementalIdentity:
             assert incremental.cost(genome) == scratch.cost(genome)
 
     def test_mutation_chain_matches_reference_pipeline(self):
-        fast = make_problem(True)
-        reference = make_problem(False, evaluator_cls=ReferenceEvaluator)
+        fast = make_problem()
+        reference = make_problem(evaluator_cls=ReferenceEvaluator)
         rng_a, rng_b = random.Random(3), random.Random(3)
         genome_a = fast.random_genome(rng_a)
         genome_b = reference.random_genome(rng_b)
@@ -100,27 +100,16 @@ class TestIncrementalIdentity:
 
 
 class TestEngineDefaults:
-    def test_incremental_on_by_default(self):
-        problem = make_problem(False)
-        engine = GeneticEngine(problem, GAConfig(population_size=4, generations=1))
-        assert engine.config.incremental is True
-        assert problem.incremental is True  # engine propagates its config
-
-    def test_nsga_config_default(self):
-        from repro.dse.nsga import NSGAConfig
-
-        assert NSGAConfig().incremental is True
-
     def test_ga_identical_incremental_on_off(self):
-        def run(incremental):
-            problem = make_problem(incremental)
-            config = GAConfig(
-                population_size=10, generations=3, seed=5,
-                incremental=incremental,
-            )
+        """The engine's incremental, batch-priced search ("on") matches
+        the reference pipeline's full per-genome pricing ("off")."""
+
+        def run(evaluator_cls):
+            problem = make_problem(evaluator_cls=evaluator_cls)
+            config = GAConfig(population_size=10, generations=3, seed=5)
             return GeneticEngine(problem, config).run()
 
-        on, off = run(True), run(False)
+        on, off = run(Evaluator), run(ReferenceEvaluator)
         assert on.best_cost == off.best_cost
         assert on.history == off.history
         assert on.best_genome.key() == off.best_genome.key()
@@ -130,7 +119,7 @@ class TestEngineDefaults:
 class TestParallelComposition:
     def test_parallel_incremental_identical_to_serial(self):
         def run(backend):
-            problem = make_problem(True)
+            problem = make_problem()
             config = GAConfig(population_size=12, generations=2, seed=2)
             return GeneticEngine(problem, config, backend=backend).run()
 
@@ -143,8 +132,8 @@ class TestParallelComposition:
         assert serial.num_evaluations == parallel.num_evaluations
 
     def test_warm_state_absorption_skips_pricing(self):
-        donor = make_problem(True)
-        receiver = make_problem(True)
+        donor = make_problem()
+        receiver = make_problem()
         rng = random.Random(4)
         genome = donor.random_genome(rng)
         donor.evaluator.enable_summary_log()
@@ -159,7 +148,7 @@ class TestParallelComposition:
         assert receiver.cost(genome) == donor.cost(genome)
 
     def test_drain_clears_log(self):
-        problem = make_problem(True)
+        problem = make_problem()
         problem.evaluator.enable_summary_log()
         problem.cost(problem.random_genome(random.Random(6)))
         assert problem.evaluator.drain_summary_log()
