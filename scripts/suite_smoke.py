@@ -4,12 +4,16 @@
 The CI acceptance check for the ``repro suite`` orchestration layer:
 
 1. run a small matrix to completion in a *clean* registry;
-2. start the same matrix in a second registry, SIGKILL the whole process
+2. run it again with ``--workers 1`` and assert every run's durable
+   files (config, history, checkpoint, result) are byte-identical to the
+   clean registry's — ``warm/`` and telemetry legitimately depend on
+   which worker ran which cell, so they are left out;
+3. start the same matrix in another registry, SIGKILL the whole process
    as soon as the first cell's durable result lands (or after a grace
    period, whichever comes first);
-3. re-run the same command — the campaign must resume, re-running only
+4. re-run the same command — the campaign must resume, re-running only
    incomplete cells;
-4. assert the resumed registry's merged report is bit-identical to the
+5. assert the resumed registry's merged report is bit-identical to the
    clean run's.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise. The
@@ -41,6 +45,9 @@ MATRIX_ARGS = [
     "--seed", "0",
 ]
 
+#: Per-run files that must not depend on how cells were scheduled.
+DURABLE_FILES = ("config.json", "history.jsonl", "checkpoint.json", "result.json")
+
 
 def suite_command(registry: Path, workers: int) -> list[str]:
     return [
@@ -58,6 +65,23 @@ def read_rows(registry: Path) -> list:
     return json.loads(report.read_text())["rows"]
 
 
+def durable_mismatches(first: Path, second: Path) -> list[str]:
+    """Run files in :data:`DURABLE_FILES` that differ between registries."""
+    runs = sorted(
+        {p.parent.name for p in first.glob("*/config.json")}
+        | {p.parent.name for p in second.glob("*/config.json")}
+    )
+    mismatched = []
+    for run in runs:
+        for name in DURABLE_FILES:
+            a, b = first / run / name, second / run / name
+            if (a.read_bytes() if a.exists() else None) != (
+                b.read_bytes() if b.exists() else None
+            ):
+                mismatched.append(f"{run}/{name}")
+    return mismatched
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="suite-smoke",
@@ -72,6 +96,7 @@ def main() -> int:
     if workdir.exists():
         shutil.rmtree(workdir)
     clean = workdir / "clean-registry"
+    serial = workdir / "serial-registry"
     killed = workdir / "killed-registry"
     env = dict(os.environ)
 
@@ -83,7 +108,20 @@ def main() -> int:
     )
     print(f"clean campaign finished in {time.time() - started:.1f}s")
 
-    # 2. start the same campaign elsewhere and SIGKILL it mid-flight.
+    # 2. the same campaign serially writes the same durable run files
+    subprocess.run(
+        suite_command(serial, 1), env=env, check=True,
+        stdout=subprocess.DEVNULL,
+    )
+    mismatched = durable_mismatches(clean, serial)
+    if mismatched:
+        print(f"FAIL: --workers 1 and --workers {args.workers} registries "
+              f"differ in {', '.join(mismatched)}")
+        return 1
+    print(f"OK: --workers 1 run files byte-identical to "
+          f"--workers {args.workers}")
+
+    # 3. start the same campaign elsewhere and SIGKILL it mid-flight.
     # The victim gets its own session so the kill takes down the pool
     # workers too — otherwise the orphaned workers would finish their
     # cells and the "kill" would leave nothing incomplete.
@@ -111,7 +149,7 @@ def main() -> int:
 
     complete_after_kill = {p.parent.name for p in killed.glob("*/result.json")}
 
-    # 3. resume
+    # 4. resume
     result = subprocess.run(
         suite_command(killed, args.workers), env=env, check=True,
         capture_output=True, text=True,
@@ -129,7 +167,7 @@ def main() -> int:
                 )
                 return 1
 
-    # 4. merged reports must be bit-identical
+    # 5. merged reports must be bit-identical
     clean_rows = read_rows(clean)
     killed_rows = read_rows(killed)
     if clean_rows != killed_rows:

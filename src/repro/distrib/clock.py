@@ -11,7 +11,6 @@ TTL/timeout tests deterministic on loaded CI runners.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 #: A zero-argument callable returning the current time in seconds

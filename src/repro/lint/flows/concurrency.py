@@ -30,7 +30,6 @@ from typing import Iterator
 from ..callgraph import CallResolver, FunctionInfo, ProjectIndex
 from ..engine import ModuleSource
 from ..findings import Finding, finding_at
-from ..names import attr_chain
 
 #: Pool/executor methods whose first argument is shipped to workers.
 _SUBMIT_METHODS = frozenset(

@@ -33,7 +33,7 @@ import os
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..errors import ConfigError
 from .seeds import stable_digest
@@ -79,6 +79,115 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _decode_warm(
+    text: str,
+) -> tuple[list[tuple[tuple, tuple]], dict[tuple, tuple]] | None:
+    """``(entries in file order, key -> summary)`` of a warm-file payload.
+
+    ``None`` when the text does not parse into ``[members, memory key,
+    summary]`` entries — undecodable text and valid JSON of any other
+    shape alike.
+    """
+    try:
+        entries = [
+            (
+                # sorted() rejects members a save could not write back.
+                (frozenset(sorted(members)), tuple(mem_key)),
+                (bool(summary[0]), int(summary[1]), summary[2], summary[3]),
+            )
+            for members, mem_key, summary in json.loads(text).get("entries", [])
+        ]
+        return entries, dict(entries)
+    except (
+        AttributeError, ArithmeticError, LookupError, RecursionError,
+        TypeError, ValueError,
+    ):
+        return None
+
+
+def _rows(entries: Iterable[tuple[tuple, tuple]]) -> list[list]:
+    """``entries`` as the ``[members, memory key, summary]`` rows a warm
+    file stores."""
+    return [[sorted(key[0]), list(key[1]), list(summary)] for key, summary in entries]
+
+
+@dataclass
+class _WarmView:
+    """One warm file as this process last read or wrote it.
+
+    ``entries`` (file order) and ``summaries`` (by key) are what
+    ``text`` holds: parsed from it, or, for text this process wrote,
+    the entries it encoded (summary scalars round-trip through JSON
+    exactly). ``canonical`` additionally promises that ``text`` is what
+    :meth:`RunRegistry.save_warm_summaries` writes for ``entries``
+    (distinct keys, ``"entries"`` array last), so the ``]}`` that ends
+    it closes the entries array and entries may be added just before it.
+    """
+
+    text: str
+    entries: list[tuple[tuple, tuple]]
+    summaries: dict[tuple, tuple]
+    canonical: bool
+
+    def _add(self, text: str, added: list, summaries: dict) -> None:
+        self.text = text
+        self.entries.extend(added)
+        self.summaries.update(summaries)
+        self.canonical = len(self.summaries) == len(self.entries)
+
+    def extend(self, text: str) -> bool:
+        """Catch up with ``text`` if it is this text plus appended entries.
+
+        That is the only change another writer's merge makes below the
+        cap. The appended part is parsed alone, and accepted only when
+        it re-encodes to exactly itself — which keeps the view canonical.
+        """
+        head = self.text[:-2]
+        if not (
+            self.canonical
+            and len(text) > len(self.text)
+            and text.endswith("]}")
+            and text.startswith(head)
+        ):
+            return False
+        added = text[len(head):-2]
+        if self.entries:
+            if not added.startswith(", "):
+                return False
+            added = added[2:]
+        decoded = _decode_warm(f'{{"entries": [{added}]}}')
+        if decoded is None or not decoded[0]:
+            return False
+        if json.dumps(_rows(decoded[0]))[1:-1] != added:
+            return False
+        self._add(text, *decoded)
+        return True
+
+    def splice(self, entries: list[tuple[tuple, tuple]], cap: int) -> bool:
+        """Merge ``entries`` by appending just the keys this file lacks.
+
+        ``False`` (view untouched) when that would not equal a full
+        re-encode: the text is not canonical, a known key carries a
+        different summary, or the cap would drop old entries.
+        """
+        if not self.canonical:
+            return False
+        fresh: dict[tuple, tuple] = {}
+        for key, summary in entries:
+            known = self.summaries.get(key)
+            if known is None:
+                fresh[key] = summary
+            elif known != summary:
+                return False
+        if len(self.summaries) + len(fresh) > cap:
+            return False
+        if fresh:
+            added = json.dumps(_rows(fresh.items()))[1:-1]
+            sep = ", " if self.entries else ""
+            self._add(f"{self.text[:-2]}{sep}{added}]}}", list(fresh.items()), fresh)
+        return True
 
 
 @dataclass
@@ -236,6 +345,7 @@ class RunRegistry:
         self.root = self.transport.local_root
         #: Human-readable registry location (path or URI) for messages.
         self.location = self.transport.describe()
+        self._warm_views: dict[str, _WarmView] = {}
 
     def run_name(self, config: dict[str, Any], seed: int) -> str:
         """Registry key prefix for one (config, seed) run."""
@@ -329,6 +439,25 @@ class RunRegistry:
             )
         return self.root / "warm" / f"{network}-bpe{bytes_per_element}.json"
 
+    def _warm_view(self, key_name: str) -> _WarmView | None:
+        """Read one warm file; ``None`` when it is missing or corrupt.
+
+        The file is read through the transport every time. Its text is
+        only parsed when it is neither the text this process last saw
+        nor that text with entries appended (see :class:`_WarmView`).
+        """
+        text = self.transport.read_text(key_name)
+        view = self._warm_views.pop(key_name, None)
+        if text is None:
+            return None
+        if view is None or not (text == view.text or view.extend(text)):
+            decoded = _decode_warm(text)
+            if decoded is None:
+                return None
+            view = _WarmView(text, *decoded, canonical=False)
+        self._warm_views[key_name] = view
+        return view
+
     def load_warm_summaries(
         self, network: str, bytes_per_element: int
     ) -> list[tuple[tuple, tuple]]:
@@ -341,24 +470,8 @@ class RunRegistry:
         Returns ``[]`` when nothing was persisted yet or the file is
         unreadable (corruption just costs a cold start, never an error).
         """
-        text = self.transport.read_text(
-            self._warm_key(network, bytes_per_element)
-        )
-        if text is None:
-            return []
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return []
-        entries: list[tuple[tuple, tuple]] = []
-        for members, mem_key, summary in payload.get("entries", []):
-            entries.append(
-                (
-                    (frozenset(members), tuple(mem_key)),
-                    (bool(summary[0]), int(summary[1]), summary[2], summary[3]),
-                )
-            )
-        return entries
+        view = self._warm_view(self._warm_key(network, bytes_per_element))
+        return list(view.entries) if view is not None else []
 
     def save_warm_summaries(
         self,
@@ -373,30 +486,27 @@ class RunRegistry:
         the ``cap`` the *newest* entries survive (mirroring the
         evaluator's LRU). Concurrent writers last-write-wins — safe
         because every writer's values for a shared key are bit-identical
-        (evaluation is pure).
+        (evaluation is pure). Below the cap only the keys the file lacks
+        are encoded; the file is re-encoded whole when the cap drops old
+        entries or its text is not known to be canonical.
         """
         if cap is None:
             cap = self.WARM_SUMMARY_CAP
-        merged: dict[tuple, tuple] = {
-            key: summary
-            for key, summary in self.load_warm_summaries(
-                network, bytes_per_element
-            )
-        }
-        for key, summary in entries:
-            merged[key] = summary
-        kept = list(merged.items())[-cap:]
         key_name = self._warm_key(network, bytes_per_element)
-        payload = {
-            "version": 1,
-            "network": network,
-            "bytes_per_element": bytes_per_element,
-            "entries": [
-                [sorted(key[0]), list(key[1]), list(summary)]
-                for key, summary in kept
-            ],
-        }
-        self.transport.write_atomic(key_name, json.dumps(payload))
+        view = self._warm_view(key_name)
+        if view is None or not view.splice(entries, cap):
+            merged = dict(view.summaries) if view is not None else {}
+            merged.update(entries)
+            kept = list(merged.items())[-cap:]
+            payload = {
+                "version": 1,
+                "network": network,
+                "bytes_per_element": bytes_per_element,
+                "entries": _rows(kept),
+            }
+            view = _WarmView(json.dumps(payload), kept, dict(kept), canonical=True)
+            self._warm_views[key_name] = view
+        self.transport.write_atomic(key_name, view.text)
         return key_name
 
     def gc(self) -> tuple[int, int]:

@@ -57,7 +57,7 @@ from ..ga.engine import GeneticEngine
 from ..ga.islands import island_search
 from ..ga.problem import OptimizationProblem
 from ..graphs.zoo import get_model
-from ..obs import TELEMETRY_FILENAME, TelemetrySink, activate, emit
+from ..obs import TelemetrySink, activate, emit
 from ..parallel.backend import EvaluationBackend, resolve_backend
 from ..search_space import CapacitySpace
 from ..units import to_kb, to_mb
@@ -730,6 +730,11 @@ class SuiteCellTask:
     ``drain_warm`` / ``absorb_warm``) the entries also ship to the other
     workers between map rounds. Purely an exchange of already-computed
     values — cell results are bit-identical with or without it.
+
+    The instance also keeps one :class:`RunRegistry` per process, built
+    on its first cell and never pickled, so the registry's view of each
+    warm file outlives the cell: the next cell on the same graph parses
+    and encodes only the entries that are new to the file.
     """
 
     def __init__(
@@ -744,6 +749,11 @@ class SuiteCellTask:
         self._stores: dict[tuple, dict] = {}
         self._outbox: list[tuple] = []
         self._warm_enabled = False
+        self._registry: RunRegistry | None = None
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Each pool worker builds its own registry on its first cell.
+        return {**self.__dict__, "_registry": None}
 
     # Warm-state protocol (see repro.parallel.backend).
     def enable_warm(self) -> None:
@@ -776,7 +786,9 @@ class SuiteCellTask:
             cell, sample_cap = item
         else:
             cell, sample_cap = item, None
-        registry = RunRegistry(self.registry_root)
+        if self._registry is None:
+            self._registry = RunRegistry(self.registry_root)
+        registry = self._registry
         config = cell.config_dict()
         seed = cell.seed(self.matrix.seed)
         if registry.is_complete(config, seed):

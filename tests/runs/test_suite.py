@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.runs.registry import RunRegistry
 from repro.runs.suite import (
     FAULT_ENV,
     SuiteCell,
+    SuiteCellTask,
     SuiteMatrix,
     cell_accelerator,
     merged_report,
@@ -268,6 +270,18 @@ class TestShardedIdentity:
         assert stored is None
         again = merged_report(MATRIX, RunRegistry(tmp_path / "reg"))
         assert report.rows == again.rows
+
+    def test_task_keeps_one_registry_per_process(self, tmp_path):
+        """Cells share the task's registry, and with it the registry's
+        warm-file views; a pickled copy (what a pool worker gets) builds
+        its own."""
+        task = SuiteCellTask(MATRIX, tmp_path / "reg")
+        first, second = MATRIX.cells()[:2]
+        task(first)
+        registry = task._registry
+        task(second)
+        assert task._registry is registry
+        assert pickle.loads(pickle.dumps(task))._registry is None
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,20 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.cost.evaluator import Evaluator
 from repro.experiments.common import paper_accelerator
 from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
 from repro.runs.registry import RunRegistry
-from repro.runs.suite import SuiteCell, run_cell
+from repro.runs.suite import SuiteCell, SuiteMatrix, run_cell, run_suite
+
+#: ``warm/vgg16-bpe1.json`` as written by ``repro suite --networks vgg16
+#: --schemes cocco,sa --scale tiny --seed 0`` (501 entries).
+FIXTURE = Path(__file__).parent.parent / "fixtures" / "warm" / "vgg16-bpe1.json"
 
 
 def _entries():
@@ -71,12 +78,37 @@ class TestRoundTrip:
         assert len(kept) == 3
         assert dict(kept) == dict(entries[3:])
 
-    def test_corrupt_file_means_cold_start(self, tmp_path):
+    @pytest.mark.parametrize("op", ["load", "save"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "{not json",
+            "[]",
+            '"x"',
+            '{"entries": 5}',
+            '{"entries": [["a"]]}',
+            '{"entries": [[["a"], ["x"], [true]]]}',
+            '{"entries": [[["a", 1], ["x"], [true, 1, 1.0, 1.0]]]}',
+        ],
+        ids=[
+            "undecodable", "list", "string", "entries-int", "short-entry",
+            "short-summary", "unorderable-members",
+        ],
+    )
+    def test_corrupt_file_means_cold_start(self, tmp_path, body, op):
         registry = RunRegistry(tmp_path / "reg")
         path = registry.warm_summary_path("net", 1)
         path.parent.mkdir(parents=True)
-        path.write_text("{not json")
-        assert registry.load_warm_summaries("net", 1) == []
+        path.write_text(body)
+        if op == "load":
+            assert registry.load_warm_summaries("net", 1) == []
+            return
+        # Saving over a corrupt file writes just the fresh entries, the
+        # same bytes as saving into a registry that has no warm file.
+        registry.save_warm_summaries("net", 1, _entries())
+        clean = RunRegistry(tmp_path / "clean")
+        clean.save_warm_summaries("net", 1, _entries())
+        assert path.read_bytes() == clean.warm_summary_path("net", 1).read_bytes()
 
     def test_missing_file_means_cold_start(self, tmp_path):
         assert RunRegistry(tmp_path / "reg").load_warm_summaries("x", 1) == []
@@ -135,3 +167,23 @@ class TestRunCellWarmStart:
         assert other["status"] == "complete"
         warmed = run_cell(self.CELL, 0, warm_registry)
         assert warmed == cold
+
+
+class TestDurableFixture:
+    def test_fixture_is_reproduced_and_survives_an_empty_save(self, tmp_path):
+        """The committed warm file is the format later code must keep."""
+        matrix = SuiteMatrix(
+            networks=("vgg16",), schemes=("cocco", "sa"), scale="tiny", seed=0,
+        )
+        registry = RunRegistry(tmp_path / "fresh")
+        run_suite(matrix, tmp_path / "fresh")
+        written = registry.warm_summary_path("vgg16", 1).read_bytes()
+        assert written == FIXTURE.read_bytes()
+
+        store = RunRegistry(tmp_path / "store")
+        path = store.warm_summary_path("vgg16", 1)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(FIXTURE.read_bytes())
+        assert len(store.load_warm_summaries("vgg16", 1)) == 501
+        store.save_warm_summaries("vgg16", 1, [])
+        assert path.read_bytes() == FIXTURE.read_bytes()
