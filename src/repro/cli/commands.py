@@ -703,9 +703,9 @@ def cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
     """``repro lint`` — machine-check the reproduction's invariants.
 
     Runs the AST rule set of :mod:`repro.lint` (seeded-RNG-only,
-    injectable clocks, sorted scans, atomic durable writes, checkpoint
-    round-trip completeness) over the given paths and exits 0 only when
-    the tree is clean — CI gates on it exactly like ruff. ``--deep``
+    injectable clocks, sorted scans, atomic durable writes) over the
+    given paths and exits 0 only when the tree is clean — CI gates on
+    it exactly like ruff. ``--deep``
     adds the whole-program pass (:mod:`repro.lint.flows`): call-graph
     taint flows from nondeterminism sources to durable sinks,
     all-paths atomic-write verification, pool-shared-state and
@@ -719,14 +719,14 @@ def cmd_lint(args: argparse.Namespace) -> tuple[str, int]:
 
     from ..lint import DEFAULT_POLICY, Linter
     from ..lint.flows import DEEP_PROJECT_RULES, DEEP_RULES
-    from ..lint.rules import ALL_RULES
+    from ..lint.rules import DEFAULT_RULES
 
     if args.list_rules:
         lines = ["rule   name                           zones"]
         deep_ids = {
             rule.rule_id for rule in (*DEEP_RULES, *DEEP_PROJECT_RULES)
         }
-        for rule in (*ALL_RULES, *DEEP_RULES, *DEEP_PROJECT_RULES):
+        for rule in (*DEFAULT_RULES, *DEEP_RULES, *DEEP_PROJECT_RULES):
             zones = [
                 zone.name
                 for zone in DEFAULT_POLICY.zones

@@ -62,10 +62,11 @@ def cell_progress(
     if node.exists(CHECKPOINT_FILENAME):
         try:
             state = registry.load(config, seed).load_checkpoint()
-        except Exception:  # half-written by a dying writer: treat as none
-            state = None
-        if state is not None:
             evaluations = int(state.get("evaluations", 0))
+        except Exception:
+            # Half-written by a dying writer, or not a checkpoint object
+            # at all: counts as no checkpoint.
+            pass
     if registry.has_error(config, seed):
         # A failed cell still durably *spent* whatever its checkpoint
         # recorded before the error; refunding those samples would let

@@ -23,6 +23,7 @@ from ..cost.objective import Metric
 from ..cost.evaluator import Evaluator
 from ..errors import SearchError
 from ..ga.crossover import crossover
+from ..ga.engine import RngState
 from ..ga.genome import Genome
 from ..ga.mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
 from ..ga.population import initialize_population
@@ -92,16 +93,17 @@ class NSGACheckpoint:
     like uninterrupted ones), the RNG state, the hypervolume reference
     corner, and the telemetry. ``generation`` is 0 right after the
     initial population is evaluated. Serialized to JSON by
-    :mod:`repro.runs.checkpoint`.
+    :mod:`repro.runs.checkpoint`, which stores ``points`` as indices
+    into ``archive``; ``archive`` comes first so it decodes first.
     """
 
     generation: int
-    rng_state: tuple
+    rng_state: RngState
     evaluations: int
     reference: tuple[float, float]
     history: list[tuple[int, float]]
-    points: list["MultiObjectivePoint"]
     archive: list["MultiObjectivePoint"]
+    points: list["MultiObjectivePoint"]
 
 
 #: Called after every evaluated generation with the search's checkpoint.

@@ -60,8 +60,8 @@ class TwoStepCheckpoint:
 
     method: str
     candidate: int
-    engine: EngineCheckpoint
     cumulative: int
+    engine: EngineCheckpoint
     candidates: list[MemoryConfig]
     running_best: float = float("inf")
     history: list[tuple[int, float]] = field(default_factory=list)

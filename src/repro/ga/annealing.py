@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from ..errors import SearchError
 from ..obs import emit
 from ..parallel.backend import EvaluationBackend
-from .engine import GAResult, SampleRecord
+from .engine import GAResult, RngState, SampleRecord
 from .genome import Genome
 from .mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
 from .problem import OptimizationProblem
@@ -69,7 +69,7 @@ class SACheckpoint:
     step: int
     temperature: float
     cooling: float
-    rng_state: tuple
+    rng_state: RngState
     evaluations: int
     current_genome: Genome
     current_cost: float

@@ -23,6 +23,9 @@ from .population import initialize_population
 from .problem import OptimizationProblem
 from .selection import tournament_select
 
+#: ``random.Random.getstate()``: (version, internal state, gauss_next).
+RngState = tuple[int, tuple[int, ...], float | None]
+
 
 @dataclass(frozen=True)
 class SampleRecord:
@@ -94,7 +97,7 @@ class EngineCheckpoint:
     """
 
     generation: int
-    rng_state: tuple
+    rng_state: RngState
     evaluations: int
     best_genome: Genome | None
     best_cost: float

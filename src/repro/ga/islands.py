@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 from ..errors import SearchError
 from ..obs import emit
 from ..parallel.backend import EvaluationBackend, resolve_backend
-from .engine import EngineCheckpoint, GAConfig, GAResult, GeneticEngine
+from .engine import EngineCheckpoint, GAConfig, GAResult, GeneticEngine, RngState
 from .genome import Genome
 from .problem import OptimizationProblem
 
@@ -89,7 +89,7 @@ class IslandsCheckpoint:
     island: int
     islands: list[EngineCheckpoint]
     populations: list[list[Genome]]
-    migration_rng_state: tuple
+    migration_rng_state: RngState
     history: list[tuple[int, float]]
     #: The conductor's global best. Stored explicitly rather than
     #: re-derived from the island fleet: on a cost tie between two

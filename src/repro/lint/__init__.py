@@ -3,19 +3,20 @@
 Everything the registry/distrib/budget stack promises (bit-identical
 parallel and resumed runs, crash-safe durable artifacts, path-independent
 budget allocation) rests on code-level invariants: seeded RNG only, no
-wall-clock reads on deterministic paths, sorted directory scans, atomic
-durable writes, and checkpoint dataclasses that fully round-trip through
-the serializer. This package machine-checks them:
+wall-clock reads on deterministic paths, sorted directory scans and
+atomic durable writes. This package machine-checks them:
 
-=======  ============================  =======================================
-rule id  name                          invariant
-=======  ============================  =======================================
-RL001    unseeded-rng                  all randomness from seeded generators
-RL002    wall-clock                    injectable clocks, never time.time()
-RL003    unsorted-fs-scan              directory scans wrapped in sorted()
-RL004    non-atomic-durable-write      _write_atomic or append-only streams
-RL005    checkpoint-field-completeness checkpoint fields survive round trips
-=======  ============================  =======================================
+=======  ========================  =======================================
+rule id  name                      invariant
+=======  ========================  =======================================
+RL001    unseeded-rng              all randomness from seeded generators
+RL002    wall-clock                injectable clocks, never time.time()
+RL003    unsorted-fs-scan          directory scans wrapped in sorted()
+RL004    non-atomic-durable-write  _write_atomic or append-only streams
+=======  ========================  =======================================
+
+(Checkpoint classes need no rule: :mod:`repro.runs.checkpoint` walks
+their fields itself.)
 
 Deep mode (``repro lint --deep``) layers whole-program analysis on
 top: a project call graph (:mod:`repro.lint.callgraph`), an
@@ -44,12 +45,11 @@ from .engine import (
 from .findings import Finding, finding_at
 from .flows import DEEP_PROJECT_RULES, DEEP_RULES
 from .pragmas import Pragma, collect_pragmas
-from .rules import ALL_RULES, DEFAULT_PROJECT_RULES, DEFAULT_RULES
+from .rules import DEFAULT_RULES
 from .taint import TaintEngine
 from .zones import DEFAULT_POLICY, DEFAULT_ZONES, Zone, ZonePolicy
 
 __all__ = [
-    "ALL_RULES",
     "CallResolver",
     "DEEP_PROJECT_RULES",
     "DEEP_RULES",
@@ -57,7 +57,6 @@ __all__ = [
     "ProjectIndex",
     "TaintEngine",
     "DEFAULT_POLICY",
-    "DEFAULT_PROJECT_RULES",
     "DEFAULT_RULES",
     "DEFAULT_ZONES",
     "Finding",

@@ -10,8 +10,8 @@ Two rule shapes exist:
 * a **file rule** (:class:`Rule`) sees one :class:`ModuleSource` at a
   time and runs only where the zone policy activates its id;
 * a **project rule** (:class:`ProjectRule`) sees the whole scanned
-  module set once — cross-file invariants like checkpoint-field
-  completeness live here.
+  module set once — the deep pass's whole-program flow rules live
+  here.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ class LintReport:
 def _known_rule_ids() -> frozenset[str]:
     """Every rule id the linter ships, shallow and deep."""
     from .flows import DEEP_PROJECT_RULES, DEEP_RULES
-    from .rules import ALL_RULES
+    from .rules import DEFAULT_RULES
 
     return frozenset(
         rule.rule_id
-        for rule in (*ALL_RULES, *DEEP_RULES, *DEEP_PROJECT_RULES)
+        for rule in (*DEFAULT_RULES, *DEEP_RULES, *DEEP_PROJECT_RULES)
     )
 
 
@@ -181,16 +181,14 @@ class Linter:
     def __init__(
         self,
         rules: Iterable[Rule] | None = None,
-        project_rules: Iterable[ProjectRule] | None = None,
+        project_rules: Iterable[ProjectRule] = (),
         policy: ZonePolicy = DEFAULT_POLICY,
         deep: bool = False,
     ):
-        if rules is None or project_rules is None:
-            from .rules import DEFAULT_PROJECT_RULES, DEFAULT_RULES
+        if rules is None:
+            from .rules import DEFAULT_RULES
 
-            rules = DEFAULT_RULES if rules is None else rules
-            if project_rules is None:
-                project_rules = DEFAULT_PROJECT_RULES
+            rules = DEFAULT_RULES
         self.rules = list(rules)
         self.project_rules = list(project_rules)
         self.policy = policy

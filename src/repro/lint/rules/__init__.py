@@ -1,12 +1,7 @@
-"""The shipped rule set.
-
-``DEFAULT_RULES`` are per-file AST rules scoped by the zone policy;
-``DEFAULT_PROJECT_RULES`` run once over the whole scanned module set.
-"""
+"""The shipped rule set: per-file AST rules scoped by the zone policy."""
 
 from __future__ import annotations
 
-from .checkpoints import CheckpointCompletenessRule
 from .clock import WallClockRule
 from .fs import UnsortedScanRule
 from .rng import UnseededRngRule
@@ -19,15 +14,8 @@ DEFAULT_RULES = (
     NonAtomicWriteRule(),
 )
 
-DEFAULT_PROJECT_RULES = (CheckpointCompletenessRule(),)
-
-ALL_RULES = DEFAULT_RULES + DEFAULT_PROJECT_RULES
-
 __all__ = [
-    "ALL_RULES",
-    "DEFAULT_PROJECT_RULES",
     "DEFAULT_RULES",
-    "CheckpointCompletenessRule",
     "NonAtomicWriteRule",
     "UnseededRngRule",
     "UnsortedScanRule",

@@ -32,9 +32,9 @@ _LEVELS = {"error": "error", "warning": "warning", "note": "note"}
 
 def _all_rules() -> list:
     from .flows import DEEP_PROJECT_RULES, DEEP_RULES
-    from .rules import ALL_RULES
+    from .rules import DEFAULT_RULES
 
-    return [*ALL_RULES, *DEEP_RULES, *DEEP_PROJECT_RULES]
+    return [*DEFAULT_RULES, *DEEP_RULES, *DEEP_PROJECT_RULES]
 
 
 def _relative_uri(path: str, root: Path) -> str:

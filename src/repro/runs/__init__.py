@@ -3,8 +3,9 @@
 * :mod:`repro.runs.seeds` — order-independent per-cell seed derivation.
 * :mod:`repro.runs.registry` — one directory per run (config, streamed
   history, checkpoint, atomically-written result).
-* :mod:`repro.runs.checkpoint` — JSON round-trips of the GA / NSGA-II
-  generation-level checkpoints.
+* :mod:`repro.runs.checkpoint` — one field-driven JSON codec for every
+  search checkpoint class (GA engine, island model, two-step, simulated
+  annealing, NSGA-II).
 * :mod:`repro.runs.suite` — the ``repro suite`` campaign runner:
   expands a workload matrix into cells, shards them across evaluation
   backends, skips completed cells on restart, and merges the results.

@@ -504,8 +504,8 @@ class _GridSearch(_TwoStep):
 
 
 #: The search schemes a cell can run, in ``--schemes`` help order. A new
-#: scheme is one entry here plus its codec pair in
-#: :mod:`repro.runs.checkpoint`.
+#: scheme is one entry here; a new checkpoint class also takes its kind
+#: and two named wrappers in :mod:`repro.runs.checkpoint`.
 _SCHEME_TABLE: dict[str, type[_Scheme]] = {
     "cocco": _Cocco,
     "rs": _RandomSearch,

@@ -8,10 +8,12 @@ import pytest
 
 from repro.distrib.budget import (
     CellProgress,
+    cell_progress,
     claimable_cells,
     campaign_finished,
     compute_allocations,
 )
+from repro.runs.registry import RunRegistry
 
 
 @dataclass(frozen=True)
@@ -201,3 +203,14 @@ class TestFinished:
         progress = {c.key: running(30) for c in cells}
         assert campaign_finished(cells, 60, progress)
         assert not campaign_finished(cells, 100, progress)
+
+
+class TestCellProgress:
+    def test_checkpoint_that_is_not_an_object_counts_as_none(self, tmp_path):
+        registry = RunRegistry(tmp_path)
+        config = {"network": "vgg16", "scheme": "cocco"}
+        run = registry.open_run(config, 5)
+        run.save_checkpoint({"evaluations": 7})
+        assert cell_progress(registry, config, 5) == running(7)
+        run.save_checkpoint([])
+        assert cell_progress(registry, config, 5) == running(0)

@@ -43,25 +43,6 @@ VIOLATIONS = {
     ),
 }
 
-BROKEN_SERIALIZER = {
-    "repro/ga/state.py": """
-        from dataclasses import dataclass
-
-        @dataclass
-        class FooCheckpoint:
-            step: int
-            best_cost: float
-    """,
-    # the loader silently drops best_cost: the RL005 violation
-    "repro/runs/checkpoint.py": """
-        def foo_checkpoint_to_dict(ck: "FooCheckpoint") -> dict:
-            return {"step": ck.step, "best_cost": ck.best_cost}
-
-        def foo_checkpoint_from_dict(data: dict) -> "FooCheckpoint":
-            return FooCheckpoint(step=data["step"])
-    """,
-}
-
 
 class TestRealTree:
     def test_shipped_source_is_clean(self, capsys):
@@ -82,7 +63,7 @@ class TestRealTree:
     def test_list_rules(self, capsys):
         code, out = run_cli(capsys, "lint", "--list-rules")
         assert code == 0
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for rule_id in ("RL001", "RL002", "RL003", "RL004"):
             assert rule_id in out
         assert "deterministic" in out and "durable" in out
 
@@ -176,13 +157,7 @@ class TestDeepMode:
 class TestSeededViolations:
     def test_each_rule_fires_with_position(self, capsys, tmp_path):
         root = tmp_path / "tree"
-        seed_tree(
-            root,
-            {
-                **{rel: src for rel, (_, _, src) in VIOLATIONS.items()},
-                **BROKEN_SERIALIZER,
-            },
-        )
+        seed_tree(root, {rel: src for rel, (_, _, src) in VIOLATIONS.items()})
         code, out = run_cli(capsys, "lint", "--format", "json", str(root))
         assert code == 1
         payload = json.loads(out)
@@ -191,9 +166,7 @@ class TestSeededViolations:
             finding = by_rule[rule_id]
             assert finding["path"].endswith(relative.rsplit("/", 1)[-1])
             assert finding["line"] == line
-        assert "RL005" in by_rule
-        assert "best_cost" in by_rule["RL005"]["message"]
-        assert len(payload["findings"]) == 5
+        assert len(payload["findings"]) == 4
 
     def test_text_output_names_rule_and_position(self, capsys, tmp_path):
         root = tmp_path / "tree"

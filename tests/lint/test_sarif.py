@@ -24,7 +24,7 @@ class TestDocumentShape:
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         # shallow and deep rules both travel with every log
-        assert {"RL001", "RL004", "RL005", "RL101", "RL105"} <= rule_ids
+        assert {"RL001", "RL004", "RL101", "RL105"} <= rule_ids
         assert run["results"] == []
 
     def test_finding_maps_to_result_with_location(self, fixture_tree):

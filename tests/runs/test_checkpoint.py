@@ -374,3 +374,97 @@ class TestNewKindRoundTrips:
         payload["format"] = 99
         with pytest.raises(ConfigError):
             two_step_checkpoint_from_dict(payload, graph)
+        # Every kind rejects a document that is not an object, misses a
+        # key or holds a value of the wrong JSON type. The composites'
+        # top-level ``evaluations`` is derived and never read back.
+        for kind, payload, from_dict in self.documents(graph):
+            keys = [
+                key for key in payload
+                if key != "evaluations" or kind in ("ga", "sa", "nsga")
+            ]
+            broken = [("[]", [])]
+            for key in keys:
+                missing = {k: v for k, v in payload.items() if k != key}
+                wrong = "x" if not isinstance(payload[key], str) else 0
+                broken.append((f"missing {key}", missing))
+                broken.append((f"{key}={wrong!r}", {**payload, key: wrong}))
+            for case, document in broken:
+                try:
+                    from_dict(document, graph)
+                except ConfigError:
+                    continue
+                pytest.fail(f"{kind} checkpoint accepted with {case}")
+
+    def documents(self, graph):
+        """One serialized checkpoint of every kind, with its decoder."""
+        from repro.ga.annealing import SAConfig, simulated_annealing
+        from repro.runs.checkpoint import (
+            islands_checkpoint_from_dict,
+            islands_checkpoint_to_dict,
+            sa_checkpoint_from_dict,
+            sa_checkpoint_to_dict,
+            two_step_checkpoint_from_dict,
+            two_step_checkpoint_to_dict,
+        )
+
+        sa_steps = []
+        simulated_annealing(
+            co_problem(graph), SAConfig(steps=8, seed=1, checkpoint_interval=4),
+            on_step=sa_steps.append,
+        )
+        nsga_generations = TestNSGAResume().capture(graph)
+        return [
+            ("ga", ga_checkpoint_to_dict(capture_checkpoints(graph)[2]),
+             ga_checkpoint_from_dict),
+            ("islands",
+             islands_checkpoint_to_dict(self.islands_checkpoint(graph)[1]),
+             islands_checkpoint_from_dict),
+            ("rs",
+             two_step_checkpoint_to_dict(
+                 self.two_step_checkpoint(graph), kind="rs"
+             ),
+             two_step_checkpoint_from_dict),
+            ("sa", sa_checkpoint_to_dict(sa_steps[-1]), sa_checkpoint_from_dict),
+            ("nsga", nsga_checkpoint_to_dict(nsga_generations[2]),
+             nsga_checkpoint_from_dict),
+        ]
+
+
+# ---------------------------------------------------------------------------
+class TestCodecRules:
+    def test_unknown_annotation_is_a_programming_error(self):
+        from dataclasses import dataclass
+
+        from repro.runs.checkpoint import _codec
+
+        @dataclass
+        class Tagged:
+            tags: set[str]
+
+        with pytest.raises(TypeError, match="no checkpoint codec rule"):
+            _codec(Tagged)
+
+    def test_nested_values_are_checked(self, graph):
+        from repro.errors import ConfigError
+
+        payload = json.loads(
+            json.dumps(ga_checkpoint_to_dict(capture_checkpoints(graph)[1]))
+        )
+        cases = [
+            (("costs", 0), "x"),
+            (("rng_state", 1, 0), 1.5),
+            (("history", 0, 0), None),
+            (("samples", 0, "cost"), "x"),
+            (("population", 0, "assignment"), []),
+            (("population", 0, "assignment"), {"nowhere": 0}),
+            (("population", 0, "memory", "mode"), 3),
+            (("population", 0, "memory"), {"mode": "shared"}),
+        ]
+        for path, value in cases:
+            document = json.loads(json.dumps(payload))
+            parent = document
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+            with pytest.raises(ConfigError, match="malformed ga checkpoint"):
+                ga_checkpoint_from_dict(document, graph)

@@ -11,7 +11,10 @@ the scheme table is covered without touching this file:
   increase, and ``finished`` holds on the last snapshot only;
 * **caps** — a capped scheme stops at exactly its sample cap, the same
   cap sequence walked twice yields identical registries, and a
-  cell-atomic scheme ignores the cap.
+  cell-atomic scheme ignores the cap;
+* **codec** — every checkpoint a search yields comes back from its
+  encoding, as JSON text, as an equal object: every field of every
+  checkpoint class, nested ones included, survives the round trip.
 
 Whether a grown cap reproduces the *unbudgeted* trajectory is not part
 of the contract: a cap landing mid-generation changes what cocco, rs,
@@ -19,6 +22,8 @@ gs and islands breed next.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -44,6 +49,15 @@ def _cell(scheme: str, scale: str = "tiny") -> SuiteCell:
     return SuiteCell(
         network="vgg16", mode="separate", metric="energy",
         bytes_per_element=1, scheme=scheme, alpha=0.002, scale=scale,
+    )
+
+
+def _entry(scheme: str):
+    cell = _cell(scheme)
+    evaluator = Evaluator(get_model(cell.network), cell_accelerator(cell))
+    return _SCHEME_TABLE[scheme](
+        cell, cell.seed(CAMPAIGN_SEED), evaluator, SCALES[cell.scale],
+        None, None,
     )
 
 
@@ -113,12 +127,7 @@ class TestResume:
 class TestTicks:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_ticks_increase_and_only_the_last_is_finished(self, scheme):
-        cell = _cell(scheme)
-        evaluator = Evaluator(get_model(cell.network), cell_accelerator(cell))
-        entry = _SCHEME_TABLE[scheme](
-            cell, cell.seed(CAMPAIGN_SEED), evaluator, SCALES[cell.scale],
-            None, None,
-        )
+        entry = _entry(scheme)
         snapshots = []
         entry.search(snapshots.append, None)
         ticks = [entry.tick(snapshot) for snapshot in snapshots]
@@ -171,3 +180,21 @@ class TestCaps:
         assert row == clean_row
         assert row["num_evaluations"] > self.CAPS[0]
         assert _files(capped, cell) == _files(clean, cell)
+
+
+# ---------------------------------------------------------------------------
+class TestCodec:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_checkpoint_decodes_to_an_equal_object(self, scheme):
+        """Dataclass equality against the search's own graph object, so
+        rebuilt genomes compare equal to the live ones."""
+        entry = _entry(scheme)
+        seen = []
+
+        def hook(checkpoint):
+            text = json.dumps(entry.encode(checkpoint))
+            assert entry.decode(json.loads(text)) == checkpoint, len(seen)
+            seen.append(checkpoint)
+
+        entry.search(hook, None)
+        assert seen
