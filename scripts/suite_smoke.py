@@ -8,12 +8,17 @@ The CI acceptance check for the ``repro suite`` orchestration layer:
    files (config, history, checkpoint, result) are byte-identical to the
    clean registry's — ``warm/`` and telemetry legitimately depend on
    which worker ran which cell, so they are left out;
-3. start the same matrix in another registry, SIGKILL the whole process
+3. run the matrix under a ``--budget`` that takes at least two grant
+   rounds, once with ``--workers N`` and once with ``--workers 1``, and
+   assert the same durable files are byte-identical between the two —
+   cells of the second round warm-start from what the first round's
+   cells saved, whichever process ran them;
+4. start the same matrix in another registry, SIGKILL the whole process
    as soon as the first cell's durable result lands (or after a grace
    period, whichever comes first);
-4. re-run the same command — the campaign must resume, re-running only
+5. re-run the same command — the campaign must resume, re-running only
    incomplete cells;
-5. assert the resumed registry's merged report is bit-identical to the
+6. assert the resumed registry's merged report is bit-identical to the
    clean run's.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise. The
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -40,22 +46,41 @@ from pathlib import Path
 
 MATRIX_ARGS = [
     "--networks", "vgg16,googlenet",
-    "--schemes", "cocco,sa",
+    "--schemes", "cocco,sa,islands",
     "--scale", "tiny",
     "--seed", "0",
 ]
+#: Cells in the matrix: two networks x three schemes.
+NUM_CELLS = 6
+
+#: Campaign budget for step 3. The matrix needs 402 samples in all, but
+#: the first round's even split (70 per cell) is short of an island
+#: cell's 96: those finish only on the refunds of a second grant round.
+BUDGET = 420
 
 #: Per-run files that must not depend on how cells were scheduled.
 DURABLE_FILES = ("config.json", "history.jsonl", "checkpoint.json", "result.json")
 
 
-def suite_command(registry: Path, workers: int) -> list[str]:
+def suite_command(
+    registry: Path, workers: int, budget: int | None = None
+) -> list[str]:
+    budget_args = [] if budget is None else ["--budget", str(budget)]
     return [
         sys.executable, "-m", "repro.cli.main", "suite",
         *MATRIX_ARGS,
         "--registry", str(registry),
         "--workers", str(workers),
+        *budget_args,
     ]
+
+
+def grant_rounds(stdout: str) -> int:
+    """Rounds a campaign ran, from its summary line."""
+    match = re.search(r"\((\d+) round\(s\)\)", stdout)
+    if match is None:
+        raise SystemExit("FAIL: no campaign summary line in suite output")
+    return int(match.group(1))
 
 
 def read_rows(registry: Path) -> list:
@@ -97,6 +122,8 @@ def main() -> int:
         shutil.rmtree(workdir)
     clean = workdir / "clean-registry"
     serial = workdir / "serial-registry"
+    budgeted = workdir / "budgeted-registry"
+    budgeted_serial = workdir / "budgeted-serial-registry"
     killed = workdir / "killed-registry"
     env = dict(os.environ)
 
@@ -121,7 +148,27 @@ def main() -> int:
     print(f"OK: --workers 1 run files byte-identical to "
           f"--workers {args.workers}")
 
-    # 3. start the same campaign elsewhere and SIGKILL it mid-flight.
+    # 3. a budgeted campaign re-grants refunds in later rounds; its run
+    # files must not depend on the worker count either
+    for registry, workers in ((budgeted, args.workers), (budgeted_serial, 1)):
+        result = subprocess.run(
+            suite_command(registry, workers, BUDGET), env=env, check=True,
+            capture_output=True, text=True,
+        )
+        rounds = grant_rounds(result.stdout)
+        if rounds < 2:
+            print(f"FAIL: --budget {BUDGET} at --workers {workers} ran "
+                  f"{rounds} round(s); step 3 needs at least two")
+            return 1
+    mismatched = durable_mismatches(budgeted, budgeted_serial)
+    if mismatched:
+        print(f"FAIL: budgeted --workers 1 and --workers {args.workers} "
+              f"registries differ in {', '.join(mismatched)}")
+        return 1
+    print(f"OK: --budget {BUDGET} ({rounds} rounds) run files "
+          f"byte-identical at --workers 1 and --workers {args.workers}")
+
+    # 4. start the same campaign elsewhere and SIGKILL it mid-flight.
     # The victim gets its own session so the kill takes down the pool
     # workers too — otherwise the orphaned workers would finish their
     # cells and the "kill" would leave nothing incomplete.
@@ -140,7 +187,8 @@ def main() -> int:
         victim.wait()
         print(
             f"killed campaign with "
-            f"{len(list(killed.glob('*/result.json')))} of 4 cells durable"
+            f"{len(list(killed.glob('*/result.json')))} of {NUM_CELLS} "
+            "cells durable"
         )
     else:
         # machine too fast: the campaign completed before the kill —
@@ -149,7 +197,7 @@ def main() -> int:
 
     complete_after_kill = {p.parent.name for p in killed.glob("*/result.json")}
 
-    # 4. resume
+    # 5. resume
     result = subprocess.run(
         suite_command(killed, args.workers), env=env, check=True,
         capture_output=True, text=True,
@@ -167,7 +215,7 @@ def main() -> int:
                 )
                 return 1
 
-    # 5. merged reports must be bit-identical
+    # 6. merged reports must be bit-identical
     clean_rows = read_rows(clean)
     killed_rows = read_rows(killed)
     if clean_rows != killed_rows:

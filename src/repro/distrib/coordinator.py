@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -146,7 +146,6 @@ class CoordinatorConfig:
     clock: Clock = time.time
     #: Injectable poll wait, paired with ``clock``.
     sleep: Callable[[float], None] = time.sleep
-    extra: dict = field(default_factory=dict)
 
 
 def run_distributed(

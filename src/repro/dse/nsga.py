@@ -28,7 +28,6 @@ from ..ga.genome import Genome
 from ..ga.mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
 from ..ga.population import initialize_population
 from ..ga.problem import OptimizationProblem
-from ..obs import emit
 from ..parallel.backend import EvaluationBackend, cached_map, resolve_backend
 from ..parallel.tasks import ParetoCostTask
 from ..search_space import CapacitySpace
@@ -70,8 +69,6 @@ class NSGAConfig:
     #: Evaluation fan-out: 0/1 evaluates serially, N>1 uses a
     #: :class:`~repro.parallel.backend.ProcessPoolBackend` with N workers.
     workers: int = 1
-    #: Genomes per parallel work unit (None: auto-chunked per batch).
-    eval_chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -80,8 +77,6 @@ class NSGAConfig:
             raise SearchError("need at least one generation")
         if self.workers < 0:
             raise SearchError("workers must be non-negative")
-        if self.eval_chunk_size is not None and self.eval_chunk_size < 1:
-            raise SearchError("eval_chunk_size must be positive")
 
 
 @dataclass
@@ -313,7 +308,7 @@ def nsga2_co_optimize(
     config = config or NSGAConfig()
     owns_backend = backend is None
     if backend is None:
-        backend = resolve_backend(config.workers, config.eval_chunk_size)
+        backend = resolve_backend(config.workers)
     try:
         return _nsga2(
             evaluator, space, metric, config, backend, on_generation, resume_from
@@ -427,11 +422,6 @@ def _nsga2(
         if reference[0] != float("inf"):
             first = [combined[i] for i in fronts[0]]
             history.append((generation, hypervolume(first, reference)))
-        emit(
-            "nsga.generation",
-            generation=generation,
-            evaluations=archive.evaluations,
-        )
         if on_generation is not None:
             on_generation(snapshot(generation))
 

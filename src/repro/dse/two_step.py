@@ -33,7 +33,6 @@ from ..errors import SearchError
 from ..ga.engine import EngineCheckpoint, GAConfig, GeneticEngine, SampleRecord
 from ..ga.genome import Genome
 from ..ga.problem import OptimizationProblem
-from ..obs import emit
 from ..parallel.backend import EvaluationBackend, resolve_backend
 from ..search_space import CapacitySpace
 from .results import DSEResult
@@ -142,7 +141,7 @@ def _two_step(
         # is a fresh problem, and the pool is keyed to the problem's
         # task — a cheap fork, amortized over a whole GA run), but the
         # single object gives callers one lifecycle and one stats sink.
-        backend = resolve_backend(ga_config.workers, ga_config.eval_chunk_size)
+        backend = resolve_backend(ga_config.workers)
     try:
         return _two_step_inner(
             evaluator, candidates, metric, alpha, ga_config, method_name,
@@ -235,14 +234,6 @@ def _two_step_inner(
         def hook(state: EngineCheckpoint, index: int = index) -> None:
             nonlocal last_generation
             last_generation = state.generation
-            emit(
-                "two_step.candidate",
-                method=method_name,
-                candidate=index,
-                generation=state.generation,
-                evaluations=cumulative + state.evaluations,
-                best_cost=state.best_cost,
-            )
             if on_checkpoint is not None:
                 on_checkpoint(
                     TwoStepCheckpoint(

@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import SearchError
-from ..obs import emit
 from ..parallel.backend import EvaluationBackend
 from .engine import GAResult, RngState, SampleRecord
 from .genome import Genome
@@ -193,17 +192,9 @@ def simulated_annealing(
                 history.append((evaluations, best_cost))
         temperature *= cooling
         step = step_index + 1
-        if step % config.checkpoint_interval == 0:
-            emit(
-                "sa.step",
-                step=step,
-                evaluations=evaluations,
-                best_cost=best_cost,
-                temperature=temperature,
-            )
-            if on_step is not None:
-                on_step(snapshot(step))
-                emitted_at = step
+        if step % config.checkpoint_interval == 0 and on_step is not None:
+            on_step(snapshot(step))
+            emitted_at = step
 
     if on_step is not None and emitted_at != step:
         # The run stopped between interval marks (final step, or the

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import SearchError
-from ..obs import emit
 from ..parallel.backend import EvaluationBackend, resolve_backend
 from .crossover import crossover
 from .genome import Genome
@@ -54,8 +53,6 @@ class GAConfig:
     #: Evaluation fan-out: 0/1 evaluates serially, N>1 uses a
     #: :class:`~repro.parallel.backend.ProcessPoolBackend` with N workers.
     workers: int = 1
-    #: Genomes per parallel work unit (None: auto-chunked per batch).
-    eval_chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -66,8 +63,6 @@ class GAConfig:
             raise SearchError("max_samples must be positive when set")
         if self.workers < 0:
             raise SearchError("workers must be non-negative")
-        if self.eval_chunk_size is not None and self.eval_chunk_size < 1:
-            raise SearchError("eval_chunk_size must be positive")
 
 
 @dataclass
@@ -199,20 +194,6 @@ class GeneticEngine:
             child = mutate_dse(child, rng, self.problem.space)
         return self.problem.repair(child)
 
-    def _emit_generation(self) -> None:
-        """Stream one generation marker to the active telemetry sink.
-
-        A no-op outside campaigns; never touches the RNG or the
-        checkpointed state (the sink clamps an unpriced ``inf`` best
-        cost to ``null`` on serialization).
-        """
-        emit(
-            "ga.generation",
-            generation=self._generation,
-            evaluations=self._evaluations,
-            best_cost=self._best_cost,
-        )
-
     def _snapshot(
         self, population: list[Genome], costs: list[float]
     ) -> EngineCheckpoint:
@@ -246,7 +227,7 @@ class GeneticEngine:
         backend = self._external_backend
         owns_backend = backend is None
         if backend is None:
-            backend = resolve_backend(cfg.workers, cfg.eval_chunk_size)
+            backend = resolve_backend(cfg.workers)
         try:
             return self._run(backend, seeds, on_generation)
         finally:
@@ -293,9 +274,7 @@ class GeneticEngine:
         backend = self._external_backend
         owns_backend = backend is None
         if backend is None:
-            backend = resolve_backend(
-                self.config.workers, self.config.eval_chunk_size
-            )
+            backend = resolve_backend(self.config.workers)
         try:
             return self._loop(
                 backend,
@@ -325,7 +304,6 @@ class GeneticEngine:
         )
         population = self._fit_to_budget(population)
         costs = self._score_batch(population, backend)
-        self._emit_generation()
         if on_generation is not None:
             on_generation(self._snapshot(population, costs))
         return self._loop(backend, population, costs, 1, on_generation)
@@ -371,7 +349,6 @@ class GeneticEngine:
             )
             population = survivors + selected
             costs = survivor_costs + [self.problem.cost(g) for g in selected]
-            self._emit_generation()
             if on_generation is not None:
                 on_generation(self._snapshot(population, costs))
 

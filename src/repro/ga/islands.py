@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..errors import SearchError
-from ..obs import emit
 from ..parallel.backend import EvaluationBackend, resolve_backend
 from .engine import EngineCheckpoint, GAConfig, GAResult, GeneticEngine, RngState
 from .genome import Genome
@@ -189,9 +188,7 @@ def island_search(
         raise SearchError("max_samples must be positive when set")
     owns_backend = backend is None
     if backend is None:
-        backend = resolve_backend(
-            config.base.workers, config.base.eval_chunk_size
-        )
+        backend = resolve_backend(config.base.workers)
     try:
         return _island_search(
             problem, config, seeds, backend,
@@ -313,13 +310,6 @@ def _island_search(
                 best = engine._best
                 best_cost = engine._best_cost
                 history.append((total_evaluations(), best_cost))
-            emit(
-                "islands.island",
-                epoch=epoch,
-                island=index,
-                evaluations=total_evaluations(),
-                best_cost=best_cost,
-            )
         if max_samples is not None and total_evaluations() >= max_samples:
             break
 

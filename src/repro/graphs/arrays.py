@@ -90,8 +90,3 @@ class GraphArrays:
                 return 0
             return int(array[indices].sum())
         return sum(array[i] for i in indices)
-
-
-def have_numpy() -> bool:
-    """Whether the vectorized (NumPy) code paths are active."""
-    return _np is not None

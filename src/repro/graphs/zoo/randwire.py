@@ -14,8 +14,6 @@ stage's output with stride 2 (Xie et al., Sec 3.2).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ...errors import GraphError
 from ..builder import GraphBuilder
 from ..graph import ComputationGraph
@@ -27,6 +25,10 @@ WS_REWIRE_P = 0.75
 
 def _stage_dag(num_nodes: int, seed: int) -> list[tuple[int, ...]]:
     """In-edge lists of a WS graph converted to a DAG by node index."""
+    # Imported here, not at module top: networkx takes a large share of
+    # ``import repro``, and only RandWire builds need it.
+    import networkx as nx
+
     if num_nodes <= WS_NEIGHBORS:
         raise GraphError(
             f"RandWire stage needs more than {WS_NEIGHBORS} nodes, got {num_nodes}"

@@ -376,9 +376,3 @@ class CallResolver:
         if resolved is not None and resolved in self.index.functions:
             return self.index.functions[resolved]
         return None
-
-    def constructed_class(self, call: ast.Call) -> str | None:
-        """Project class a call constructs, or None."""
-        return self.index.resolve_class_chain(
-            attr_chain(call.func), self.resolver, call
-        )

@@ -117,8 +117,5 @@ class ZonePolicy:
                 active.update(zone.rules)
         return frozenset(active)
 
-    def zones_for(self, module: str) -> tuple[str, ...]:
-        return tuple(z.name for z in self.zones if z.covers(module))
-
 
 DEFAULT_POLICY = ZonePolicy()

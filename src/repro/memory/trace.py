@@ -122,10 +122,6 @@ class SubgraphTrace:
         """Largest resident activation footprint over the execution."""
         return max((s.occupancy_bytes for s in self.snapshots), default=0)
 
-    def events_at(self, op_index: int) -> tuple[TraceEvent, ...]:
-        """Events of one elementary operation, in recorded order."""
-        return tuple(e for e in self.events if e.op_index == op_index)
-
 
 def _row_bytes(graph: ComputationGraph, name: str, bytes_per_element: int) -> int:
     shape = graph.layer(name).shape

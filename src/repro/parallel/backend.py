@@ -18,9 +18,10 @@ Two backends implement the :class:`EvaluationBackend` protocol:
   own evaluation task (and therefore its own :class:`~repro.cost.
   evaluator.Evaluator` with its LRU profile/cost caches), initialized
   once per pool so the task is pickled once instead of per genome.
-  Genomes are shipped in chunks to amortize pickling overhead, and the
-  workers' evaluator cache statistics are merged back into the parent's
-  counters after every map call.
+  Genomes are shipped in chunks to amortize pickling overhead; after
+  every map call the workers' evaluator cache statistics are merged
+  back into the parent's counters, and their freshly priced subgraph
+  summaries are shipped to every process.
 
 Tasks are plain picklable callables (see :mod:`repro.parallel.tasks`);
 the backend layer knows nothing about genomes or evaluators, which keeps
@@ -85,10 +86,10 @@ _WORKER_TASK: Callable[[Any], Any] | None = None
 _WORKER_WARM = False
 
 
-def _init_worker(task: Callable[[Any], Any], warm: bool = False) -> None:
+def _init_worker(task: Callable[[Any], Any]) -> None:
     global _WORKER_TASK, _WORKER_WARM
     _WORKER_TASK = task
-    _WORKER_WARM = warm and hasattr(task, "enable_warm")
+    _WORKER_WARM = hasattr(task, "enable_warm")
     if _WORKER_WARM:
         task.enable_warm()
 
@@ -132,6 +133,18 @@ class ProcessPoolBackend:
     back in input order, and any exception raised inside a worker
     propagates to the caller.
 
+    Besides ``prime``, two task protocols (see :mod:`repro.parallel.
+    tasks`) are honoured whenever the task exposes them:
+
+    * ``stats()`` / ``absorb_stats()``: the workers' evaluator cache
+      counters are folded back into the parent task after every map.
+    * the warm-state protocol (``enable_warm`` / ``drain_warm`` /
+      ``absorb_warm``): each map ships the previous round's freshly
+      computed per-subgraph summaries to every chunk and collects this
+      round's back, so no subgraph is priced twice across the whole
+      pool. Purely an exchange of already-computed values — results
+      stay bit-identical to serial evaluation.
+
     Parameters
     ----------
     workers:
@@ -139,17 +152,6 @@ class ProcessPoolBackend:
     chunk_size:
         Genomes per work unit. Defaults to splitting the batch into
         roughly four chunks per worker.
-    merge_stats:
-        When true (default) and the task exposes ``stats()`` /
-        ``absorb_stats()``, the workers' evaluator cache counters are
-        folded back into the parent task after every map.
-    share_warm_state:
-        When true (default) and the task exposes the warm-state protocol
-        (``drain_warm`` / ``absorb_warm``), each map ships the previous
-        round's freshly computed per-subgraph summaries to every chunk
-        and collects this round's back, so no subgraph is priced twice
-        across the whole pool. Purely an exchange of already-computed
-        values — results stay bit-identical with it on or off.
     """
 
     #: Upper bound on warm entries carried between rounds (a runaway
@@ -160,9 +162,6 @@ class ProcessPoolBackend:
         self,
         workers: int | None = None,
         chunk_size: int | None = None,
-        merge_stats: bool = True,
-        mp_context: Any | None = None,
-        share_warm_state: bool = True,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -172,9 +171,6 @@ class ProcessPoolBackend:
             raise ConfigError("chunk size must be positive")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.merge_stats = merge_stats
-        self.share_warm_state = share_warm_state
-        self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._pool_task: Callable[[Any], Any] | None = None
         self._warm_outbox: list[Any] = []
@@ -193,8 +189,7 @@ class ProcessPoolBackend:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(task, self.share_warm_state),
-                mp_context=self._mp_context,
+                initargs=(task,),
             )
             self._pool_task = task
         return self._pool
@@ -214,7 +209,7 @@ class ProcessPoolBackend:
         self, task: Callable[[Any], Any], items: list[Any]
     ) -> list[Any]:
         pool = self._executor_for(task)
-        warm_capable = self.share_warm_state and hasattr(task, "absorb_warm")
+        warm_capable = hasattr(task, "absorb_warm")
         shipment = self._warm_outbox if warm_capable else None
         results: list[Any] = []
         merged: dict[str, float] = {}
@@ -241,7 +236,7 @@ class ProcessPoolBackend:
             # callers retry the batch instead of inheriting a dead pool.
             self.close()
             raise
-        if self.merge_stats and merged and hasattr(task, "absorb_stats"):
+        if merged and hasattr(task, "absorb_stats"):
             task.absorb_stats(merged)
         if warm_capable:
             # This round's fresh summaries become the next round's
@@ -267,15 +262,13 @@ class ProcessPoolBackend:
         self.close()
 
 
-def resolve_backend(
-    workers: int | None, chunk_size: int | None = None
-) -> EvaluationBackend:
+def resolve_backend(workers: int | None) -> EvaluationBackend:
     """Backend for a worker-count setting: serial for ``None``/``0``/``1``."""
     if workers is None or workers in (0, 1):
         return SerialBackend()
     if workers < 0:
         raise ConfigError("worker count must be non-negative")
-    return ProcessPoolBackend(workers=workers, chunk_size=chunk_size)
+    return ProcessPoolBackend(workers=workers)
 
 
 def cached_map(

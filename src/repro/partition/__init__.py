@@ -1,7 +1,7 @@
 """Graph partitions: representation, validity, baselines (Sec 4.1-4.2)."""
 
 from .partition import Partition
-from .subgraph import quotient_edges, weakly_connected_components
+from .subgraph import weakly_connected_components
 from .validity import check_partition, normalize_groups, split_infeasible
 from .random_init import random_partition
 from .greedy import greedy_partition
@@ -10,7 +10,6 @@ from .enumeration import enumerate_partition
 
 __all__ = [
     "Partition",
-    "quotient_edges",
     "weakly_connected_components",
     "check_partition",
     "normalize_groups",

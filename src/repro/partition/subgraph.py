@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..errors import GraphError
 from ..graphs.graph import ComputationGraph
@@ -52,19 +52,6 @@ def weakly_connected_components(
         if not left:
             break
     return components
-
-
-def quotient_edges(
-    graph: ComputationGraph, assignment: Mapping[str, int]
-) -> set[tuple[int, int]]:
-    """Directed edges between distinct subgraphs of an assignment."""
-    edges: set[tuple[int, int]] = set()
-    for producer, consumer in graph.edges:
-        if producer in assignment and consumer in assignment:
-            a, b = assignment[producer], assignment[consumer]
-            if a != b:
-                edges.add((a, b))
-    return edges
 
 
 def quotient_reachable(

@@ -10,10 +10,11 @@ RunRegistry`:
   :mod:`repro.runs.seeds` — so matrix edits never shift another cell's
   random stream;
 * cells shard across the existing evaluation backends
-  (:func:`~repro.parallel.backend.resolve_backend`), each worker
-  reusing warm per-graph evaluator summaries across the cells it runs
-  (and shipping them to its peers through the backend's warm-state
-  protocol — a pure exchange of already-computed values);
+  (:func:`~repro.parallel.backend.resolve_backend`); each cell
+  warm-starts from the per-graph evaluator summaries earlier cells
+  saved to the registry's ``warm/`` files, and saves its own there —
+  the only way summaries leave a cell, and a pure reuse of
+  already-computed values;
 * a completed cell writes ``result.json`` atomically, so a restarted
   campaign re-runs only incomplete cells, and the merged report of a
   killed-and-resumed campaign is bit-identical to an uninterrupted one;
@@ -172,8 +173,8 @@ class SuiteMatrix:
         """Expand the matrix, network-major.
 
         Network-major order keeps same-graph cells adjacent, so backend
-        chunking tends to hand them to the same worker and the warm
-        evaluator summaries actually get reused.
+        chunking tends to hand them to the same worker, whose registry
+        already holds that graph's warm evaluator summaries.
         """
         return [
             SuiteCell(
@@ -612,11 +613,11 @@ def run_cell(
     wall-clock changes).
 
     ``telemetry`` (default on) streams structured events — cell
-    lifecycle, per-generation progress, evaluator pricing spans — to
-    ``telemetry.jsonl`` beside the cell's history. Purely a write-only
-    side channel: results, checkpoints, and RNG trajectories are
-    bit-identical with it on or off (locked by the trajectory-identity
-    tests).
+    lifecycle, one ``progress`` event per history line, evaluator
+    pricing spans and stats — to ``telemetry.jsonl`` beside the cell's
+    history. Purely a write-only side channel: results, checkpoints,
+    and RNG trajectories are bit-identical with it on or off (locked by
+    the trajectory-identity tests).
     """
     config = cell.config_dict()
     seed = cell.seed(campaign_seed)
@@ -716,25 +717,17 @@ def _execute_cell(
 
 
 # ---------------------------------------------------------------------------
-# The sharded task (one instance per worker; warm state accumulates)
+# The sharded task (one instance per worker process)
 # ---------------------------------------------------------------------------
 class SuiteCellTask:
-    """Picklable cell executor with cross-cell warm-summary reuse.
+    """Picklable cell executor: :func:`run_cell` plus durable failures.
 
-    Each worker process holds one instance for the campaign's lifetime.
-    Per ``(network, bytes_per_element)`` graph key it keeps the
-    subgraph-summary scalars produced by every cell it ran; the next
-    cell on the same graph absorbs them before searching, so shared
-    subgraphs are priced once per worker rather than once per cell.
-    Through the backend's warm-state protocol (``enable_warm`` /
-    ``drain_warm`` / ``absorb_warm``) the entries also ship to the other
-    workers between map rounds. Purely an exchange of already-computed
-    values — cell results are bit-identical with or without it.
-
-    The instance also keeps one :class:`RunRegistry` per process, built
-    on its first cell and never pickled, so the registry's view of each
-    warm file outlives the cell: the next cell on the same graph parses
-    and encodes only the entries that are new to the file.
+    Each worker process holds one instance for the campaign's lifetime,
+    and with it one :class:`RunRegistry`, built on its first cell and
+    never pickled. The registry's view of each warm file therefore
+    outlives the cell: the next cell on the same graph warm-starts from
+    the summaries every earlier cell saved, and parses and encodes only
+    the entries that are new to the file.
     """
 
     def __init__(
@@ -746,31 +739,12 @@ class SuiteCellTask:
         self.matrix = matrix
         self.registry_root = str(registry_root)
         self.eval_workers = eval_workers
-        self._stores: dict[tuple, dict] = {}
-        self._outbox: list[tuple] = []
-        self._warm_enabled = False
         self._registry: RunRegistry | None = None
 
     def __getstate__(self) -> dict[str, Any]:
         # Each pool worker builds its own registry on its first cell.
         return {**self.__dict__, "_registry": None}
 
-    # Warm-state protocol (see repro.parallel.backend).
-    def enable_warm(self) -> None:
-        self._warm_enabled = True
-
-    def drain_warm(self) -> list[tuple]:
-        out = self._outbox
-        self._outbox = []
-        return out
-
-    def absorb_warm(self, entries) -> None:
-        for (graph_key, summary_key), summary in entries:
-            self._stores.setdefault(graph_key, {}).setdefault(
-                summary_key, summary
-            )
-
-    # ------------------------------------------------------------------
     def __call__(
         self, item: "SuiteCell | tuple[SuiteCell, int | None]"
     ) -> dict[str, Any]:
@@ -789,43 +763,21 @@ class SuiteCellTask:
         if self._registry is None:
             self._registry = RunRegistry(self.registry_root)
         registry = self._registry
-        config = cell.config_dict()
-        seed = cell.seed(self.matrix.seed)
-        if registry.is_complete(config, seed):
-            return registry.load(config, seed).load_result()
-
-        graph_key = (cell.network, cell.bytes_per_element)
-        store = self._stores.setdefault(graph_key, {})
-        evaluator: Evaluator | None = None
         try:
-            evaluator = Evaluator(
-                get_model(cell.network), cell_accelerator(cell)
-            )
-            if store:
-                evaluator.absorb_summaries(store.items())
-            evaluator.enable_summary_log()
-            row = run_cell(
-                cell, self.matrix.seed, registry, evaluator=evaluator,
-                sample_cap=sample_cap, eval_workers=self.eval_workers,
+            return run_cell(
+                cell, self.matrix.seed, registry, sample_cap=sample_cap,
+                eval_workers=self.eval_workers,
             )
         except ReproError as exc:
+            config = cell.config_dict()
+            seed = cell.seed(self.matrix.seed)
             registry.open_run(config, seed).record_error(str(exc))
-            row = {
+            return {
                 **config,
                 "seed": seed,
                 "status": "failed",
                 "error": str(exc),
             }
-        finally:
-            if evaluator is not None:
-                for summary_key, summary in evaluator.drain_summary_log():
-                    if summary_key not in store:
-                        store[summary_key] = summary
-                        if self._warm_enabled:
-                            self._outbox.append(
-                                ((graph_key, summary_key), summary)
-                            )
-        return row
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -144,6 +145,29 @@ class TestPareto:
         assert code == 0
         assert "Pareto frontier" in out
         assert "KB" in out
+
+
+class TestProfileTimings:
+    @pytest.mark.parametrize("command", ["dse", "pareto"])
+    def test_pool_breakdown_includes_worker_stats(self, capsys, command):
+        code, out = run_cli(
+            capsys, command, "vgg16", "--scale", "tiny", "--workers", "2",
+            "--profile-timings",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("  timing breakdown:")
+        labels = [line.split(":")[0].strip() for line in lines[start + 1:]]
+        assert labels == [
+            "profile", "price", "batch", "aggregate", "other", "total",
+            "profiles", "batch",
+        ]
+        # Every batch-pricing call ran in a pool worker, so the batch
+        # line counts only what the workers' merged stats carried back.
+        keys, batches = re.search(
+            r"(\d+) keys in (\d+) batches", lines[-1]
+        ).groups()
+        assert int(keys) > 0 and int(batches) > 0
 
 
 class TestExperiment:

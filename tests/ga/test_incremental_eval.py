@@ -125,7 +125,7 @@ class TestParallelComposition:
 
         with SerialBackend() as serial_backend:
             serial = run(serial_backend)
-        with ProcessPoolBackend(workers=2, share_warm_state=True) as pool:
+        with ProcessPoolBackend(workers=2) as pool:
             parallel = run(pool)
         assert serial.best_cost == parallel.best_cost
         assert serial.history == parallel.history

@@ -5,25 +5,35 @@ durable artifact a cell produces — its result row, its streamed
 history, its final checkpoint bytes — is byte-for-byte identical with
 telemetry enabled and disabled. Telemetry is a write-only side channel;
 the only permitted difference is the presence of ``telemetry.jsonl``
-itself.
+itself. Search code never imports the telemetry layer: a cell's
+progress reaches the stream only through the cell driver.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.obs import TELEMETRY_FILENAME
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix, run_cell
 
 MATRIX = SuiteMatrix(
     networks=("vgg16",),
-    schemes=("cocco", "sa", "islands", "nsga", "rs"),
+    schemes=("cocco", "sa", "islands", "nsga", "rs", "gs"),
     scale="tiny",
     seed=0,
 )
+
+#: Every event kind a cell's stream may hold: its lifecycle, one
+#: ``progress`` per history line, and the evaluator's spans and stats.
+CELL_EVENT_KINDS = {
+    "cell.start", "progress", "span", "evaluator.stats", "cell.finish",
+}
 
 
 def run_matrix(root, telemetry: bool):
@@ -78,14 +88,54 @@ class TestTrajectoryIdentity:
     def test_telemetry_stream_is_well_formed(self, both):
         (reg_on, _), _ = both
         for cell in MATRIX.cells():
-            path = (
-                reg_on.run_path(cell.config_dict(), cell.seed(MATRIX.seed))
-                / TELEMETRY_FILENAME
-            )
-            kinds = [
-                json.loads(line)["kind"]
-                for line in path.read_text().splitlines()
-            ]
+            config, seed = cell.config_dict(), cell.seed(MATRIX.seed)
+            path = reg_on.run_path(config, seed) / TELEMETRY_FILENAME
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+            kinds = [event["kind"] for event in events]
             assert kinds[0] == "cell.start"
             assert kinds[-1] == "cell.finish"
-            assert "progress" in kinds
+            assert set(kinds) <= CELL_EVENT_KINDS, cell.cell_id
+            # One progress event per history line, carrying that line.
+            progress = [
+                {
+                    key: value for key, value in event.items()
+                    if key not in ("v", "ts", "kind", "scheme")
+                }
+                for event in events if event["kind"] == "progress"
+            ]
+            history = reg_on.load(config, seed).read_history()
+            assert history, cell.cell_id
+            assert progress == history, cell.cell_id
+
+
+def imported_modules(path: Path, root: Path) -> set[str]:
+    """Absolute dotted names a module imports, relative imports resolved."""
+    package = path.relative_to(root).with_suffix("").parts[:-1]
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            module = ".".join((*base, *(node.module or "").split("."))).strip(".")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestSearchCodeStaysOutOfTelemetry:
+    def test_search_packages_never_import_obs(self):
+        """Progress leaves a cell only through the cell driver, which
+        streams one ``history.jsonl`` line and one ``progress`` event
+        per checkpoint; the search packages emit nothing themselves."""
+        root = Path(repro.__file__).resolve().parent.parent
+        # The scan resolves relative imports (``from ..parallel...``).
+        engine = root / "repro" / "ga" / "engine.py"
+        assert "repro.parallel.backend" in imported_modules(engine, root)
+        offenders = []
+        for package in ("ga", "dse"):
+            for path in sorted((root / "repro" / package).rglob("*.py")):
+                for name in imported_modules(path, root):
+                    if name == "repro.obs" or name.startswith("repro.obs."):
+                        offenders.append(f"{path.relative_to(root)}: {name}")
+        assert not offenders, offenders

@@ -92,10 +92,9 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(workers), SerialBackend)
 
     def test_pool_for_multiple_workers(self):
-        backend = resolve_backend(3, chunk_size=2)
+        backend = resolve_backend(3)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.workers == 3
-        assert backend.chunk_size == 2
         backend.close()
 
     def test_negative_workers_rejected(self):
@@ -209,10 +208,11 @@ class TestEngineDeterminism:
         serial = GeneticEngine(
             make_co_problem(diamond), GAConfig(**self.CONFIG)
         ).run()
-        parallel = GeneticEngine(
-            make_co_problem(diamond),
-            GAConfig(**self.CONFIG, workers=2, eval_chunk_size=3),
-        ).run()
+        with ProcessPoolBackend(workers=2, chunk_size=3) as backend:
+            parallel = GeneticEngine(
+                make_co_problem(diamond), GAConfig(**self.CONFIG),
+                backend=backend,
+            ).run()
         assert parallel.best_cost == serial.best_cost
         assert parallel.best_genome == serial.best_genome
         assert parallel.history == serial.history
@@ -262,8 +262,6 @@ class TestSampleBudget:
             GAConfig(max_samples=0)
         with pytest.raises(SearchError):
             GAConfig(workers=-1)
-        with pytest.raises(SearchError):
-            GAConfig(eval_chunk_size=0)
 
 
 # ---------------------------------------------------------------------------

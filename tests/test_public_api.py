@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +86,21 @@ class TestPublicApi:
         )
         if fused.feasible:
             assert fused.ema_bytes <= base.ema_bytes
+
+    def test_import_leaves_networkx_unloaded(self):
+        """Only RandWire builds need networkx; ``import repro`` and the
+        CLI (paid by every command and every spawned worker) must not
+        load it."""
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        result = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro, repro.cli.main; "
+                "print('networkx' in sys.modules)",
+            ],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == "False"
