@@ -344,17 +344,18 @@ def stage_telemetry(
     """Telemetry overhead: the generation loop with the sink on vs off.
 
     Runs the same short GA twice — once with an active
-    :class:`repro.obs.TelemetrySink` streaming events to a real file,
-    once with telemetry disabled (no sink, the production default for
+    :class:`repro.obs.TelemetrySink` streaming events through a
+    filesystem registry's root node, as campaign cells do, once with
+    telemetry disabled (no sink, the production default for
     library use) — asserting bit-identical search results and measuring
     the enabled path's wall-clock overhead. ``overhead`` is the
     fractional slowdown (0.02 = 2%); the observability acceptance bar
     is < 5%.
     """
-    import os
     import tempfile
 
     from repro.obs import TelemetrySink, activate
+    from repro.runs.registry import RunRegistry
 
     def run(sink):
         problem = OptimizationProblem(
@@ -372,19 +373,13 @@ def stage_telemetry(
         return result, time.perf_counter() - t0
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "telemetry.jsonl")
+        node = RunRegistry(tmp).root_node()
 
         def timed(enabled: bool) -> float:
-            sink = TelemetrySink(path) if enabled else None
-            try:
-                return run(sink)[1]
-            finally:
-                if sink is not None:
-                    sink.close()
+            return run(TelemetrySink(node) if enabled else None)[1]
 
-        check_sink = TelemetrySink(path)
+        check_sink = TelemetrySink(node)
         on_result, _ = run(check_sink)
-        check_sink.close()
         off_result, _ = run(None)
         if (
             on_result.best_cost != off_result.best_cost

@@ -19,7 +19,13 @@ The CI acceptance check for the ``repro suite`` orchestration layer:
 5. re-run the same command — the campaign must resume, re-running only
    incomplete cells;
 6. assert the resumed registry's merged report is bit-identical to the
-   clean run's.
+   clean run's;
+7. run the matrix under a ``--budget`` too small for any cell to
+   finish, into two more registries (every cell stops at its cap with a
+   checkpoint, so the campaign exits 1); tear the final line of every
+   incomplete cell's ``history.jsonl`` in the second one, as a writer
+   killed mid-append would; resume both unbudgeted and assert every
+   durable file is byte-identical between the two.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise. The
 killed-and-resumed registry directory is left in place so CI can upload
@@ -57,6 +63,13 @@ NUM_CELLS = 6
 #: the first round's even split (70 per cell) is short of an island
 #: cell's 96: those finish only on the refunds of a second grant round.
 BUDGET = 420
+
+#: Campaign budget for step 7: 25 samples per cell, short of every
+#: cell's need, so all six stop at their cap with a checkpoint.
+TORN_BUDGET = 150
+
+#: What a writer killed mid-append leaves at the end of a stream.
+TORN_FRAGMENT = '{"generation": 99, "evaluations": 12'
 
 #: Per-run files that must not depend on how cells were scheduled.
 DURABLE_FILES = ("config.json", "history.jsonl", "checkpoint.json", "result.json")
@@ -125,6 +138,8 @@ def main() -> int:
     budgeted = workdir / "budgeted-registry"
     budgeted_serial = workdir / "budgeted-serial-registry"
     killed = workdir / "killed-registry"
+    untorn = workdir / "untorn-registry"
+    torn = workdir / "torn-registry"
     env = dict(os.environ)
 
     # 1. clean, uninterrupted campaign
@@ -226,6 +241,41 @@ def main() -> int:
         return 1
     print(f"OK: resumed report bit-identical to clean run "
           f"({len(clean_rows)} rows)")
+
+    # 7. a torn final history line resumes like an untorn one
+    for registry in (untorn, torn):
+        result = subprocess.run(
+            suite_command(registry, args.workers, TORN_BUDGET), env=env,
+            stdout=subprocess.DEVNULL,
+        )
+        if result.returncode != 1:
+            print(f"FAIL: --budget {TORN_BUDGET} campaign exited "
+                  f"{result.returncode}; expected 1 (cells at their cap)")
+            return 1
+    histories = [
+        config.parent / "history.jsonl"
+        for config in sorted(torn.glob("*/config.json"))
+        if not (config.parent / "result.json").exists()
+    ]
+    if len(histories) != NUM_CELLS:
+        print(f"FAIL: expected {NUM_CELLS} incomplete cells at --budget "
+              f"{TORN_BUDGET}, found {len(histories)}")
+        return 1
+    for history in histories:
+        with history.open("a") as fh:
+            fh.write(TORN_FRAGMENT)
+    for registry in (untorn, torn):
+        subprocess.run(
+            suite_command(registry, args.workers), env=env, check=True,
+            stdout=subprocess.DEVNULL,
+        )
+    mismatched = durable_mismatches(untorn, torn)
+    if mismatched:
+        print(f"FAIL: torn-tail registry resumed to different run files: "
+              f"{', '.join(mismatched)}")
+        return 1
+    print(f"OK: {len(histories)} cells resumed from a torn history tail, "
+          f"run files byte-identical to the untorn registry")
     return 0
 
 

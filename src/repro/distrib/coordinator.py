@@ -175,7 +175,7 @@ def run_distributed(
     write_manifest(matrix, registry_root, budget=budget)
 
     ctx = multiprocessing.get_context("spawn")
-    fleet_sink = TelemetrySink.for_node(registry.root_node(), clock=config.clock)
+    fleet_sink = TelemetrySink(registry.root_node(), clock=config.clock)
 
     def spawn(worker_id: str, max_idle: float | None) -> object:
         process = ctx.Process(
@@ -327,7 +327,6 @@ def run_distributed(
                 spawned=elastic_spawned,
                 retired=elastic_retired,
             )
-        fleet_sink.close()
 
     tally = classify_campaign(registry, cells, matrix.seed, budget)
     report = merged_report(matrix, registry)

@@ -39,10 +39,10 @@ and the ``clock`` is consulted only when ``now`` is ``None`` (the
 :class:`Heartbeat` thread is the one consumer that genuinely needs the
 callable — it re-reads the time on every renewal).
 
-Cell addresses: every primitive accepts either a run-directory path
-(the historical filesystem API) or a :class:`repro.runs.transport.RunNode`
-— the distributed layer passes nodes so one worker binary serves both
-transports.
+Cell addresses: every primitive takes a
+:class:`repro.runs.transport.RunNode` (``registry.run_node(...)``), the
+one address of a registry file — so one worker binary serves every
+transport, and a wrapper around the transport sees every lease write.
 """
 
 from __future__ import annotations
@@ -52,26 +52,11 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from ..runs.registry import LEASE_FILENAME
-from ..runs.transport import FsTransport, RunNode
+from ..runs.transport import RunNode
 from .clock import Clock
-
-#: A cell address: a run directory (filesystem) or a transport node.
-CellRef = "str | Path | RunNode"
-
-
-def _as_node(run_dir: "str | Path | RunNode") -> RunNode:
-    if isinstance(run_dir, RunNode):
-        return run_dir
-    return RunNode(FsTransport(Path(run_dir)), "")
-
-
-def lease_path(run_dir: str | Path) -> Path:
-    """Where the lease for one run directory lives (filesystem form)."""
-    return Path(run_dir) / LEASE_FILENAME
 
 
 @dataclass(frozen=True)
@@ -122,12 +107,6 @@ class Lease:
     #: our writes surfaces as a failed renewal, never a silent clobber.
     version: str | None = None
 
-    @property
-    def path(self) -> Path | None:
-        """Filesystem location of the lease, when the transport has one."""
-        local = self.node.local_path
-        return None if local is None else local / LEASE_FILENAME
-
 
 def _encode(
     lease: Lease, heartbeat: float, extra: dict | None = None
@@ -173,21 +152,21 @@ def _decode(text: str) -> LeaseInfo | None:
         return None
 
 
-def read_lease(run_dir: "str | Path | RunNode") -> LeaseInfo | None:
+def read_lease(node: RunNode) -> LeaseInfo | None:
     """The current lease on a cell, or ``None`` when free.
 
     A half-disappeared or unparsable lease (lost a race with a release,
     or a writer died mid-crash long ago) reads as free — claimants will
     then race through single-winner creation, which stays atomic.
     """
-    text = _as_node(run_dir).read_text(LEASE_FILENAME)
+    text = node.read_text(LEASE_FILENAME)
     if text is None:
         return None
     return _decode(text)
 
 
 def try_acquire_lease(
-    run_dir: "str | Path | RunNode",
+    node: RunNode,
     owner: str,
     ttl: float,
     now: float | None = None,
@@ -203,7 +182,6 @@ def try_acquire_lease(
     the acquisition/expiry timestamps (tests inject a logical clock so
     TTL expiry needs no real sleeping).
     """
-    node = _as_node(run_dir)
     node.ensure()
     now = clock() if now is None else now
     lease = Lease(
@@ -282,7 +260,7 @@ def release_lease(lease: Lease) -> bool:
 
 
 def break_expired_lease(
-    run_dir: "str | Path | RunNode",
+    node: RunNode,
     now: float | None = None,
     clock: Clock = time.time,
 ) -> bool:
@@ -293,7 +271,6 @@ def break_expired_lease(
     every surviving worker is busy elsewhere. True when a lease was
     broken.
     """
-    node = _as_node(run_dir)
     current = node.read_with_version(LEASE_FILENAME)
     if current is None:
         return False

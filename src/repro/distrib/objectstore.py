@@ -47,7 +47,6 @@ import threading
 import uuid
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from urllib.parse import parse_qs, quote, unquote, urlsplit
 
 from ..errors import ConfigError
@@ -417,10 +416,6 @@ class ObjectStoreTransport:
 
     def describe(self) -> str:
         return self.url if self.url is not None else "s3://<in-process>"
-
-    @property
-    def local_root(self) -> Path | None:
-        return None
 
     def ensure_container(self, prefix: str) -> None:
         pass  # object stores have no directories to create

@@ -171,7 +171,7 @@ def run_worker(
                 "started_at": started_at,
             }
 
-        sink = TelemetrySink.for_node(node, clock=config.clock)
+        sink = TelemetrySink(node, clock=config.clock)
         sink.emit(
             "lease.claim",
             cell=cell.cell_id,
@@ -205,7 +205,6 @@ def run_worker(
                 released=released,
                 lost=beat.lost,
             )
-            sink.close()
         status = row.get("status")
         if isinstance(row.get("num_evaluations"), int):
             evals_total += row["num_evaluations"]

@@ -16,10 +16,9 @@ from typing import Sequence
 from ..config import MemoryConfig
 from ..cost.evaluator import Evaluator
 from ..cost.objective import Metric, co_opt_objective
-from ..ga.engine import GAConfig, GenerationHook, GeneticEngine
+from ..ga.engine import GAConfig, GeneticEngine
 from ..ga.genome import Genome
 from ..ga.problem import OptimizationProblem
-from ..parallel.backend import EvaluationBackend
 from ..partition.partition import Partition
 from ..search_space import CapacitySpace
 from .results import DSEResult
@@ -32,27 +31,18 @@ def cocco_partition_only(
     ga_config: GAConfig | None = None,
     method_name: str = "Cocco",
     seed_partitions: Sequence[Partition] = (),
-    backend: EvaluationBackend | None = None,
-    on_generation: GenerationHook | None = None,
 ) -> DSEResult:
     """Partition-only Cocco (Formula 1) at a fixed memory configuration.
 
     ``seed_partitions`` warm-start the population — the paper's "flexible
     initialization" property (Sec 4.3): results of other optimization
     algorithms can initialize the GA, which then fine-tunes them.
-
-    ``backend`` overrides the engine's own evaluation fan-out (which
-    otherwise follows ``ga_config.workers``); the caller keeps ownership
-    of an explicitly passed backend. ``on_generation`` streams the
-    engine's per-generation checkpoints (see :meth:`GeneticEngine.run`).
     """
     problem = OptimizationProblem(
         evaluator=evaluator, metric=metric, alpha=None, fixed_memory=memory
     )
     seeds = [Genome(partition=p, memory=memory) for p in seed_partitions]
-    result = GeneticEngine(problem, ga_config, backend=backend).run(
-        seeds=seeds, on_generation=on_generation
-    )
+    result = GeneticEngine(problem, ga_config).run(seeds=seeds)
     _, partition_cost = problem.evaluate(result.best_genome)
     return DSEResult(
         method=method_name,
@@ -72,24 +62,17 @@ def cocco_co_optimize(
     alpha: float = 0.002,
     ga_config: GAConfig | None = None,
     refine: bool = True,
-    refine_config: GAConfig | None = None,
-    backend: EvaluationBackend | None = None,
-    on_generation: GenerationHook | None = None,
 ) -> DSEResult:
     """Joint partition + capacity search under Formula 2.
 
-    Both the co-exploration run and the partition-only refinement share
-    ``backend`` when one is passed (otherwise each engine builds its own
-    from ``ga_config.workers``). ``on_generation`` streams the
-    co-exploration engine's per-generation checkpoints (the refinement
-    stage, being a separate engine run, is not streamed).
+    With ``refine`` the partition-only refinement runs at the
+    recommended capacity under the same ``ga_config`` (each engine
+    builds its own evaluation fan-out from ``ga_config.workers``).
     """
     problem = OptimizationProblem(
         evaluator=evaluator, metric=metric, alpha=alpha, space=space
     )
-    result = GeneticEngine(problem, ga_config, backend=backend).run(
-        on_generation=on_generation
-    )
+    result = GeneticEngine(problem, ga_config).run()
     best_genome = result.best_genome
     total_evals = result.num_evaluations
     history = list(result.history)
@@ -99,8 +82,7 @@ def cocco_co_optimize(
             evaluator,
             best_genome.memory,
             metric=metric,
-            ga_config=refine_config or ga_config,
-            backend=backend,
+            ga_config=ga_config,
         )
         refined_total = co_opt_objective(
             refinement.partition_cost, best_genome.memory, alpha, metric

@@ -4,23 +4,14 @@ The Table 1/2 rows Buf(S), Buf(M), Buf(L): the memory configuration is
 frozen and only the graph partition is optimized (Formula 1); the
 reported cost re-prices the result with Formula 2 so it is comparable to
 the co-exploration methods.
-
-Like every other searcher, the baseline is interruptible: the inner
-engine's generation-keyed :class:`~repro.ga.engine.EngineCheckpoint`
-stream is exposed via ``on_generation``, a run continues bit-identically
-through ``resume_from``, and ``max_evaluations`` caps the evaluation
-count exactly (the engine truncates its final batch rather than
-overshooting).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..config import MemoryConfig
 from ..cost.evaluator import Evaluator
 from ..cost.objective import Metric, co_opt_objective
-from ..ga.engine import EngineCheckpoint, GAConfig, GenerationHook, GeneticEngine
+from ..ga.engine import GAConfig, GeneticEngine
 from ..ga.problem import OptimizationProblem
 from .results import DSEResult
 
@@ -32,22 +23,12 @@ def optimize_fixed(
     alpha: float = 0.002,
     ga_config: GAConfig | None = None,
     method_name: str = "fixed",
-    on_generation: GenerationHook | None = None,
-    resume_from: EngineCheckpoint | None = None,
-    max_evaluations: int | None = None,
 ) -> DSEResult:
     """Partition-only GA at ``memory``; cost reported via Formula 2."""
     problem = OptimizationProblem(
         evaluator=evaluator, metric=metric, alpha=None, fixed_memory=memory
     )
-    config = ga_config or GAConfig()
-    if max_evaluations is not None:
-        config = replace(config, max_samples=max_evaluations)
-    engine = GeneticEngine(problem, config)
-    if resume_from is not None:
-        result = engine.resume(resume_from, on_generation=on_generation)
-    else:
-        result = engine.run(on_generation=on_generation)
+    result = GeneticEngine(problem, ga_config).run()
     _, partition_cost = problem.evaluate(result.best_genome)
     total = co_opt_objective(partition_cost, memory, alpha, metric)
     history = [

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from ..cost.evaluator import Evaluator
 from ..cost.objective import Metric
-from ..ga.annealing import SACheckpoint, SAConfig, simulated_annealing
+from ..ga.annealing import SAConfig, simulated_annealing
 from ..ga.problem import OptimizationProblem
-from ..parallel.backend import EvaluationBackend
 from ..search_space import CapacitySpace
 from .results import DSEResult
 
@@ -23,31 +22,17 @@ def sa_co_optimize(
     metric: Metric = Metric.ENERGY,
     alpha: float = 0.002,
     sa_config: SAConfig | None = None,
-    backend: EvaluationBackend | None = None,
-    on_step=None,
-    resume_from: SACheckpoint | None = None,
-    max_evaluations: int | None = None,
 ) -> DSEResult:
     """Joint partition + capacity search with simulated annealing.
 
-    The SA chain is sequential, so ``backend`` only matters for shared
-    cache-statistics accounting — see
-    :func:`repro.ga.annealing.simulated_annealing`. ``on_step`` /
-    ``resume_from`` / ``max_evaluations`` pass straight through to the
-    chain, enabling durable checkpoints, bit-identical resume, and
-    budget-capped runs (the suite's SA cells use all three).
+    Checkpointed, resumable and budget-capped SA runs call
+    :func:`repro.ga.annealing.simulated_annealing` directly, as the
+    suite's SA cells do.
     """
     problem = OptimizationProblem(
         evaluator=evaluator, metric=metric, alpha=alpha, space=space
     )
-    result = simulated_annealing(
-        problem,
-        sa_config,
-        backend=backend,
-        on_step=on_step,
-        resume_from=resume_from,
-        max_evaluations=max_evaluations,
-    )
+    result = simulated_annealing(problem, sa_config)
     _, partition_cost = problem.evaluate(result.best_genome)
     return DSEResult(
         method="SA",

@@ -20,57 +20,13 @@ whole lines).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from ..runs.registry import RunRegistry
+from ..runs.registry import RunRegistry, iter_jsonl_text
 from ..viz.campaign import CellStatus, campaign_snapshot
 from .events import TELEMETRY_FILENAME, Clock
-
-
-def iter_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield every complete JSON object line of a ``.jsonl`` stream.
-
-    The whole-file counterpart of :func:`repro.viz.campaign.tail_jsonl`,
-    with the same hardening against the append-writers' one designed
-    failure mode (a writer killed mid-append): a final line without a
-    trailing newline is torn and skipped — even when its visible prefix
-    happens to parse — and non-object lines are ignored. A missing file
-    yields nothing.
-    """
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return
-    yield from iter_jsonl_text(data.decode("utf-8", errors="replace"))
-
-
-def iter_jsonl_text(text: str | None) -> Iterator[dict]:
-    """:func:`iter_jsonl` over already-loaded stream text.
-
-    Registry transports return stream bodies as text (``None`` when the
-    key is missing); the same torn-tail and non-object hardening
-    applies.
-    """
-    if not text:
-        return
-    lines = text.splitlines()
-    if lines and not text.endswith("\n"):
-        lines = lines[:-1]
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            yield record
 
 
 @dataclass(frozen=True)
@@ -105,13 +61,6 @@ class CellSeries:
             if isinstance(point.evaluations, int):
                 return point.evaluations
         return None
-
-
-def cell_series(cell_id: str, history_path: str | Path) -> CellSeries:
-    """Decode one cell's full history stream into a series."""
-    return cell_series_text(
-        cell_id, Path(history_path).read_text() if Path(history_path).is_file() else None
-    )
 
 
 def cell_series_text(cell_id: str, history_text: str | None) -> CellSeries:

@@ -1,12 +1,13 @@
 """Schema-versioned telemetry events on an append-only JSONL stream.
 
-One :class:`TelemetrySink` owns one stream (normally a cell's
-``telemetry.jsonl`` in the run registry). Every event is a single JSON
-object line carrying the schema version, a wall-clock timestamp from
-the sink's *injectable* clock, and an event ``kind``; each line is one
-``write`` + ``flush``, so a SIGKILL leaves at most one torn final line
-— which every reader (:func:`repro.obs.aggregate.iter_jsonl`,
-:func:`repro.viz.campaign.tail_jsonl`) skips by design.
+One :class:`TelemetrySink` owns one stream: a registry node's
+``telemetry.jsonl`` (a cell's, or the registry root's fleet stream).
+Every event is a single JSON object line carrying the schema version, a
+wall-clock timestamp from the sink's *injectable* clock, and an event
+``kind``; each line is one ``append_line`` through the node's
+transport, so a SIGKILL leaves at most one torn final line — which
+every reader (:func:`repro.runs.registry.iter_jsonl_text`, and
+:func:`repro.viz.campaign.tail_jsonl_node` through it) skips by design.
 
 Emission is routed through a :mod:`contextvars` variable rather than
 threaded parameters: :func:`activate` installs a sink for a scope, and
@@ -27,8 +28,7 @@ import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from pathlib import Path
-from typing import IO, Any, Callable, Iterator
+from typing import Any, Callable, Iterator
 
 #: A zero-argument callable returning seconds (``time.time`` semantics).
 #: Mirrors :data:`repro.distrib.clock.Clock`; redefined here so the
@@ -63,51 +63,24 @@ def _jsonable(value: Any) -> Any:
 class TelemetrySink:
     """Append-only writer of telemetry events for one stream.
 
-    The file handle opens lazily on the first event (so a sink over a
-    not-yet-created run directory costs nothing until the cell actually
-    starts) and appends — re-running an interrupted cell extends its
-    stream, with each attempt delimited by its own ``cell.start`` event.
-
-    A sink can also write through a registry transport node
-    (:meth:`for_node`) instead of a local file — that is how cells and
-    the coordinator stream telemetry into an object-store registry. For
-    filesystem transports :meth:`for_node` degrades to the plain file
-    path, keeping the persistent-handle fast path.
+    Writes through a :class:`repro.runs.transport.RunNode` — every event
+    is one ``append_line`` on the node's transport, on a local directory
+    and an object store alike, so a wrapper around the transport sees
+    every telemetry write. Appending means re-running an interrupted
+    cell extends its stream, with each attempt delimited by its own
+    ``cell.start`` event.
     """
 
     def __init__(
         self,
-        path: str | Path | None = None,
-        clock: Clock = time.time,
-        node: Any | None = None,
-        filename: str = TELEMETRY_FILENAME,
-    ):
-        if path is None and node is None:
-            raise ValueError("TelemetrySink needs a path or a node")
-        self.path = Path(path) if path is not None else None
-        self.clock = clock
-        self.events_written = 0
-        self._fh: IO[str] | None = None
-        self._node = node
-        self._filename = filename
-
-    @classmethod
-    def for_node(
-        cls,
         node: Any,
         clock: Clock = time.time,
         filename: str = TELEMETRY_FILENAME,
-    ) -> "TelemetrySink":
-        """Sink over a :class:`repro.runs.transport.RunNode` stream.
-
-        Filesystem-backed nodes get the ordinary file sink (one open
-        handle, one write+flush per event); remote nodes append through
-        the transport per event.
-        """
-        local = node.local_path
-        if local is not None:
-            return cls(local / filename, clock=clock)
-        return cls(clock=clock, node=node, filename=filename)
+    ):
+        self.node = node
+        self.clock = clock
+        self.filename = filename
+        self.events_written = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Append one event line; never raises into the search.
@@ -126,28 +99,10 @@ class TelemetrySink:
         except (TypeError, ValueError):
             line = json.dumps(_jsonable(record))
         try:
-            if self._node is not None:
-                self._node.append_line(self._filename, line)
-            else:
-                if self._fh is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = self.path.open("a")
-                self._fh.write(line + "\n")
-                self._fh.flush()
+            self.node.append_line(self.filename, line)
             self.events_written += 1
         except OSError:
             pass
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "TelemetrySink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def current_sink() -> TelemetrySink | None:

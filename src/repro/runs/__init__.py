@@ -1,8 +1,9 @@
 """Durable, resumable experiment orchestration.
 
 * :mod:`repro.runs.seeds` — order-independent per-cell seed derivation.
-* :mod:`repro.runs.registry` — one directory per run (config, streamed
-  history, checkpoint, atomically-written result).
+* :mod:`repro.runs.registry` — one keyspace slice per run (config,
+  streamed history, checkpoint, atomically-written result), addressed
+  through its transport node.
 * :mod:`repro.runs.checkpoint` — one field-driven JSON codec for every
   search checkpoint class (GA engine, island model, two-step, simulated
   annealing, NSGA-II).

@@ -8,7 +8,7 @@ seed, and owns a key prefix holding
 * ``config.json`` — the serialized cell/run configuration (written at
   open, before any work),
 * ``history.jsonl`` — a line-per-event log streamed while the search
-  progresses (best-cost improvements, generation summaries),
+  progresses (one line per checkpoint tick),
 * ``checkpoint.json`` — the latest generation-level engine checkpoint
   (optional; enables mid-run resume),
 * ``result.json`` — the final result, written atomically *last*, so its
@@ -21,9 +21,16 @@ it can never leave a half-written result that masquerades as complete.
 All I/O goes through a :class:`repro.runs.transport.RegistryTransport`
 — a local directory by default (`FsTransport`, byte-identical to the
 historical layout), or an S3-compatible object store when the registry
-root is an ``s3://`` URI. Path-valued accessors (``run_path``,
-``registry.root``, ``handle.path``) keep working for filesystem
-registries and raise/return ``None`` for remote ones.
+root is an ``s3://`` URI. A registry file has exactly one address, its
+transport key: :meth:`RunRegistry.run_node` addresses one run's files,
+:meth:`RunRegistry.root_node` the registry-root keys, and every reader
+and writer — history, checkpoints, leases, telemetry — goes through
+them.
+
+Append-only streams (``history.jsonl``, ``telemetry.jsonl``) are read
+through :func:`iter_jsonl_text` alone: a writer killed mid-append can
+tear the final line, and that reader drops it, so a torn history tail
+resumes instead of aborting the cell.
 """
 
 from __future__ import annotations
@@ -31,13 +38,13 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..errors import ConfigError
 from .seeds import stable_digest
-from .transport import FsTransport, RegistryTransport, RunNode, resolve_transport
+from .transport import RegistryTransport, RunNode, resolve_transport
 
 _CONFIG = "config.json"
 _HISTORY = "history.jsonl"
@@ -79,6 +86,32 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def iter_jsonl_text(text: str | None) -> Iterator[dict]:
+    """Yield every complete JSON object line of a ``.jsonl`` stream body.
+
+    The one reader of the append-only streams, hardened against their
+    writers' one designed failure mode (a writer killed mid-append): a
+    final line without a trailing newline is torn and skipped — even
+    when its visible prefix happens to parse — and non-object lines are
+    ignored. ``None`` (a missing key) yields nothing.
+    """
+    if not text:
+        return
+    lines = text.splitlines()
+    if lines and not text.endswith("\n"):
+        lines = lines[:-1]
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict):
+            yield record
 
 
 def _decode_warm(
@@ -194,31 +227,16 @@ class _WarmView:
 class RunHandle:
     """One run's keyspace slice, with streaming and completion primitives.
 
-    ``path`` is the run directory for filesystem registries and ``None``
-    for remote transports; all methods operate through :attr:`node`.
-    Constructing a handle from a bare directory path (the historical
-    signature) still works — it wraps the directory in a filesystem
-    node.
+    Every method reads and writes through :attr:`node`.
     """
 
-    path: Path | None
+    node: RunNode
     config: dict[str, Any]
-    node: RunNode | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.node is None:
-            if self.path is None:
-                raise ConfigError("RunHandle needs a path or a node")
-            self.node = RunNode(FsTransport(Path(self.path)), "")
-        elif self.path is None:
-            self.path = self.node.local_path
 
     @property
     def name(self) -> str:
         """The run's registry key (config hash + seed)."""
-        if self.node is not None and self.node.name:
-            return self.node.name
-        return self.path.name if self.path is not None else ""
+        return self.node.name
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -235,29 +253,18 @@ class RunHandle:
         """Whether a deterministic failure has been durably recorded."""
         return self.node.exists(_ERROR)
 
-    @property
-    def lease_path(self) -> Path:
-        """Where this run's distributed-execution lease lives (fs only)."""
-        if self.path is None:
-            raise ConfigError(f"run {self.name} has no local lease path")
-        return self.path / _LEASE
-
     # -- streaming ------------------------------------------------------
     def log_history(self, entry: dict[str, Any]) -> None:
         """Append one JSON line to the streamed history log."""
         self.node.append_line(_HISTORY, json.dumps(entry))
 
     def read_history(self) -> list[dict[str, Any]]:
-        """All streamed history entries, in append order."""
-        text = self.node.read_text(_HISTORY)
-        if text is None:
-            return []
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-        return entries
+        """All streamed history entries, in append order.
+
+        A final line torn by a killed writer is dropped, like every
+        other stream reader does (:func:`iter_jsonl_text`).
+        """
+        return list(iter_jsonl_text(self.node.read_text(_HISTORY)))
 
     def truncate_history(self, max_generation: int, key: str = "generation") -> None:
         """Drop history entries whose ``key`` exceeds ``max_generation``.
@@ -331,9 +338,7 @@ class RunRegistry:
 
     ``root`` may be a local directory (the default transport) or an
     ``s3://host:port/bucket`` URI; an explicit ``transport`` overrides
-    resolution (in-process object stores in tests). :attr:`root` stays
-    a ``Path`` for filesystem registries — and is ``None`` otherwise,
-    so path-assuming callers fail loudly instead of writing nonsense.
+    resolution (in-process object stores in tests).
     """
 
     def __init__(
@@ -342,7 +347,6 @@ class RunRegistry:
         transport: RegistryTransport | None = None,
     ):
         self.transport = transport if transport is not None else resolve_transport(root)
-        self.root = self.transport.local_root
         #: Human-readable registry location (path or URI) for messages.
         self.location = self.transport.describe()
         self._warm_views: dict[str, _WarmView] = {}
@@ -359,14 +363,6 @@ class RunRegistry:
         """Node addressing registry-root keys (manifest, fleet telemetry)."""
         return RunNode(self.transport, "")
 
-    def run_path(self, config: dict[str, Any], seed: int) -> Path:
-        if self.root is None:
-            raise ConfigError(
-                f"registry {self.location} has no local run paths; "
-                "use run_node()"
-            )
-        return self.root / self.run_name(config, seed)
-
     def is_complete(self, config: dict[str, Any], seed: int) -> bool:
         return self.run_node(config, seed).exists(_RESULT)
 
@@ -374,9 +370,6 @@ class RunRegistry:
         """Whether the run has a durable failure marker (and no result)."""
         node = self.run_node(config, seed)
         return node.exists(_ERROR) and not node.exists(_RESULT)
-
-    def _handle(self, node: RunNode, config: dict[str, Any]) -> RunHandle:
-        return RunHandle(path=node.local_path, config=dict(config), node=node)
 
     def open_run(self, config: dict[str, Any], seed: int) -> RunHandle:
         """Create (or re-open) the run slice and persist its config.
@@ -388,7 +381,7 @@ class RunRegistry:
         """
         node = self.run_node(config, seed)
         node.ensure()
-        handle = self._handle(node, config)
+        handle = RunHandle(node, dict(config))
         if not handle.is_complete:
             node.write_atomic(
                 _CONFIG,
@@ -399,15 +392,15 @@ class RunRegistry:
         return handle
 
     def load(self, config: dict[str, Any], seed: int) -> RunHandle:
-        """Handle for an existing run (no writes)."""
+        """Handle for an existing run — one whose config is written.
+
+        No writes; the check goes through the run's node on every
+        transport.
+        """
         node = self.run_node(config, seed)
-        path = node.local_path
-        if path is not None:
-            if not path.is_dir():
-                raise ConfigError(f"no run directory {path}")
-        elif not node.exists(_CONFIG):
+        if not node.exists(_CONFIG):
             raise ConfigError(f"no run {node.describe()}")
-        return self._handle(node, config)
+        return RunHandle(node, dict(config))
 
     def runs(self) -> Iterator[RunHandle]:
         """Iterate every registered run (complete or not), sorted by name."""
@@ -416,8 +409,7 @@ class RunRegistry:
             if text is None:
                 continue
             payload = json.loads(text)
-            node = RunNode(self.transport, name)
-            yield self._handle(node, payload.get("config", {}))
+            yield RunHandle(RunNode(self.transport, name), payload.get("config", {}))
 
     def completed(self) -> list[RunHandle]:
         """Every run whose final result has been written."""
@@ -430,14 +422,6 @@ class RunRegistry:
 
     def _warm_key(self, network: str, bytes_per_element: int) -> str:
         return f"warm/{network}-bpe{bytes_per_element}.json"
-
-    def warm_summary_path(self, network: str, bytes_per_element: int) -> Path:
-        """Where one network's shared warm-summary scalars live (fs only)."""
-        if self.root is None:
-            raise ConfigError(
-                f"registry {self.location} has no local warm paths"
-            )
-        return self.root / "warm" / f"{network}-bpe{bytes_per_element}.json"
 
     def _warm_view(self, key_name: str) -> _WarmView | None:
         """Read one warm file; ``None`` when it is missing or corrupt.
@@ -528,12 +512,8 @@ class RunRegistry:
         removed = 0
         reclaimed = 0
         for run in self.completed():
-            name = run.node.name or (
-                run.path.name if run.path is not None else ""
-            )
-            prefix = f"{name}/" if name else ""
-            stale = [f"{prefix}{_CHECKPOINT}", f"{prefix}{_LEASE}"]
-            stale.extend(self.transport.litter(name))
+            stale = [run.node.key(_CHECKPOINT), run.node.key(_LEASE)]
+            stale.extend(self.transport.litter(run.name))
             for key in stale:
                 size = self.transport.size(key)
                 if size is None:

@@ -627,39 +627,34 @@ def run_cell(
         raise ConfigError("sample_cap must be positive when set")
     _maybe_fault(cell, campaign_seed, registry)
     run = registry.open_run(config, seed)
-    sink = TelemetrySink.for_node(run.node) if telemetry else None
-    try:
-        with activate(sink):
-            emit(
-                "cell.start",
-                cell=cell.cell_id,
-                scheme=cell.scheme,
-                seed=seed,
-                sample_cap=sample_cap,
-                resumed=run.has_checkpoint,
+    with activate(TelemetrySink(run.node) if telemetry else None):
+        emit(
+            "cell.start",
+            cell=cell.cell_id,
+            scheme=cell.scheme,
+            seed=seed,
+            sample_cap=sample_cap,
+            resumed=run.has_checkpoint,
+        )
+        try:
+            row = _execute_cell(
+                cell, config, seed, registry, run,
+                evaluator=evaluator, sample_cap=sample_cap,
+                eval_workers=eval_workers,
             )
-            try:
-                row = _execute_cell(
-                    cell, config, seed, registry, run,
-                    evaluator=evaluator, sample_cap=sample_cap,
-                    eval_workers=eval_workers,
-                )
-            except ReproError as exc:
-                emit("cell.error", cell=cell.cell_id, error=str(exc))
-                raise
-            emit(
-                "cell.finish",
-                cell=cell.cell_id,
-                status=row.get("status", "complete"),
-                evaluations=row.get("num_evaluations"),
-                best_cost=_stream_cost(row["best_cost"])
-                if isinstance(row.get("best_cost"), (int, float))
-                else None,
-            )
-            return row
-    finally:
-        if sink is not None:
-            sink.close()
+        except ReproError as exc:
+            emit("cell.error", cell=cell.cell_id, error=str(exc))
+            raise
+        emit(
+            "cell.finish",
+            cell=cell.cell_id,
+            status=row.get("status", "complete"),
+            evaluations=row.get("num_evaluations"),
+            best_cost=_stream_cost(row["best_cost"])
+            if isinstance(row.get("best_cost"), (int, float))
+            else None,
+        )
+        return row
 
 
 def _execute_cell(

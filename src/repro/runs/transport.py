@@ -78,9 +78,6 @@ class RegistryTransport(Protocol):
 
     def describe(self) -> str: ...
 
-    @property
-    def local_root(self) -> Path | None: ...
-
     def ensure_container(self, prefix: str) -> None: ...
 
     def exists(self, key: str) -> bool: ...
@@ -132,10 +129,6 @@ class FsTransport:
 
     def describe(self) -> str:
         return str(self.root)
-
-    @property
-    def local_root(self) -> Path | None:
-        return self.root
 
     def _path(self, key: str) -> Path:
         return self.root / key if key else self.root
@@ -284,11 +277,11 @@ class FsTransport:
 class RunNode:
     """One run's keyspace slice: a transport plus its key prefix.
 
-    The distributed layer passes these around instead of ``Path``s —
-    ``RunNode(transport, "")`` addresses the registry root (campaign
-    manifest, fleet telemetry), ``RunNode(transport, run_name)`` one
-    run's files. Filename arguments are the same public names the
-    registry exports (``lease.json``, ``checkpoint.json``, …).
+    The only address of a registry file: ``RunNode(transport, "")``
+    addresses the registry root (campaign manifest, fleet telemetry),
+    ``RunNode(transport, run_name)`` one run's files. Filename arguments
+    are the same public names the registry exports (``lease.json``,
+    ``checkpoint.json``, …).
     """
 
     transport: RegistryTransport
@@ -296,14 +289,6 @@ class RunNode:
 
     def key(self, filename: str) -> str:
         return f"{self.name}/{filename}" if self.name else filename
-
-    @property
-    def local_path(self) -> Path | None:
-        """The node's directory for filesystem transports, else None."""
-        root = self.transport.local_root
-        if root is None:
-            return None
-        return root / self.name if self.name else root
 
     def describe(self) -> str:
         base = self.transport.describe()

@@ -7,7 +7,7 @@ Fig 13 sample-distribution drift, and CSV/JSON exporters so the numbers
 can leave the terminal for a real plotting pipeline.
 """
 
-from .campaign import CellStatus, campaign_snapshot, render_campaign, tail_jsonl
+from .campaign import CellStatus, campaign_snapshot, render_campaign
 from .charts import bar_chart, grouped_bar_chart, histogram, line_chart, scatter_chart
 from .export import result_to_csv, result_to_json, write_result
 
@@ -23,5 +23,4 @@ __all__ = [
     "CellStatus",
     "campaign_snapshot",
     "render_campaign",
-    "tail_jsonl",
 ]

@@ -6,78 +6,37 @@ cell, how fresh their heartbeat is), ``checkpoint.json`` presence, and
 the tail of the streamed ``history.jsonl`` (current generation/step,
 evaluations, best cost) — so a coordinator, a watching terminal, or a
 CI job can render the same view any worker would derive, with no side
-channel. Reading is cheap: only the last line of each history stream is
-decoded (seek-from-end), so the view stays live even over big
-registries.
+channel. Every file is read through its registry node. Reading is
+cheap: only the final block of each history stream is fetched
+(``read_tail``, a suffix read), so the view stays live even over big
+registries. Whether a cell is ``exhausted`` is the budget scheduler's
+verdict, replayed from the same checkpoints it reads — never the
+history tail, which may run ahead of the last checkpoint.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..experiments.reporting import format_table
-from ..runs.registry import RunRegistry
+from ..runs.registry import RunRegistry, iter_jsonl_text
 
 #: How far from the end of a history stream to look for its last line.
 _TAIL_BYTES = 4096
 
 
-def tail_jsonl(path: str | Path) -> dict | None:
-    """The last complete JSON object of a ``.jsonl`` file, or ``None``.
-
-    Reads only the final block of the file, and is hardened against the
-    stream writers' designed failure mode — a writer killed mid-append:
-
-    * every complete record ends with a newline (writers emit line +
-      ``"\\n"`` in one write), so a final line *without* one is torn and
-      is skipped outright — even when its visible text happens to parse
-      (a record truncated inside a number parses as a bare scalar);
-    * only JSON *objects* are returned: the seek can land mid-line, and
-      a line suffix that parses as a scalar is chunk-boundary garbage,
-      not a record.
-    """
-    path = Path(path)
-    try:
-        size = path.stat().st_size
-    except FileNotFoundError:
-        return None
-    if size == 0:
-        return None
-    with path.open("rb") as fh:
-        fh.seek(max(0, size - _TAIL_BYTES))
-        chunk = fh.read().decode("utf-8", errors="replace")
-    return _last_object(chunk)
-
-
 def tail_jsonl_node(node, filename: str) -> dict | None:
-    """:func:`tail_jsonl` over a registry transport node's stream.
+    """The last complete JSON object of a node's ``.jsonl`` stream.
 
-    Same torn-tail hardening, same only-the-final-block read (the
-    transport's ``read_tail`` maps to a ranged/suffix read).
+    Reads only the final block (the transport's ``read_tail`` maps to a
+    ranged/suffix read) and takes the last record
+    :func:`iter_jsonl_text` yields from it: a line torn by a writer
+    killed mid-append is skipped, and so is the block's first line when
+    the read starts mid-line (only JSON objects count as records).
+    ``None`` when the stream is missing or holds no complete record.
     """
-    chunk = node.read_tail(filename, _TAIL_BYTES)
-    if not chunk:
-        return None
-    return _last_object(chunk)
-
-
-def _last_object(chunk: str) -> dict | None:
-    lines = chunk.splitlines()
-    if lines and not chunk.endswith("\n"):
-        lines = lines[:-1]
-    for line in reversed(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            return record
-    return None
+    records = list(iter_jsonl_text(node.read_tail(filename, _TAIL_BYTES)))
+    return records[-1] if records else None
 
 
 @dataclass(frozen=True)
@@ -116,9 +75,11 @@ def campaign_snapshot(
 
     cells = matrix.cells()
     allocations = None
+    exhausted: frozenset = frozenset()
     if budget is not None:
         progress = campaign_progress(registry, cells, matrix.seed)
-        allocations = compute_allocations(cells, budget, progress).allocations
+        view = compute_allocations(cells, budget, progress)
+        allocations, exhausted = view.allocations, view.exhausted
     statuses = []
     for cell in cells:
         config = cell.config_dict()
@@ -165,15 +126,10 @@ def campaign_snapshot(
                 )
             )
             continue
-        exhausted = (
-            cap is not None
-            and evaluations is not None
-            and evaluations >= cap
-        )
         statuses.append(
             CellStatus(
                 cell_id=cell.cell_id,
-                state="exhausted" if exhausted else "pending",
+                state="exhausted" if cell.key in exhausted else "pending",
                 progress=progress_mark,
                 evaluations=evaluations,
                 best_cost=best_cost,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -173,6 +175,43 @@ def small_memory() -> MemoryConfig:
 @pytest.fixture
 def small_accel(small_memory) -> AcceleratorConfig:
     return AcceleratorConfig(memory=small_memory)
+
+
+# ---------------------------------------------------------------------------
+# Registry transports
+# ---------------------------------------------------------------------------
+#: Every registry transport backend: the shared-directory semantics, the
+#: object-store transport over an in-process store, and the same
+#: transport speaking real HTTP to the fake S3-subset server.
+TRANSPORT_KINDS = ("fs", "memory", "http")
+
+
+@contextmanager
+def open_transport(kind: str, root) -> Iterator:
+    """A fresh, empty transport of ``kind`` (``root``: the fs directory)."""
+    from repro.distrib.objectstore import (
+        ObjectStore,
+        ObjectStoreTransport,
+        serve_in_thread,
+    )
+    from repro.runs.transport import FsTransport, resolve_transport
+
+    if kind == "fs":
+        yield FsTransport(root)
+    elif kind == "memory":
+        yield ObjectStoreTransport(ObjectStore())
+    else:
+        server, _thread = serve_in_thread(("127.0.0.1", 0), ObjectStore())
+        try:
+            yield resolve_transport(server.url("conformance"))
+        finally:
+            server.shutdown()
+
+
+@pytest.fixture(params=TRANSPORT_KINDS)
+def transport(request, tmp_path):
+    with open_transport(request.param, tmp_path / "registry") as opened:
+        yield opened
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ class TestRunDistributed:
         # a "dead worker" holds a long-expired lease on the first cell
         registry = RunRegistry(tmp_path / "reg")
         cell = MATRIX.cells()[0]
-        run_dir = registry.run_path(cell.config_dict(), cell.seed(MATRIX.seed))
-        assert try_acquire_lease(run_dir, "dead", ttl=0.01) is not None
+        node = registry.run_node(cell.config_dict(), cell.seed(MATRIX.seed))
+        assert try_acquire_lease(node, "dead", ttl=0.01) is not None
         time.sleep(0.05)
         outcome = run_distributed(
             MATRIX,
@@ -77,7 +77,7 @@ class TestRunDistributed:
             ),
         )
         assert outcome.failed == 0
-        assert read_lease(run_dir) is None
+        assert read_lease(node) is None
         clean = run_suite(MATRIX, tmp_path / "clean")
         assert outcome.report.rows == clean.report.rows
 

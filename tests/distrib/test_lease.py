@@ -18,12 +18,12 @@ from repro.distrib.clock import FakeClock
 from repro.distrib.lease import (
     Heartbeat,
     break_expired_lease,
-    lease_path,
     read_lease,
     release_lease,
     renew_lease,
     try_acquire_lease,
 )
+from repro.runs.transport import FsTransport, RunNode
 
 
 @pytest.fixture
@@ -32,140 +32,145 @@ def run_dir(tmp_path):
 
 
 @pytest.fixture
+def node(run_dir):
+    """The cell, addressed as the lease primitives take it."""
+    return RunNode(FsTransport(run_dir), "")
+
+
+@pytest.fixture
 def clock():
     return FakeClock()
 
 
 class TestAcquire:
-    def test_free_cell_is_claimed(self, run_dir, clock):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30, clock=clock)
+    def test_free_cell_is_claimed(self, node, clock):
+        lease = try_acquire_lease(node, "w1", ttl=30, clock=clock)
         assert lease is not None
         assert lease.via == "fresh"
-        info = read_lease(run_dir)
+        info = read_lease(node)
         assert info.owner == "w1"
         assert info.nonce == lease.nonce
         assert not info.is_expired(clock=clock)
 
-    def test_creates_run_dir(self, run_dir):
+    def test_creates_run_dir(self, run_dir, node):
         assert not run_dir.exists()
-        try_acquire_lease(run_dir, "w1", ttl=30)
+        try_acquire_lease(node, "w1", ttl=30)
         assert run_dir.is_dir()
 
-    def test_held_cell_is_refused(self, run_dir, clock):
-        assert try_acquire_lease(run_dir, "w1", ttl=30, clock=clock) is not None
-        assert try_acquire_lease(run_dir, "w2", ttl=30, clock=clock) is None
+    def test_held_cell_is_refused(self, node, clock):
+        assert try_acquire_lease(node, "w1", ttl=30, clock=clock) is not None
+        assert try_acquire_lease(node, "w2", ttl=30, clock=clock) is None
 
-    def test_expired_cell_is_stolen(self, run_dir, clock):
-        stale = try_acquire_lease(run_dir, "w1", ttl=5, clock=clock)
+    def test_expired_cell_is_stolen(self, run_dir, node, clock):
+        stale = try_acquire_lease(node, "w1", ttl=5, clock=clock)
         assert stale is not None
         clock.advance(6)  # > ttl: no heartbeat arrived in time
-        lease = try_acquire_lease(run_dir, "w2", ttl=30, clock=clock)
+        lease = try_acquire_lease(node, "w2", ttl=30, clock=clock)
         assert lease is not None
         assert lease.via == "stolen"
-        assert read_lease(run_dir).owner == "w2"
+        assert read_lease(node).owner == "w2"
         # no tombstones left behind
         assert list(run_dir.glob("lease.json.expired-*")) == []
 
-    def test_unexpired_cell_is_not_stolen(self, run_dir, clock):
-        try_acquire_lease(run_dir, "w1", ttl=5, clock=clock)
+    def test_unexpired_cell_is_not_stolen(self, node, clock):
+        try_acquire_lease(node, "w1", ttl=5, clock=clock)
         clock.advance(4.9)  # just inside the TTL
-        assert try_acquire_lease(run_dir, "w2", ttl=30, clock=clock) is None
-        assert read_lease(run_dir).owner == "w1"
+        assert try_acquire_lease(node, "w2", ttl=30, clock=clock) is None
+        assert read_lease(node).owner == "w1"
 
-    def test_heartbeat_defers_expiry(self, run_dir, clock):
-        lease = try_acquire_lease(run_dir, "w1", ttl=5, clock=clock)
+    def test_heartbeat_defers_expiry(self, node, clock):
+        lease = try_acquire_lease(node, "w1", ttl=5, clock=clock)
         clock.advance(4)
         assert renew_lease(lease, clock=clock)
         clock.advance(4)  # 8s after acquire, 4s after the renewal
-        assert try_acquire_lease(run_dir, "w2", ttl=30, clock=clock) is None
-        assert read_lease(run_dir).owner == "w1"
+        assert try_acquire_lease(node, "w2", ttl=30, clock=clock) is None
+        assert read_lease(node).owner == "w1"
 
-    def test_garbage_lease_file_is_reclaimed(self, run_dir):
+    def test_garbage_lease_file_is_reclaimed(self, node):
         """A torn lease file must not block its cell forever."""
-        run_dir.mkdir()
-        lease_path(run_dir).write_text("not json{{{")
-        assert read_lease(run_dir) is None
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+        node.write_atomic("lease.json", "not json{{{")
+        assert read_lease(node) is None
+        lease = try_acquire_lease(node, "w1", ttl=30)
         assert lease is not None
-        assert read_lease(run_dir).owner == "w1"
+        assert read_lease(node).owner == "w1"
 
 
 class TestRenewRelease:
-    def test_renew_updates_heartbeat(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
-        before = read_lease(run_dir).heartbeat
+    def test_renew_updates_heartbeat(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
+        before = read_lease(node).heartbeat
         assert renew_lease(lease, now=before + 5)
-        assert read_lease(run_dir).heartbeat == before + 5
+        assert read_lease(node).heartbeat == before + 5
 
-    def test_renew_fails_after_steal(self, run_dir, clock):
-        stale = try_acquire_lease(run_dir, "w1", ttl=5, clock=clock)
+    def test_renew_fails_after_steal(self, node, clock):
+        stale = try_acquire_lease(node, "w1", ttl=5, clock=clock)
         clock.advance(6)
-        thief = try_acquire_lease(run_dir, "w2", ttl=30, clock=clock)
+        thief = try_acquire_lease(node, "w2", ttl=30, clock=clock)
         assert thief is not None
         assert not renew_lease(stale, clock=clock)
         # and the thief's lease is untouched by the failed renewal
-        assert read_lease(run_dir).nonce == thief.nonce
+        assert read_lease(node).nonce == thief.nonce
 
-    def test_release_frees_the_cell(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+    def test_release_frees_the_cell(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
         assert release_lease(lease)
-        assert read_lease(run_dir) is None
-        assert try_acquire_lease(run_dir, "w2", ttl=30) is not None
+        assert read_lease(node) is None
+        assert try_acquire_lease(node, "w2", ttl=30) is not None
 
-    def test_release_of_stolen_lease_is_noop(self, run_dir, clock):
-        stale = try_acquire_lease(run_dir, "w1", ttl=5, clock=clock)
+    def test_release_of_stolen_lease_is_noop(self, node, clock):
+        stale = try_acquire_lease(node, "w1", ttl=5, clock=clock)
         clock.advance(6)
-        thief = try_acquire_lease(run_dir, "w2", ttl=30, clock=clock)
+        thief = try_acquire_lease(node, "w2", ttl=30, clock=clock)
         assert not release_lease(stale)
-        assert read_lease(run_dir).nonce == thief.nonce
+        assert read_lease(node).nonce == thief.nonce
 
 
 class TestBreakExpired:
-    def test_breaks_only_expired(self, run_dir, clock):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30, clock=clock)
-        assert not break_expired_lease(run_dir, clock=clock)
-        assert read_lease(run_dir).nonce == lease.nonce
+    def test_breaks_only_expired(self, node, clock):
+        lease = try_acquire_lease(node, "w1", ttl=30, clock=clock)
+        assert not break_expired_lease(node, clock=clock)
+        assert read_lease(node).nonce == lease.nonce
 
-    def test_break_frees_cell(self, run_dir, clock):
-        try_acquire_lease(run_dir, "w1", ttl=5, clock=clock)
+    def test_break_frees_cell(self, node, clock):
+        try_acquire_lease(node, "w1", ttl=5, clock=clock)
         clock.advance(6)
-        assert break_expired_lease(run_dir, clock=clock)
-        assert read_lease(run_dir) is None
+        assert break_expired_lease(node, clock=clock)
+        assert read_lease(node) is None
 
-    def test_break_without_lease_is_noop(self, run_dir):
-        run_dir.mkdir()
-        assert not break_expired_lease(run_dir)
+    def test_break_without_lease_is_noop(self, node):
+        node.ensure()
+        assert not break_expired_lease(node)
 
 
 class TestHeartbeat:
-    def test_thread_keeps_lease_fresh(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=0.4)
+    def test_thread_keeps_lease_fresh(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=0.4)
         with Heartbeat(lease, interval=0.05):
             time.sleep(0.6)  # > ttl: would expire without the thread
-            assert not read_lease(run_dir).is_expired()
-        assert not read_lease(run_dir).is_expired()
+            assert not read_lease(node).is_expired()
+        assert not read_lease(node).is_expired()
 
-    def test_thread_stamps_with_injected_clock(self, run_dir):
+    def test_thread_stamps_with_injected_clock(self, node):
         clock = FakeClock(now=5_000.0)
-        lease = try_acquire_lease(run_dir, "w1", ttl=30, clock=clock)
-        assert read_lease(run_dir).heartbeat == 5_000.0
+        lease = try_acquire_lease(node, "w1", ttl=30, clock=clock)
+        assert read_lease(node).heartbeat == 5_000.0
         clock.advance(7)  # the next renewal must stamp the new value
         with Heartbeat(lease, interval=0.02, clock=clock):
             deadline = time.time() + 5.0
             while (
-                read_lease(run_dir).heartbeat != 5_007.0
+                read_lease(node).heartbeat != 5_007.0
                 and time.time() < deadline
             ):
                 time.sleep(0.01)
-        assert read_lease(run_dir).heartbeat == 5_007.0
+        assert read_lease(node).heartbeat == 5_007.0
 
-    def test_thread_detects_lost_lease(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+    def test_thread_detects_lost_lease(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
         with Heartbeat(lease, interval=0.05) as beat:
             # simulate a steal: replace the lease under the thread
-            payload = json.loads(lease_path(run_dir).read_text())
+            payload = json.loads(node.read_text("lease.json"))
             payload["nonce"] = "someone-else"
-            lease_path(run_dir).write_text(json.dumps(payload))
+            node.write_atomic("lease.json", json.dumps(payload))
             time.sleep(0.2)
         assert beat.lost
 
@@ -173,51 +178,51 @@ class TestHeartbeat:
 class TestEnrichment:
     """Heartbeat progress enrichment: observational, never protocol."""
 
-    def test_renew_extra_surfaces_in_read(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+    def test_renew_extra_surfaces_in_read(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
         assert renew_lease(
             lease, extra={"evals_done": 42, "started_at": 100.0}
         )
-        info = read_lease(run_dir)
+        info = read_lease(node)
         assert info.evals_done == 42
         assert info.started_at == 100.0
 
-    def test_fresh_lease_has_no_enrichment(self, run_dir):
-        try_acquire_lease(run_dir, "w1", ttl=30)
-        info = read_lease(run_dir)
+    def test_fresh_lease_has_no_enrichment(self, node):
+        try_acquire_lease(node, "w1", ttl=30)
+        info = read_lease(node)
         assert info.evals_done is None
         assert info.started_at is None
 
-    def test_plain_renew_drops_stale_enrichment(self, run_dir):
+    def test_plain_renew_drops_stale_enrichment(self, node):
         # Enrichment reflects the *latest* renewal only: a renewal
         # without extras must not resurrect older counters.
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+        lease = try_acquire_lease(node, "w1", ttl=30)
         assert renew_lease(lease, extra={"evals_done": 42})
         assert renew_lease(lease)
-        assert read_lease(run_dir).evals_done is None
+        assert read_lease(node).evals_done is None
 
-    def test_extra_cannot_mask_protocol_fields(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+    def test_extra_cannot_mask_protocol_fields(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
         assert renew_lease(
             lease, extra={"owner": "forged", "ttl": 0.0, "evals_done": 7}
         )
-        info = read_lease(run_dir)
+        info = read_lease(node)
         assert info.owner == "w1"
         assert info.ttl == 30.0
         assert info.evals_done == 7
 
-    def test_malformed_enrichment_reads_as_absent(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+    def test_malformed_enrichment_reads_as_absent(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
         assert renew_lease(
             lease, extra={"evals_done": "lots", "started_at": None}
         )
-        info = read_lease(run_dir)
+        info = read_lease(node)
         assert info.owner == "w1"
         assert info.evals_done is None
         assert info.started_at is None
 
-    def test_heartbeat_thread_carries_progress(self, run_dir):
-        lease = try_acquire_lease(run_dir, "w1", ttl=30)
+    def test_heartbeat_thread_carries_progress(self, node):
+        lease = try_acquire_lease(node, "w1", ttl=30)
         with Heartbeat(
             lease,
             interval=0.02,
@@ -225,17 +230,17 @@ class TestEnrichment:
         ):
             deadline = time.time() + 5.0
             while (
-                read_lease(run_dir).evals_done != 9
+                read_lease(node).evals_done != 9
                 and time.time() < deadline
             ):
                 time.sleep(0.01)
-        info = read_lease(run_dir)
+        info = read_lease(node)
         assert info.evals_done == 9
         assert info.started_at == 1.5
 
-    def test_raising_progress_degrades_to_plain_heartbeat(self, run_dir):
+    def test_raising_progress_degrades_to_plain_heartbeat(self, node):
         clock = FakeClock(now=1_000.0)
-        lease = try_acquire_lease(run_dir, "w1", ttl=30, clock=clock)
+        lease = try_acquire_lease(node, "w1", ttl=30, clock=clock)
 
         def bad_progress() -> dict:
             raise RuntimeError("telemetry must never kill the beat")
@@ -246,9 +251,9 @@ class TestEnrichment:
         ) as beat:
             deadline = time.time() + 5.0
             while (
-                read_lease(run_dir).heartbeat != 1_003.0
+                read_lease(node).heartbeat != 1_003.0
                 and time.time() < deadline
             ):
                 time.sleep(0.01)
         assert not beat.lost
-        assert read_lease(run_dir).heartbeat == 1_003.0
+        assert read_lease(node).heartbeat == 1_003.0

@@ -197,7 +197,6 @@ class TestTransportSpecifics:
         from repro.runs.registry import RunRegistry
 
         registry = RunRegistry("mem", transport=ObjectStoreTransport(ObjectStore()))
-        assert registry.root is None
         config = {"scheme": "sa", "network": "vgg16"}
         run = registry.open_run(config, seed=3)
         run.log_history({"step": 1, "evaluations": 4})

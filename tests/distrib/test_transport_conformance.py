@@ -28,29 +28,11 @@ from repro.distrib.lease import (
     renew_lease,
     try_acquire_lease,
 )
-from repro.distrib.objectstore import ObjectStore, ObjectStoreTransport, serve_in_thread
 from repro.runs.registry import RunRegistry
-from repro.runs.transport import (
-    FsTransport,
-    RunNode,
-    is_litter_key,
-    resolve_transport,
-)
+from repro.runs.transport import RunNode, is_litter_key
 
-
-@pytest.fixture(params=["fs", "memory", "http"])
-def transport(request, tmp_path):
-    if request.param == "fs":
-        yield FsTransport(tmp_path / "registry")
-        return
-    if request.param == "memory":
-        yield ObjectStoreTransport(ObjectStore())
-        return
-    server, _thread = serve_in_thread(("127.0.0.1", 0), ObjectStore())
-    try:
-        yield resolve_transport(server.url("conformance"))
-    finally:
-        server.shutdown()
+# ``transport`` (tests/conftest.py) runs every test below once per
+# backend in TRANSPORT_KINDS.
 
 
 class TestReadsAndWrites:

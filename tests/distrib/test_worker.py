@@ -111,7 +111,7 @@ class TestSingleWorker:
         run = registry.open_run(cell.config_dict(), seed)
         run.save_checkpoint(ga_checkpoint_to_dict(checkpoints[2]))
         # the dead peer's lease, long expired
-        stale = try_acquire_lease(run.path, "dead-peer", ttl=0.01)
+        stale = try_acquire_lease(run.node, "dead-peer", ttl=0.01)
         assert stale is not None
         time.sleep(0.05)
 
@@ -133,9 +133,9 @@ class TestIdleGiveUp:
         # claimable, but the campaign is unfinished
         fake = FakeClock()
         for cell in MATRIX.cells():
-            run_dir = registry.run_path(cell.config_dict(), cell.seed(0))
+            node = registry.run_node(cell.config_dict(), cell.seed(0))
             assert try_acquire_lease(
-                run_dir, "peer", ttl=10_000.0, clock=fake
+                node, "peer", ttl=10_000.0, clock=fake
             ) is not None
         summary = run_worker(
             MATRIX,
@@ -166,18 +166,20 @@ class TestConcurrentWorkers:
         for process in workers:
             process.join(timeout=180)
             assert process.exitcode == 0
-        rows = merged_report(MATRIX, RunRegistry(registry)).rows
+        shared = RunRegistry(registry)
+        rows = merged_report(MATRIX, shared).rows
         assert rows == clean_rows
-        # every cell was completed exactly once: each run dir holds one
-        # durable result and no lingering lease ("warm" is the registry's
-        # shared warm-summary store, not a run)
+        # every cell was completed exactly once: one run dir per cell
+        # ("warm" is the registry's shared warm-summary store, not a
+        # run), each holding one durable result and no lingering lease
         run_dirs = [
             p for p in registry.iterdir() if p.is_dir() and p.name != "warm"
         ]
         assert len(run_dirs) == 4
-        for run_dir in run_dirs:
-            assert (run_dir / "result.json").exists()
-            assert read_lease(run_dir) is None
+        for cell in MATRIX.cells():
+            node = shared.run_node(cell.config_dict(), cell.seed(MATRIX.seed))
+            assert node.exists("result.json")
+            assert read_lease(node) is None
 
     def test_budgeted_two_processes_match_budgeted_serial(self, tmp_path):
         budget = 220  # SA cells refund into the hungrier cocco cells
@@ -303,12 +305,11 @@ class TestWorkerTelemetry:
 
         from repro.obs import TELEMETRY_FILENAME
 
-        registry = RunRegistry(registry_root)
-        path = (
-            registry.run_path(cell.config_dict(), cell.seed(self.SMALL.seed))
-            / TELEMETRY_FILENAME
+        node = RunRegistry(registry_root).run_node(
+            cell.config_dict(), cell.seed(self.SMALL.seed)
         )
-        return [json.loads(line) for line in path.read_text().splitlines()]
+        text = node.read_text(TELEMETRY_FILENAME)
+        return [json.loads(line) for line in text.splitlines()]
 
     def test_claim_and_release_events(self, tmp_path):
         run_worker(

@@ -18,67 +18,60 @@ from repro.obs import TELEMETRY_FILENAME
 from repro.obs.aggregate import (
     CampaignView,
     build_view,
-    cell_series,
-    iter_jsonl,
+    cell_series_text,
+    iter_jsonl_text,
 )
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix
 
 
 class TestIterJsonl:
-    def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(iter_jsonl(tmp_path / "none.jsonl")) == []
+    def test_missing_file_yields_nothing(self):
+        # A missing key reads as None through every transport.
+        assert list(iter_jsonl_text(None)) == []
+        assert list(iter_jsonl_text("")) == []
 
-    def test_reads_every_complete_line(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"a": 1}\n{"a": 2}\n{"a": 3}\n')
-        assert [r["a"] for r in iter_jsonl(path)] == [1, 2, 3]
+    def test_reads_every_complete_line(self):
+        text = '{"a": 1}\n{"a": 2}\n{"a": 3}\n'
+        assert [r["a"] for r in iter_jsonl_text(text)] == [1, 2, 3]
 
-    def test_torn_final_line_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"a": 1}\n{"a": 2, "trunc')
-        assert [r["a"] for r in iter_jsonl(path)] == [1]
+    def test_torn_final_line_skipped(self):
+        text = '{"a": 1}\n{"a": 2, "trunc'
+        assert [r["a"] for r in iter_jsonl_text(text)] == [1]
 
-    def test_torn_line_parsing_as_scalar_skipped(self, tmp_path):
+    def test_torn_line_parsing_as_scalar_skipped(self):
         # A record truncated inside a numeric field parses as a bare
         # scalar; it must not surface as a record.
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"a": 1}\n42')
-        assert [r["a"] for r in iter_jsonl(path)] == [1]
+        assert [r["a"] for r in iter_jsonl_text('{"a": 1}\n42')] == [1]
 
-    def test_non_object_lines_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('[1, 2]\n"text"\n{"a": 1}\n')
-        assert list(iter_jsonl(path)) == [{"a": 1}]
+    def test_non_object_lines_skipped(self):
+        text = '[1, 2]\n"text"\n{"a": 1}\n'
+        assert list(iter_jsonl_text(text)) == [{"a": 1}]
 
-    def test_garbage_interleaved_lines_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"a": 1}\nnot json at all\n{"a": 2}\n')
-        assert [r["a"] for r in iter_jsonl(path)] == [1, 2]
+    def test_garbage_interleaved_lines_skipped(self):
+        text = '{"a": 1}\nnot json at all\n{"a": 2}\n'
+        assert [r["a"] for r in iter_jsonl_text(text)] == [1, 2]
 
 
 class TestCellSeries:
-    def test_progress_key_variants(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text(
+    def test_progress_key_variants(self):
+        series = cell_series_text(
+            "c",
             '{"generation": 0, "evaluations": 8, "best_cost": 9.0}\n'
-            '{"generation": 1, "evaluations": 16, "best_cost": 5.0}\n'
+            '{"generation": 1, "evaluations": 16, "best_cost": 5.0}\n',
         )
-        series = cell_series("c", path)
         assert [p.progress for p in series.points] == [0, 1]
         assert series.best_cost == 5.0
         assert series.evaluations == 16
 
-    def test_step_and_tick_keys(self, tmp_path):
-        steps = tmp_path / "steps.jsonl"
-        steps.write_text('{"step": 25, "evaluations": 26, "best_cost": 3.0}\n')
-        ticks = tmp_path / "ticks.jsonl"
-        ticks.write_text('{"tick": 4, "evaluations": 10, "best_cost": 2.0}\n')
-        assert cell_series("s", steps).points[0].progress == 25
-        assert cell_series("t", ticks).points[0].progress == 4
+    def test_step_and_tick_keys(self):
+        steps = '{"step": 25, "evaluations": 26, "best_cost": 3.0}\n'
+        ticks = '{"tick": 4, "evaluations": 10, "best_cost": 2.0}\n'
+        assert cell_series_text("s", steps).points[0].progress == 25
+        assert cell_series_text("t", ticks).points[0].progress == 4
 
-    def test_empty_series(self, tmp_path):
-        series = cell_series("c", tmp_path / "none.jsonl")
+    def test_empty_series(self):
+        series = cell_series_text("c", None)
         assert series.points == ()
         assert series.best_cost is None
         assert series.evaluations is None
@@ -100,8 +93,8 @@ def mixed_registry(tmp_path):
     registry = RunRegistry(tmp_path / "reg")
     cells = MATRIX.cells()
     assert len(cells) == 6
-    dirs = [
-        registry.run_path(c.config_dict(), c.seed(MATRIX.seed))
+    nodes = [
+        registry.run_node(c.config_dict(), c.seed(MATRIX.seed))
         for c in cells
     ]
 
@@ -114,7 +107,8 @@ def mixed_registry(tmp_path):
     run.finish(
         {"status": "complete", "num_evaluations": 20, "best_cost": 4.0}
     )
-    (dirs[0] / TELEMETRY_FILENAME).write_text(
+    nodes[0].write_atomic(
+        TELEMETRY_FILENAME,
         json.dumps({"v": 1, "ts": 1.0, "kind": "cell.start"}) + "\n"
         + json.dumps(
             {
@@ -137,11 +131,11 @@ def mixed_registry(tmp_path):
         )
         + "\n"
         + json.dumps({"v": 1, "ts": 4.0, "kind": "cell.finish"})
-        + "\n"
+        + "\n",
     )
 
     # cells[1]: leased, live heartbeat enriched with worker progress.
-    lease = try_acquire_lease(dirs[1], "worker-live", ttl=3600)
+    lease = try_acquire_lease(nodes[1], "worker-live", ttl=3600)
     assert lease is not None
     assert renew_lease(
         lease, extra={"evals_done": 120, "started_at": 1000.0}
@@ -150,7 +144,8 @@ def mixed_registry(tmp_path):
         cells[1].config_dict(), cells[1].seed(MATRIX.seed)
     )
     run1.log_history({"step": 50, "evaluations": 51, "best_cost": 7.5})
-    (dirs[1] / TELEMETRY_FILENAME).write_text(
+    nodes[1].write_atomic(
+        TELEMETRY_FILENAME,
         json.dumps(
             {
                 "v": 1,
@@ -164,27 +159,27 @@ def mixed_registry(tmp_path):
         + json.dumps(
             {"v": 1, "ts": 5.5, "kind": "budget.grant", "cap": 100}
         )
-        + "\n"
+        + "\n",
     )
 
     # cells[2]: leased but expired — its worker is presumed dead. The
     # telemetry stream ends in a torn line (SIGKILL mid-append).
-    stale = try_acquire_lease(dirs[2], "worker-dead", ttl=0.0)
+    stale = try_acquire_lease(nodes[2], "worker-dead", ttl=0.0)
     assert stale is not None
-    with (dirs[2] / TELEMETRY_FILENAME).open("w") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "v": 1,
-                    "ts": 6.0,
-                    "kind": "lease.claim",
-                    "owner": "worker-dead",
-                    "via": "stolen",
-                }
-            )
-            + "\n"
+    nodes[2].write_atomic(
+        TELEMETRY_FILENAME,
+        json.dumps(
+            {
+                "v": 1,
+                "ts": 6.0,
+                "kind": "lease.claim",
+                "owner": "worker-dead",
+                "via": "stolen",
+            }
         )
-        fh.write('{"v": 1, "ts": 7.0, "kind": "lease.rel')  # torn
+        + "\n"
+        + '{"v": 1, "ts": 7.0, "kind": "lease.rel',  # torn
+    )
 
     # cells[3]: durable error.
     registry.open_run(
@@ -197,8 +192,11 @@ def mixed_registry(tmp_path):
     )
     run4.log_history({"generation": 0, "evaluations": 6, "best_cost": 8.0})
     run4.save_checkpoint({"kind": "ga", "evaluations": 6})
-    with (dirs[4] / "history.jsonl").open("a") as fh:
-        fh.write('{"generation": 1, "evaluations": 12, "best_co')
+    nodes[4].write_atomic(
+        "history.jsonl",
+        nodes[4].read_text("history.jsonl")
+        + '{"generation": 1, "evaluations": 12, "best_co',
+    )
 
     # cells[5]: untouched (pending).
     return registry
@@ -282,9 +280,9 @@ class TestBuildView:
                 if p.is_file()
             )
 
-        before = tree(mixed_registry.root)
+        before = tree(tmp_path / "reg")
         build_view(MATRIX, mixed_registry, budget=120, clock=lambda: 0.0)
-        assert tree(mixed_registry.root) == before
+        assert tree(tmp_path / "reg") == before
 
     def test_empty_registry(self, tmp_path):
         view = build_view(

@@ -47,11 +47,11 @@ def run_matrix(root, telemetry: bool):
 
 def durable_bytes(registry, cell, campaign_seed):
     """Every durable artifact of a cell, minus the telemetry stream."""
-    run_dir = registry.run_path(cell.config_dict(), cell.seed(campaign_seed))
+    node = registry.run_node(cell.config_dict(), cell.seed(campaign_seed))
     return {
-        p.name: p.read_bytes()
-        for p in sorted(run_dir.iterdir())
-        if p.is_file() and p.name != TELEMETRY_FILENAME
+        key: registry.transport.read_text(key)
+        for key in registry.transport.list_keys(node.name)
+        if key != node.key(TELEMETRY_FILENAME)
     }
 
 
@@ -78,19 +78,15 @@ class TestTrajectoryIdentity:
         (reg_on, _), (reg_off, _) = both
         for cell in MATRIX.cells():
             config, seed = cell.config_dict(), cell.seed(MATRIX.seed)
-            assert (
-                reg_on.run_path(config, seed) / TELEMETRY_FILENAME
-            ).exists()
-            assert not (
-                reg_off.run_path(config, seed) / TELEMETRY_FILENAME
-            ).exists()
+            assert reg_on.run_node(config, seed).exists(TELEMETRY_FILENAME)
+            assert not reg_off.run_node(config, seed).exists(TELEMETRY_FILENAME)
 
     def test_telemetry_stream_is_well_formed(self, both):
         (reg_on, _), _ = both
         for cell in MATRIX.cells():
             config, seed = cell.config_dict(), cell.seed(MATRIX.seed)
-            path = reg_on.run_path(config, seed) / TELEMETRY_FILENAME
-            events = [json.loads(line) for line in path.read_text().splitlines()]
+            text = reg_on.run_node(config, seed).read_text(TELEMETRY_FILENAME)
+            events = [json.loads(line) for line in text.splitlines()]
             kinds = [event["kind"] for event in events]
             assert kinds[0] == "cell.start"
             assert kinds[-1] == "cell.finish"

@@ -4,22 +4,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import TelemetrySink, activate, span, span_stack
-from repro.obs.aggregate import iter_jsonl
+from repro.obs import TELEMETRY_FILENAME, TelemetrySink, activate, span, span_stack
+from repro.runs.registry import iter_jsonl_text
+from repro.runs.transport import FsTransport, RunNode
 
 
-def drain(path):
-    return list(iter_jsonl(path))
+@pytest.fixture
+def node(tmp_path):
+    return RunNode(FsTransport(tmp_path / "registry"), "cell")
+
+
+def drain(node):
+    return list(iter_jsonl_text(node.read_text(TELEMETRY_FILENAME)))
 
 
 class TestSpan:
-    def test_emits_duration_and_attrs(self, tmp_path):
-        sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
+    def test_emits_duration_and_attrs(self, node):
+        sink = TelemetrySink(node, clock=lambda: 0.0)
         with activate(sink):
             with span("evaluator.batch", keys=10, cold=3):
                 pass
-        sink.close()
-        [record] = drain(tmp_path / "t.jsonl")
+        [record] = drain(node)
         assert record["kind"] == "span"
         assert record["name"] == "evaluator.batch"
         assert record["keys"] == 10
@@ -29,31 +34,29 @@ class TestSpan:
         assert record["parent"] is None
         assert record["depth"] == 0
 
-    def test_nesting_records_parent_and_depth(self, tmp_path):
-        sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
+    def test_nesting_records_parent_and_depth(self, node):
+        sink = TelemetrySink(node, clock=lambda: 0.0)
         with activate(sink):
             with span("outer"):
                 assert span_stack() == ("outer",)
                 with span("inner"):
                     assert span_stack() == ("outer", "inner")
             assert span_stack() == ()
-        sink.close()
-        inner, outer = drain(tmp_path / "t.jsonl")
+        inner, outer = drain(node)
         assert inner["name"] == "inner"
         assert inner["parent"] == "outer"
         assert inner["depth"] == 1
         assert outer["name"] == "outer"
         assert outer["parent"] is None
 
-    def test_exception_marks_error_and_reraises(self, tmp_path):
-        sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
+    def test_exception_marks_error_and_reraises(self, node):
+        sink = TelemetrySink(node, clock=lambda: 0.0)
         with activate(sink):
             with pytest.raises(ValueError):
                 with span("failing"):
                     raise ValueError("boom")
         assert span_stack() == ()
-        sink.close()
-        [record] = drain(tmp_path / "t.jsonl")
+        [record] = drain(node)
         assert record["status"] == "error"
 
     def test_disabled_span_is_transparent(self, tmp_path):
@@ -66,12 +69,11 @@ class TestSpan:
                 raise ValueError("boom")
         assert list(tmp_path.iterdir()) == []
 
-    def test_stack_restored_after_error(self, tmp_path):
-        sink = TelemetrySink(tmp_path / "t.jsonl", clock=lambda: 0.0)
+    def test_stack_restored_after_error(self, node):
+        sink = TelemetrySink(node, clock=lambda: 0.0)
         with activate(sink):
             with span("outer"):
                 with pytest.raises(RuntimeError):
                     with span("inner"):
                         raise RuntimeError("boom")
                 assert span_stack() == ("outer",)
-        sink.close()

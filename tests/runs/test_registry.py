@@ -1,4 +1,9 @@
-"""The run registry: durable directories, streaming, atomic completion."""
+"""The run registry: durable run slices, streaming, atomic completion.
+
+Layout assertions build paths as ``root / registry.run_name(config,
+seed)`` — the on-disk layout of a filesystem registry; everything else
+goes through the registry's nodes.
+"""
 
 from __future__ import annotations
 
@@ -29,18 +34,31 @@ class TestConfigHash:
 
 
 class TestRunLifecycle:
-    def test_open_writes_config(self, registry):
+    def test_open_writes_config(self, registry, tmp_path):
         run = registry.open_run(CONFIG, seed=7)
-        assert run.path.is_dir()
-        payload = json.loads((run.path / "config.json").read_text())
+        run_dir = tmp_path / "reg" / registry.run_name(CONFIG, 7)
+        assert run.name == run_dir.name
+        assert run_dir.is_dir()
+        payload = json.loads((run_dir / "config.json").read_text())
         assert payload["config"] == CONFIG
         assert payload["seed"] == 7
 
     def test_directory_keyed_by_hash_and_seed(self, registry):
         assert registry.run_name(CONFIG, 7).endswith("-s7")
-        assert registry.run_path(CONFIG, 7) != registry.run_path(CONFIG, 8)
+        assert registry.run_name(CONFIG, 7) != registry.run_name(CONFIG, 8)
         other = {**CONFIG, "alpha": 0.005}
-        assert registry.run_path(CONFIG, 7) != registry.run_path(other, 7)
+        assert registry.run_name(CONFIG, 7) != registry.run_name(other, 7)
+
+    def test_load_needs_a_config(self, registry):
+        """A run slice exists once its config is written; a bare
+        container (a claimed lease, say) is not a run."""
+        with pytest.raises(ConfigError):
+            registry.load(CONFIG, 0)
+        registry.run_node(CONFIG, 0).ensure()
+        with pytest.raises(ConfigError):
+            registry.load(CONFIG, 0)
+        registry.open_run(CONFIG, seed=0)
+        assert registry.load(CONFIG, 0).name == registry.run_name(CONFIG, 0)
 
     def test_incomplete_until_finished(self, registry):
         run = registry.open_run(CONFIG, seed=0)
@@ -56,12 +74,12 @@ class TestRunLifecycle:
         with pytest.raises(ConfigError):
             run.load_result()
 
-    def test_no_partial_result_file_left_behind(self, registry):
+    def test_no_partial_result_file_left_behind(self, registry, tmp_path):
         """finish() is atomic: either result.json exists whole or not
         at all — no .tmp debris counts as completion."""
         run = registry.open_run(CONFIG, seed=0)
         run.finish({"v": 1})
-        assert not list(run.path.glob("*.tmp"))
+        assert not list((tmp_path / "reg" / run.name).glob("*.tmp*"))
 
 
 class TestHistoryStreaming:
@@ -92,6 +110,22 @@ class TestHistoryStreaming:
         run = registry.open_run(CONFIG, seed=0)
         run.truncate_history(2)
         assert [e["generation"] for e in run.read_history()] == [0, 1, 2]
+
+    def test_torn_final_line_is_dropped(self, registry):
+        """A writer killed mid-append leaves a final line without its
+        newline — even one whose visible prefix parses; the reader drops
+        it, and a truncate rewrites the stream without it."""
+        run = registry.open_run(CONFIG, seed=0)
+        for generation in range(3):
+            run.log_history({"generation": generation})
+        text = run.node.read_text("history.jsonl")
+        for fragment in ('{"generation": 3, "evalu', '{"generation": 3}'):
+            run.node.write_atomic("history.jsonl", text + fragment)
+            assert [e["generation"] for e in run.read_history()] == [0, 1, 2]
+        run.truncate_history(1)
+        assert run.node.read_text("history.jsonl") == (
+            '{"generation": 0}\n{"generation": 1}\n'
+        )
 
     def test_reopen_complete_is_readonly(self, registry):
         run = registry.open_run(CONFIG, seed=0)
@@ -156,7 +190,7 @@ class TestGc:
     def test_reclaims_completed_checkpoints_and_leases(self, registry):
         done = registry.open_run(CONFIG, seed=0)
         done.save_checkpoint({"generation": 5, "big": "x" * 1000})
-        done.lease_path.write_text("{}")
+        done.node.write_atomic("lease.json", "{}")
         done.finish({"v": 1})
         pending = registry.open_run(CONFIG, seed=1)
         pending.save_checkpoint({"generation": 2})
@@ -166,21 +200,22 @@ class TestGc:
         assert reclaimed > 1000
         # completed run: scratch gone, result intact
         assert not done.has_checkpoint
-        assert not done.lease_path.exists()
+        assert not done.node.exists("lease.json")
         assert done.load_result() == {"v": 1}
         # incomplete run keeps its checkpoint (that's its resume state)
         assert pending.has_checkpoint
 
-    def test_gc_sweeps_killed_writer_litter(self, registry):
+    def test_gc_sweeps_killed_writer_litter(self, registry, tmp_path):
         run = registry.open_run(CONFIG, seed=0)
         run.finish({"v": 1})
+        run_dir = tmp_path / "reg" / run.name
         # a writer SIGKILLed mid-write and a crashed lease steal leave:
-        (run.path / "checkpoint.json.tmp-123-abcd1234").write_text("{}")
-        (run.path / "lease.json.expired-deadbeef").write_text("{}")
+        (run_dir / "checkpoint.json.tmp-123-abcd1234").write_text("{}")
+        (run_dir / "lease.json.expired-deadbeef").write_text("{}")
         removed, _ = registry.gc()
         assert removed == 2
-        assert list(run.path.glob("*.tmp-*")) == []
-        assert list(run.path.glob("lease.json.expired-*")) == []
+        assert list(run_dir.glob("*.tmp-*")) == []
+        assert list(run_dir.glob("lease.json.expired-*")) == []
 
     def test_gc_idempotent(self, registry):
         run = registry.open_run(CONFIG, seed=0)

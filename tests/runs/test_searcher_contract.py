@@ -10,8 +10,9 @@ the scheme table is covered without touching this file:
 * **ticks** — the position ticks of a search's snapshots strictly
   increase, and ``finished`` holds on the last snapshot only;
 * **caps** — a capped scheme stops at exactly its sample cap, the same
-  cap sequence walked twice yields identical registries, and a
-  cell-atomic scheme ignores the cap;
+  cap sequence walked twice yields identical registries (also when a
+  kill tore the history's final line at every stop), and a cell-atomic
+  scheme ignores the cap;
 * **codec** — every checkpoint a search yields comes back from its
   encoding, as JSON text, as an equal object: every field of every
   checkpoint class, nested ones included, survives the round trip.
@@ -61,12 +62,13 @@ def _entry(scheme: str):
     )
 
 
+def _node(registry: RunRegistry, cell: SuiteCell):
+    return registry.run_node(cell.config_dict(), cell.seed(CAMPAIGN_SEED))
+
+
 def _files(registry: RunRegistry, cell: SuiteCell) -> dict[str, str | None]:
-    path = registry.run_path(cell.config_dict(), cell.seed(CAMPAIGN_SEED))
-    return {
-        name: (path / name).read_text() if (path / name).exists() else None
-        for name in DURABLE
-    }
+    node = _node(registry, cell)
+    return {name: node.read_text(name) for name in DURABLE}
 
 
 def _clean_run(cell, registry, monkeypatch):
@@ -164,6 +166,25 @@ class TestCaps:
             registry = RunRegistry(tmp_path / name)
             for cap in (*self.CAPS, None):
                 row = run_cell(cell, CAMPAIGN_SEED, registry, sample_cap=cap)
+            assert row["status"] == "complete"
+            walked.append(_files(registry, cell))
+        assert walked[0] == walked[1]
+
+    @pytest.mark.parametrize("scheme", sorted(CAPPED_SCHEMES))
+    def test_torn_history_tail_resumes(self, scheme, tmp_path):
+        """A writer killed mid-append leaves a torn final history line.
+        Resuming drops it: every durable file ends byte-identical to an
+        untorn registry's that walks the same caps."""
+        cell = _cell(scheme)
+        walked = []
+        for name, torn in (("clean", False), ("torn", True)):
+            registry = RunRegistry(tmp_path / name)
+            node = _node(registry, cell)
+            for cap in (*self.CAPS, None):
+                row = run_cell(cell, CAMPAIGN_SEED, registry, sample_cap=cap)
+                if torn and row["status"] == "exhausted":
+                    text = node.read_text("history.jsonl")
+                    node.write_atomic("history.jsonl", text + '{"tick": 9, "ev')
             assert row["status"] == "complete"
             walked.append(_files(registry, cell))
         assert walked[0] == walked[1]

@@ -202,7 +202,8 @@ class TestMidCellResume:
         first = run_cell(cell, 0, registry)
         # mutate nothing: a second call must be a pure read
         result_file = (
-            registry.run_path(cell.config_dict(), cell.seed(0)) / "result.json"
+            tmp_path / "reg" / registry.run_name(cell.config_dict(), cell.seed(0))
+            / "result.json"
         )
         before = result_file.read_text()
         second = run_cell(cell, 0, registry)
@@ -289,7 +290,7 @@ class TestSACellResume:
     def test_sa_cell_resumes_from_checkpoint_bit_identically(self, tmp_path):
         """An interrupted SA cell continues from checkpoint.json and
         produces exactly the result of an uninterrupted cell."""
-        from repro.dse.sa import sa_co_optimize
+        from repro.ga.annealing import simulated_annealing
         from repro.runs.checkpoint import sa_checkpoint_to_dict
 
         cell = SuiteCell(
@@ -301,11 +302,14 @@ class TestSACellResume:
 
         # capture the cell's exact chain and a mid-run checkpoint, as if
         # the process died at step 25
-        evaluator = Evaluator(get_model(cell.network), cell_accelerator(cell))
+        problem = OptimizationProblem(
+            evaluator=Evaluator(get_model(cell.network), cell_accelerator(cell)),
+            metric=Metric.ENERGY, alpha=cell.alpha,
+            space=CapacitySpace.paper_separate(),
+        )
         checkpoints = {}
-        sa_co_optimize(
-            evaluator, CapacitySpace.paper_separate(), metric=Metric.ENERGY,
-            alpha=cell.alpha, sa_config=scale.co_opt_sa_config(seed=seed),
+        simulated_annealing(
+            problem, scale.co_opt_sa_config(seed=seed),
             on_step=lambda ck: checkpoints.__setitem__(ck.step, ck),
         )
         mid = checkpoints[25]

@@ -27,6 +27,11 @@ from repro.runs.suite import SuiteCell, SuiteMatrix, run_cell, run_suite
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "warm" / "vgg16-bpe1.json"
 
 
+def _warm_file(root: Path, network: str, bytes_per_element: int) -> Path:
+    """Where a filesystem registry at ``root`` keeps one warm file."""
+    return root / "warm" / f"{network}-bpe{bytes_per_element}.json"
+
+
 def _entries():
     return [
         (
@@ -97,7 +102,7 @@ class TestRoundTrip:
     )
     def test_corrupt_file_means_cold_start(self, tmp_path, body, op):
         registry = RunRegistry(tmp_path / "reg")
-        path = registry.warm_summary_path("net", 1)
+        path = _warm_file(tmp_path / "reg", "net", 1)
         path.parent.mkdir(parents=True)
         path.write_text(body)
         if op == "load":
@@ -108,7 +113,7 @@ class TestRoundTrip:
         registry.save_warm_summaries("net", 1, _entries())
         clean = RunRegistry(tmp_path / "clean")
         clean.save_warm_summaries("net", 1, _entries())
-        assert path.read_bytes() == clean.warm_summary_path("net", 1).read_bytes()
+        assert path.read_bytes() == _warm_file(tmp_path / "clean", "net", 1).read_bytes()
 
     def test_missing_file_means_cold_start(self, tmp_path):
         assert RunRegistry(tmp_path / "reg").load_warm_summaries("x", 1) == []
@@ -145,7 +150,7 @@ class TestRunCellWarmStart:
         assert result["status"] == "complete"
         warm = registry.load_warm_summaries("vgg16", 1)
         assert warm  # the cell's pricing work was persisted
-        payload = json.loads(registry.warm_summary_path("vgg16", 1).read_text())
+        payload = json.loads(_warm_file(tmp_path / "reg", "vgg16", 1).read_text())
         assert payload["network"] == "vgg16"
         assert payload["bytes_per_element"] == 1
 
@@ -177,11 +182,11 @@ class TestDurableFixture:
         )
         registry = RunRegistry(tmp_path / "fresh")
         run_suite(matrix, tmp_path / "fresh")
-        written = registry.warm_summary_path("vgg16", 1).read_bytes()
+        written = _warm_file(tmp_path / "fresh", "vgg16", 1).read_bytes()
         assert written == FIXTURE.read_bytes()
 
         store = RunRegistry(tmp_path / "store")
-        path = store.warm_summary_path("vgg16", 1)
+        path = _warm_file(tmp_path / "store", "vgg16", 1)
         path.parent.mkdir(parents=True)
         path.write_bytes(FIXTURE.read_bytes())
         assert len(store.load_warm_summaries("vgg16", 1)) == 501

@@ -5,10 +5,14 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
+
+from repro.distrib.budget import campaign_progress, claimable_cells
 from repro.distrib.lease import try_acquire_lease
 from repro.runs.registry import RunRegistry
-from repro.runs.suite import SuiteMatrix, run_cell, run_suite
-from repro.viz.campaign import campaign_snapshot, render_campaign, tail_jsonl
+from repro.runs.suite import SuiteMatrix, classify_campaign, run_cell, run_suite
+from repro.runs.transport import FsTransport, RunNode
+from repro.viz.campaign import campaign_snapshot, render_campaign, tail_jsonl_node
 
 
 MATRIX = SuiteMatrix(
@@ -16,51 +20,50 @@ MATRIX = SuiteMatrix(
 )
 
 
+@pytest.fixture
+def node(tmp_path):
+    return RunNode(FsTransport(tmp_path / "registry"), "cell")
+
+
+def _tail(node, text):
+    node.write_atomic("h.jsonl", text)
+    return tail_jsonl_node(node, "h.jsonl")
+
+
 class TestTailJsonl:
-    def test_missing_file(self, tmp_path):
-        assert tail_jsonl(tmp_path / "none.jsonl") is None
+    def test_missing_file(self, node):
+        assert tail_jsonl_node(node, "none.jsonl") is None
 
-    def test_last_line_wins(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"generation": 0}\n{"generation": 7}\n')
-        assert tail_jsonl(path) == {"generation": 7}
+    def test_last_line_wins(self, node):
+        text = '{"generation": 0}\n{"generation": 7}\n'
+        assert _tail(node, text) == {"generation": 7}
 
-    def test_torn_final_line_falls_back(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"generation": 3}\n{"generation": 4, "trunc')
-        assert tail_jsonl(path) == {"generation": 3}
+    def test_torn_final_line_falls_back(self, node):
+        text = '{"generation": 3}\n{"generation": 4, "trunc'
+        assert _tail(node, text) == {"generation": 3}
 
-    def test_long_file_reads_only_tail(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        with path.open("w") as fh:
-            for i in range(5000):
-                fh.write(json.dumps({"generation": i}) + "\n")
-        assert tail_jsonl(path) == {"generation": 4999}
+    def test_long_file_reads_only_tail(self, node):
+        text = "".join(json.dumps({"generation": i}) + "\n" for i in range(5000))
+        assert _tail(node, text) == {"generation": 4999}
 
-    def test_torn_line_parsing_as_scalar_is_skipped(self, tmp_path):
+    def test_torn_line_parsing_as_scalar_is_skipped(self, node):
         # A record truncated inside a numeric field still parses — as a
         # bare scalar. It must be skipped, not returned (regression: a
         # non-dict return crashed the snapshot's .get() calls).
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"generation": 3}\n{"best_cost": 17')
-        assert tail_jsonl(path) == {"generation": 3}
+        text = '{"generation": 3}\n{"best_cost": 17'
+        assert _tail(node, text) == {"generation": 3}
 
-    def test_unterminated_final_line_never_wins(self, tmp_path):
+    def test_unterminated_final_line_never_wins(self, node):
         # Writers emit line+"\n" in one write, so a final line without
         # the newline is torn even when its text parses as an object.
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"generation": 3}\n{"generation": 4}')
-        assert tail_jsonl(path) == {"generation": 3}
+        text = '{"generation": 3}\n{"generation": 4}'
+        assert _tail(node, text) == {"generation": 3}
 
-    def test_complete_scalar_line_is_skipped(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"generation": 3}\n42\n')
-        assert tail_jsonl(path) == {"generation": 3}
+    def test_complete_scalar_line_is_skipped(self, node):
+        assert _tail(node, '{"generation": 3}\n42\n') == {"generation": 3}
 
-    def test_all_torn_returns_none(self, tmp_path):
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"generation": 0')
-        assert tail_jsonl(path) is None
+    def test_all_torn_returns_none(self, node):
+        assert _tail(node, '{"generation": 0') is None
 
 
 class TestSnapshot:
@@ -76,14 +79,14 @@ class TestSnapshot:
     def test_running_and_stalled_states(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
         cells = MATRIX.cells()
-        fresh_dir = registry.run_path(
+        fresh = registry.run_node(
             cells[0].config_dict(), cells[0].seed(MATRIX.seed)
         )
-        stale_dir = registry.run_path(
+        stale = registry.run_node(
             cells[1].config_dict(), cells[1].seed(MATRIX.seed)
         )
-        assert try_acquire_lease(fresh_dir, "alive", ttl=60) is not None
-        assert try_acquire_lease(stale_dir, "dead", ttl=0.01) is not None
+        assert try_acquire_lease(fresh, "alive", ttl=60) is not None
+        assert try_acquire_lease(stale, "dead", ttl=0.01) is not None
         time.sleep(0.05)
         snapshot = campaign_snapshot(MATRIX, registry)
         assert snapshot[0].state == "running"
@@ -107,12 +110,37 @@ class TestSnapshot:
         assert all(s.sample_cap == 20 for s in snapshot)
         assert all(s.evaluations >= s.sample_cap for s in snapshot)
 
+    def test_exhausted_is_the_schedulers_verdict(self, tmp_path):
+        """A kill between a history append and its checkpoint save
+        leaves the history tail ahead of the checkpoint. The status view
+        must say what the scheduler says, and the scheduler counts the
+        checkpoint: here the cell still has samples left."""
+        matrix = SuiteMatrix(
+            networks=("vgg16",), schemes=("cocco",), scale="tiny", seed=0
+        )
+        cells = matrix.cells()
+        registry = RunRegistry(tmp_path / "reg")
+        row = run_cell(cells[0], matrix.seed, registry, sample_cap=5)
+        assert row["status"] == "exhausted"
+        run = registry.load(cells[0].config_dict(), cells[0].seed(matrix.seed))
+        run.log_history({"generation": 1, "evaluations": 20, "best_cost": 1.0})
+
+        budget = 20
+        progress = campaign_progress(registry, cells, matrix.seed)
+        assert claimable_cells(cells, budget, progress) == [(cells[0], 20)]
+        tally = classify_campaign(registry, cells, matrix.seed, budget)
+        assert tally.incomplete == cells
+        [status] = campaign_snapshot(matrix, registry, budget=budget)
+        assert status.state == "pending"
+        assert status.sample_cap == 20
+        assert status.evaluations == 20  # the streamed tail, as written
+
     def test_streamed_progress_surfaces(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
         cell = MATRIX.cells()[0]
         run_cell(cell, MATRIX.seed, registry)
         # drop the completion marker to observe the mid-run view
-        (registry.run_path(cell.config_dict(), cell.seed(0)) / "result.json").unlink()
+        registry.run_node(cell.config_dict(), cell.seed(0)).delete("result.json")
         snapshot = campaign_snapshot(MATRIX, registry)
         assert snapshot[0].state == "pending"
         assert snapshot[0].progress is not None
