@@ -581,17 +581,22 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
             max_rounds=args.max_rounds, budget=args.budget,
             eval_workers=args.eval_workers,
         )
-    if "://" in str(args.registry):
-        # The registry itself is remote: publish the merged report into
-        # the store instead of fabricating a local directory named
-        # after the URI.
+    if registry_root == args.registry:
+        # --registry is the registry root, a directory or a URI: the
+        # merged report is one more registry file, written atomically
+        # through the root node.
         from ..viz.export import result_to_json
 
         registry.root_node().write_atomic(
             "report.json", result_to_json(outcome.report)
         )
-        report_path = f"{registry.location}/report.json"
+        report_path = (
+            f"{registry.location}/report.json"
+            if "://" in str(registry_root)
+            else _Path(registry_root) / "report.json"
+        )
     else:
+        # --transport URI: --registry only anchors local outputs.
         report_path = write_result(
             outcome.report, _Path(args.registry) / "report.json"
         )

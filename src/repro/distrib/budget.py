@@ -20,7 +20,7 @@ unconverged ones, in deterministic rounds:
 
 Everything here is a **pure function of (cells, budget, durable
 registry state)**. No ledger file, no coordinator decision: any worker
-— or the local budgeted runner — recomputes the same allocations from
+— or the local runner — recomputes the same allocations from
 the same registry bytes, which is what makes an N-worker budgeted
 campaign (with kills and lease steals) produce exactly the merged
 report of a clean single-process run.
@@ -28,7 +28,7 @@ report of a clean single-process run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
@@ -44,18 +44,29 @@ class CellProgress:
     #: Evaluations durably spent: the stored result's count for complete
     #: cells, the checkpoint's count otherwise (0 with no checkpoint).
     evaluations: int
+    #: A complete cell's stored ``result.json``; ``None`` otherwise. Not
+    #: part of the scheduler state, so it takes no part in comparisons.
+    result: dict[str, Any] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def cell_progress(
     registry: RunRegistry, config: dict[str, Any], seed: int
 ) -> CellProgress:
-    """Probe one cell's durable state."""
+    """Probe one cell's durable state.
+
+    The one reader of a cell's durable files: the campaign runners, the
+    merged report, the outcome tally and the status views all fold the
+    map :func:`campaign_progress` builds from it.
+    """
     if registry.is_complete(config, seed):
         result = registry.load(config, seed).load_result()
         return CellProgress(
             complete=True,
             failed=False,
             evaluations=int(result.get("num_evaluations", 0)),
+            result=result,
         )
     evaluations = 0
     node = registry.run_node(config, seed)

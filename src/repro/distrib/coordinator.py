@@ -34,13 +34,13 @@ from typing import Callable
 from ..errors import ConfigError, ReproError
 from ..obs import TelemetrySink
 from ..runs.registry import RunRegistry
-from ..runs.suite import (
-    SuiteMatrix,
-    SuiteOutcome,
-    classify_campaign,
-    merged_report,
+from ..runs.suite import SuiteMatrix, SuiteOutcome, campaign_outcome
+from .budget import (
+    campaign_finished,
+    campaign_progress,
+    claimable_cells,
+    compute_allocations,
 )
-from .budget import campaign_finished, campaign_progress, claimable_cells
 from .clock import Clock
 from .lease import break_expired_lease, read_lease
 from .worker import worker_entry
@@ -156,22 +156,19 @@ def run_distributed(
 ) -> SuiteOutcome:
     """Coordinate a distributed campaign; blocks until it finishes.
 
-    Returns the same :class:`SuiteOutcome` shape the local runner
-    produces, with the merged report built by the shared
-    :func:`merged_report` — a distributed campaign (including worker
-    deaths, elastic scale-ups, and lease reclaims along the way) merges
-    to exactly the report of a clean single-process run.
+    Returns the :class:`SuiteOutcome` the local runner builds, from the
+    same :func:`campaign_outcome` fold of the last progress map — a
+    distributed campaign (including worker deaths, elastic scale-ups,
+    and lease reclaims along the way) merges to exactly the report of a
+    clean single-process run.
     """
     config = config or CoordinatorConfig()
     registry = RunRegistry(registry_root)
     cells = matrix.cells()
     if len({cell.key for cell in cells}) != len(cells):
         raise ConfigError("suite matrix expands to duplicate cells")
-    skipped = sum(
-        1
-        for cell in cells
-        if registry.is_complete(cell.config_dict(), cell.seed(matrix.seed))
-    )
+    progress = campaign_progress(registry, cells, matrix.seed)
+    skipped = sum(1 for state in progress.values() if state.complete)
     write_manifest(matrix, registry_root, budget=budget)
 
     ctx = multiprocessing.get_context("spawn")
@@ -213,10 +210,7 @@ def run_distributed(
     last_status = started
     aborted = False
     try:
-        while True:
-            progress = campaign_progress(registry, cells, matrix.seed)
-            if campaign_finished(cells, budget, progress):
-                break
+        while not campaign_finished(cells, budget, progress):
             # Sweep expired leases so dead workers' cells free up even
             # while every survivor is busy on other cells.
             for cell in cells:
@@ -272,9 +266,17 @@ def run_distributed(
             ):
                 from ..viz.campaign import campaign_snapshot, render_campaign
 
+                budget_view = (
+                    compute_allocations(cells, budget, progress)
+                    if budget is not None
+                    else None
+                )
                 config.on_status(
                     render_campaign(
-                        campaign_snapshot(matrix, registry, budget=budget)
+                        campaign_snapshot(
+                            matrix, registry, progress, budget_view,
+                            clock=config.clock,
+                        )
                     )
                 )
                 last_status = now
@@ -305,6 +307,7 @@ def run_distributed(
                     f"campaign did not finish within {config.timeout:.0f}s"
                 )
             config.sleep(config.poll_interval)
+            progress = campaign_progress(registry, cells, matrix.seed)
     finally:
         if not aborted:
             # Normal completion: workers exit on their own once they
@@ -328,23 +331,15 @@ def run_distributed(
                 retired=elastic_retired,
             )
 
-    tally = classify_campaign(registry, cells, matrix.seed, budget)
-    report = merged_report(matrix, registry)
+    outcome = campaign_outcome(
+        matrix, registry, budget, progress, rounds=1, skipped=skipped
+    )
     if reclaimed:
-        report.notes.append(
+        outcome.report.notes.append(
             f"coordinator reclaimed {reclaimed} expired lease(s)"
         )
     if elastic_spawned:
-        report.notes.append(
+        outcome.report.notes.append(
             f"elastic fleet spawned {elastic_spawned} worker(s)"
         )
-    return SuiteOutcome(
-        report=report,
-        total=len(cells),
-        completed=len(tally.completed) - skipped,
-        skipped=skipped,
-        failed=len(tally.failed) + len(tally.incomplete),
-        rounds=1,
-        errors=tally.errors(),
-        exhausted=len(tally.exhausted),
-    )
+    return outcome

@@ -232,7 +232,10 @@ def worker_entry(
     ``multiprocessing.get_context("spawn").Process(target=worker_entry,
     ...)``; everything crossing the boundary is plain picklable data.
     """
-    matrix = SuiteMatrix(**matrix_args)
+    # The coordinator imports this module, so its decoder loads here.
+    from .coordinator import matrix_from_dict
+
+    matrix = matrix_from_dict(matrix_args)
     config = WorkerConfig(
         worker_id=worker_id,
         lease_ttl=lease_ttl,

@@ -12,7 +12,7 @@ rule id  name                      invariant
 RL001    unseeded-rng              all randomness from seeded generators
 RL002    wall-clock                injectable clocks, never time.time()
 RL003    unsorted-fs-scan          directory scans wrapped in sorted()
-RL004    non-atomic-durable-write  _write_atomic or append-only streams
+RL004    non-atomic-durable-write  write_atomic or append-only streams
 =======  ========================  =======================================
 
 (Checkpoint classes need no rule: :mod:`repro.runs.checkpoint` walks

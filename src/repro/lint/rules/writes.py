@@ -4,8 +4,8 @@ The crash-safety story of the run registry rests on exactly two write
 idioms:
 
 * **atomic replace** — write a unique same-directory temp file, then
-  ``os.replace``/``os.link`` it into place
-  (:func:`repro.runs.registry._write_atomic`); readers see the old
+  ``os.replace``/``os.link`` it into place (the transport's
+  ``write_atomic``, :mod:`repro.runs.transport`); readers see the old
   content or the new, never a torn file, and the presence of
   ``result.json`` can safely *mean* completion;
 * **append-only streaming** — the ``history.jsonl`` log, opened with
@@ -60,8 +60,8 @@ ATOMIC_TRANSPORT_METHODS = frozenset(
 )
 
 _REMEDY = (
-    "; write via repro.runs.registry._write_atomic (unique temp + atomic "
-    "rename) or append to the history.jsonl stream"
+    "; write via the registry transport's write_atomic (unique temp + "
+    "atomic rename) or append to the history.jsonl stream"
 )
 
 
@@ -128,7 +128,7 @@ class NonAtomicWriteRule:
     name = "non-atomic-durable-write"
     summary = (
         "bare open(.., 'w')/write_text/json.dump in the durable zone; "
-        "use _write_atomic or the append-only history stream"
+        "use the transport's write_atomic or the append-only history stream"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:

@@ -91,11 +91,7 @@ _SEED_SINKS = frozenset(
     {"repro.runs.seeds.derive_seed", "repro.runs.seeds.stable_digest"}
 )
 
-#: Atomic-write helper (sink family 4): tainted content in, torn
-#: determinism out.
-_ATOMIC_WRITE_SINKS = frozenset({"repro.runs.registry._write_atomic"})
-
-#: Transport artifact writes (sink family 5) — matched by method name
+#: Transport artifact writes (sink family 4) — matched by method name
 #: like the registry writes, so ``node.write_atomic(...)`` on an
 #: unannotated :class:`~repro.runs.transport.RunNode` still hits the
 #: sink. Only the unconditional artifact write is a determinism sink:
@@ -658,8 +654,6 @@ class _FunctionPass:
                 return f"checkpoint serializer {callee.node.name}()"
             if callee.qualname in _SEED_SINKS:
                 return f"seed derivation {callee.node.name}()"
-            if callee.qualname in _ATOMIC_WRITE_SINKS:
-                return "durable artifact write _write_atomic()"
             owner = callee.owner or ""
             if (
                 owner.startswith("repro.runs.registry.")
@@ -680,8 +674,6 @@ class _FunctionPass:
                 return f"checkpoint serializer {qual.rsplit('.', 1)[1]}()"
             if qual in _SEED_SINKS:
                 return f"seed derivation {qual.rsplit('.', 1)[1]}()"
-            if qual in _ATOMIC_WRITE_SINKS:
-                return "durable artifact write _write_atomic()"
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in DURABLE_WRITE_METHODS

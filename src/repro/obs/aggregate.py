@@ -277,21 +277,24 @@ def build_view(
     """
     from ..distrib.budget import campaign_progress, compute_allocations
 
-    statuses = list(campaign_snapshot(matrix, registry, budget=budget))
     cells = matrix.cells()
     progress = campaign_progress(registry, cells, matrix.seed)
+    budget_view = (
+        compute_allocations(cells, budget, progress)
+        if budget is not None
+        else None
+    )
+    statuses = campaign_snapshot(
+        matrix, registry, progress, budget_view, clock=clock
+    )
     spent = sum(p.evaluations for p in progress.values())
     refunded = 0
-    out_of_budget = False
-    if budget is not None:
-        view = compute_allocations(cells, budget, progress)
-        out_of_budget = view.out_of_budget
+    if budget_view is not None:
         for cell in cells:
-            cell_progress = progress[cell.key]
-            if cell_progress.complete or cell_progress.failed:
+            state = progress[cell.key]
+            if state.complete or state.failed:
                 refunded += max(
-                    0,
-                    view.allocations[cell.key] - cell_progress.evaluations,
+                    0, budget_view.allocations[cell.key] - state.evaluations
                 )
 
     series: dict[str, CellSeries] = {}
@@ -317,5 +320,5 @@ def build_view(
         budget=budget,
         spent=spent,
         refunded=refunded,
-        out_of_budget=out_of_budget,
+        out_of_budget=budget_view is not None and budget_view.out_of_budget,
     )

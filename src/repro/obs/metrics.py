@@ -13,9 +13,9 @@ Both are *snapshots*: pure functions of the registry bytes at probe
 time, safe to re-run while workers race (metrics never hold locks) and
 after the campaign is dead (post-mortem export renders whatever
 survived). Writes are plain create-and-replace of scrape artifacts —
-deliberately **not** the registry's ``_write_atomic`` durable-record
-path, because metrics carry wall-clock-derived values and must stay
-out of the determinism envelope.
+deliberately **not** the registry transport's ``write_atomic``
+durable-record path, because metrics carry wall-clock-derived values
+and must stay out of the determinism envelope.
 """
 
 from __future__ import annotations

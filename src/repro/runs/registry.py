@@ -36,8 +36,6 @@ resumes instead of aborting the cell.
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -68,24 +66,6 @@ def config_hash(config: dict[str, Any]) -> str:
     """Stable short hash of a JSON-able configuration dict."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return stable_digest(canonical)[:_HASH_CHARS]
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write via a same-directory temp file + rename (atomic on POSIX).
-
-    The temp name is unique per writer: concurrent writers to the same
-    target (two workers legitimately dual-executing one cell after a
-    lease-expiry race) must each complete their own rename instead of
-    colliding on a shared ``.tmp`` — last atomic rename wins, and both
-    contents are identical because cell execution is deterministic.
-
-    Kept for *local* artifacts (campaign reports, metrics snapshots);
-    registry-internal writes go through the transport, whose
-    ``FsTransport.write_atomic`` is this exact idiom.
-    """
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def iter_jsonl_text(text: str | None) -> Iterator[dict]:

@@ -18,12 +18,19 @@ RunRegistry`:
 * a completed cell writes ``result.json`` atomically, so a restarted
   campaign re-runs only incomplete cells, and the merged report of a
   killed-and-resumed campaign is bit-identical to an uninterrupted one;
+  a deterministic in-cell failure writes ``error.json``, which every
+  runner treats as terminal (delete it to retry the cell);
 * every search scheme streams step-keyed history into the registry and
   persists mid-run checkpoints — GA/NSGA per generation, SA per step
   chunk, the island model per island generation (a composite of every
   island's engine state), the two-step schemes per inner-GA generation
   (with a candidate cursor) — so an interrupted cell of *any* kind
   resumes mid-search instead of restarting;
+* every campaign, budgeted or not, runs through one loop: each round
+  probes durable progress once
+  (:func:`~repro.distrib.budget.campaign_progress`) and maps the cells
+  the budget scheduler calls claimable — with no budget, every cell
+  that is neither complete nor failed;
 * a worker killed mid-cell (OOM, segfault) breaks its pool: the runner
   rebuilds the backend and retries the cells that have no durable
   result — a killed cell is never recorded as complete.
@@ -39,7 +46,7 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -76,6 +83,9 @@ from .checkpoint import (
 )
 from .registry import RunRegistry
 from .seeds import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..distrib.budget import CellProgress
 
 MODES = ("separate", "shared")
 METRICS = ("ema", "energy")
@@ -717,12 +727,15 @@ def _execute_cell(
 class SuiteCellTask:
     """Picklable cell executor: :func:`run_cell` plus durable failures.
 
-    Each worker process holds one instance for the campaign's lifetime,
-    and with it one :class:`RunRegistry`, built on its first cell and
-    never pickled. The registry's view of each warm file therefore
-    outlives the cell: the next cell on the same graph warm-starts from
-    the summaries every earlier cell saved, and parses and encodes only
-    the entries that are new to the file.
+    ``run_suite`` maps it over the ``(cell, sample_cap)`` pairs of
+    :func:`~repro.distrib.budget.claimable_cells`, and ``repro worker``
+    calls it on each pair it leases. Each worker process holds one
+    instance for the campaign's lifetime, and with it one
+    :class:`RunRegistry`, built on its first cell and never pickled. The
+    registry's view of each warm file therefore outlives the cell: the
+    next cell on the same graph warm-starts from the summaries every
+    earlier cell saved, and parses and encodes only the entries that are
+    new to the file.
     """
 
     def __init__(
@@ -740,21 +753,15 @@ class SuiteCellTask:
         # Each pool worker builds its own registry on its first cell.
         return {**self.__dict__, "_registry": None}
 
-    def __call__(
-        self, item: "SuiteCell | tuple[SuiteCell, int | None]"
-    ) -> dict[str, Any]:
-        """Run one cell; ``item`` is a cell or a ``(cell, sample_cap)``.
+    def __call__(self, item: tuple[SuiteCell, int | None]) -> dict[str, Any]:
+        """Run one ``(cell, sample_cap)`` pair, as the scheduler claims it.
 
-        Budgeted campaigns ship the cell together with its current
-        cumulative sample cap; unbudgeted ones ship bare cells.
-        Deterministic in-cell failures are recorded durably
-        (``error.json``) so budget accounting and distributed workers
-        can distinguish a terminated cell from a stalled one.
+        ``sample_cap`` is the cell's current cumulative cap, ``None`` in
+        an unbudgeted campaign. Deterministic in-cell failures are
+        recorded durably (``error.json``), so every runner sees the cell
+        as terminated rather than stalled.
         """
-        if isinstance(item, tuple):
-            cell, sample_cap = item
-        else:
-            cell, sample_cap = item, None
+        cell, sample_cap = item
         if self._registry is None:
             self._registry = RunRegistry(self.registry_root)
         registry = self._registry
@@ -856,132 +863,49 @@ def _result_row(result: dict[str, Any]) -> tuple:
 
 
 def merged_report(
-    matrix: SuiteMatrix, registry: RunRegistry
+    matrix: SuiteMatrix,
+    registry: RunRegistry,
+    progress: dict[tuple, CellProgress] | None = None,
 ) -> ExperimentResult:
     """Merge every cell's stored result into one report, matrix order.
 
     Rows come exclusively from the registry's durable ``result.json``
     files, so a killed-and-resumed campaign merges to exactly the same
-    report as an uninterrupted one.
+    report as an uninterrupted one. ``progress`` is the
+    :func:`~repro.distrib.budget.campaign_progress` map a caller already
+    holds; without one, the registry is probed here.
     """
+    cells = matrix.cells()
+    if progress is None:
+        from ..distrib.budget import campaign_progress
+
+        progress = campaign_progress(registry, cells, matrix.seed)
     report = ExperimentResult(
         experiment=(
-            f"suite: {len(matrix.cells())} cells, scale={matrix.scale}, "
+            f"suite: {len(cells)} cells, scale={matrix.scale}, "
             f"campaign seed={matrix.seed}"
         ),
         headers=REPORT_HEADERS,
         extra={"campaign_seed": matrix.seed, "scale": matrix.scale},
     )
-    for cell in matrix.cells():
-        config = cell.config_dict()
-        seed = cell.seed(matrix.seed)
-        if registry.is_complete(config, seed):
-            result = registry.load(config, seed).load_result()
-        elif registry.has_error(config, seed):
-            result = {**config, "seed": seed, "status": "failed"}
-        else:
-            result = {**config, "seed": seed, "status": "incomplete"}
+    for cell in cells:
+        state = progress[cell.key]
+        result = state.result if state.complete else {
+            **cell.config_dict(),
+            "seed": cell.seed(matrix.seed),
+            "status": "failed" if state.failed else "incomplete",
+        }
         report.add_row(*_result_row(result))
     return report
-
-
-def run_suite(
-    matrix: SuiteMatrix,
-    registry_root: str | Path,
-    workers: int = 1,
-    max_rounds: int = 3,
-    budget: int | None = None,
-    eval_workers: int | None = None,
-) -> SuiteOutcome:
-    """Run (or resume) a campaign, sharding cells across ``workers``.
-
-    Completed cells are skipped; incomplete ones run (GA/NSGA/SA cells
-    continue from their checkpoints). If a worker process dies mid-cell
-    the backend's pool breaks: the runner rebuilds it and retries every
-    cell that still has no durable result, up to ``max_rounds`` times —
-    so a killed cell is retried, never recorded as complete.
-    Deterministic in-cell errors are recorded as failed rows (durably,
-    via ``error.json``) and not retried within this invocation.
-
-    ``budget`` caps the campaign's *total* evaluation count: cells get
-    deterministic per-cell sample allocations (see
-    :mod:`repro.distrib.budget`), run until their cap, and unspent
-    samples from converged cells are re-granted to unconverged ones in
-    deterministic rounds. The budgeted schedule is a pure function of
-    (matrix, budget, durable registry state), so a budgeted campaign —
-    local, sharded, or distributed across machines — always produces
-    the same merged report for the same inputs.
-    """
-    registry = RunRegistry(registry_root)
-    cells = matrix.cells()
-    if len({cell.key for cell in cells}) != len(cells):
-        raise ConfigError("suite matrix expands to duplicate cells")
-
-    def incomplete(batch: list[SuiteCell]) -> list[SuiteCell]:
-        return [
-            c for c in batch
-            if not registry.is_complete(c.config_dict(), c.seed(matrix.seed))
-        ]
-
-    pending = incomplete(cells)
-    skipped = len(cells) - len(pending)
-    errors: dict[str, str] = {}
-    task = SuiteCellTask(matrix, registry_root, eval_workers=eval_workers)
-    backend: EvaluationBackend = resolve_backend(workers)
-    if budget is not None:
-        return _run_suite_budgeted(
-            matrix, registry, cells, task, backend, budget,
-            max_rounds=max_rounds, skipped=skipped,
-        )
-    rounds = 0
-    try:
-        while pending and rounds < max_rounds:
-            rounds += 1
-            try:
-                rows = backend.map(task, pending)
-            except BrokenProcessPool:
-                # One or more workers died mid-cell. Their finished
-                # cells are durable; everything else gets retried on a
-                # fresh pool (backend.map already tore the old one down).
-                pending = incomplete(pending)
-                continue
-            for cell, row in zip(pending, rows):
-                if row.get("status") == "failed":
-                    errors[cell.cell_id] = row.get("error", "unknown error")
-            # A clean map leaves only deterministic failures behind;
-            # retrying those in-process would loop forever.
-            pending = []
-    finally:
-        backend.close()
-
-    still_pending = incomplete(cells)
-    for cell in still_pending:
-        # Cells whose rounds were all cut short by worker deaths never
-        # produced a failure row; give the operator a diagnostic anyway.
-        errors.setdefault(
-            cell.cell_id,
-            f"no durable result after {rounds} round(s) "
-            "(worker died or rounds exhausted); re-run to resume",
-        )
-    report = merged_report(matrix, registry)
-    return SuiteOutcome(
-        report=report,
-        total=len(cells),
-        completed=len(cells) - skipped - len(still_pending),
-        skipped=skipped,
-        failed=len(still_pending),
-        rounds=rounds,
-        errors=errors,
-    )
 
 
 @dataclass
 class CampaignTally:
     """Durable-state classification of a campaign's cells.
 
-    Shared by the budgeted local runner and the distributed
-    coordinator so both derive identical outcome counts (and identical
-    operator guidance) from identical registry bytes.
+    Shared by the local runner and the distributed coordinator so both
+    derive identical outcome counts (and identical operator guidance)
+    from identical registry bytes.
     """
 
     completed: list[SuiteCell]
@@ -1014,11 +938,19 @@ def classify_campaign(
     cells: list[SuiteCell],
     campaign_seed: int,
     budget: int | None,
+    progress: dict[tuple, CellProgress] | None = None,
 ) -> CampaignTally:
-    """Classify every cell from durable registry state alone."""
+    """Classify every cell from durable registry state alone.
+
+    ``progress`` is the caller's
+    :func:`~repro.distrib.budget.campaign_progress` map; without one,
+    the registry is probed here. Failed cells' messages are read from
+    their ``error.json``.
+    """
     from ..distrib.budget import campaign_progress, compute_allocations
 
-    progress = campaign_progress(registry, cells, campaign_seed)
+    if progress is None:
+        progress = campaign_progress(registry, cells, campaign_seed)
     at_cap: frozenset = frozenset()
     if budget is not None:
         at_cap = compute_allocations(cells, budget, progress).exhausted
@@ -1041,55 +973,23 @@ def classify_campaign(
     return tally
 
 
-def _run_suite_budgeted(
+def campaign_outcome(
     matrix: SuiteMatrix,
     registry: RunRegistry,
-    cells: list[SuiteCell],
-    task: SuiteCellTask,
-    backend: EvaluationBackend,
-    budget: int,
-    max_rounds: int,
+    budget: int | None,
+    progress: dict[tuple, CellProgress],
+    rounds: int,
     skipped: int,
 ) -> SuiteOutcome:
-    """Deterministic budgeted campaign: grant, run, re-grant refunds.
+    """The outcome of a campaign run, folded from its last progress map.
 
-    Each iteration recomputes the budget view from durable registry
-    state (a pure function — see :func:`repro.distrib.budget.
-    compute_allocations`), runs every cell that has samples left under
-    its current cap, and loops: once a grant round fully resolves, the
-    unspent samples of converged cells are re-granted to unconverged
-    ones. Terminates when no cell is claimable — everything is complete,
-    failed, or out of budget. Worker-process deaths break the pool like
-    the unbudgeted path; the loop rebuilds and re-probes (killed cells
-    resume from their checkpoints), giving up after ``max_rounds``
-    consecutive broken rounds.
+    ``skipped`` counts the cells that were complete before the run. The
+    local runner and the distributed coordinator both end here.
     """
-    from ..distrib.budget import claimable_cells, campaign_progress
-
-    rounds = 0
-    broken = 0
-    try:
-        while True:
-            progress = campaign_progress(registry, cells, matrix.seed)
-            runnable = claimable_cells(cells, budget, progress)
-            if not runnable:
-                break
-            rounds += 1
-            try:
-                backend.map(task, runnable)
-            except BrokenProcessPool:
-                broken += 1
-                if broken >= max_rounds:
-                    break
-                continue
-            broken = 0  # only *consecutive* broken rounds give up
-    finally:
-        backend.close()
-
-    tally = classify_campaign(registry, cells, matrix.seed, budget)
-    report = merged_report(matrix, registry)
+    cells = matrix.cells()
+    tally = classify_campaign(registry, cells, matrix.seed, budget, progress)
     return SuiteOutcome(
-        report=report,
+        report=merged_report(matrix, registry, progress),
         total=len(cells),
         completed=len(tally.completed) - skipped,
         skipped=skipped,
@@ -1097,4 +997,72 @@ def _run_suite_budgeted(
         rounds=rounds,
         errors=tally.errors(),
         exhausted=len(tally.exhausted),
+    )
+
+
+def run_suite(
+    matrix: SuiteMatrix,
+    registry_root: str | Path,
+    workers: int = 1,
+    max_rounds: int = 3,
+    budget: int | None = None,
+    eval_workers: int | None = None,
+) -> SuiteOutcome:
+    """Run (or resume) a campaign, sharding cells across ``workers``.
+
+    One loop serves every campaign. Each round probes the registry once
+    (:func:`~repro.distrib.budget.campaign_progress`) and maps the
+    ``(cell, cap)`` pairs :func:`~repro.distrib.budget.claimable_cells`
+    returns; the loop ends when nothing is claimable. Complete cells are
+    skipped, and so are cells with a durable ``error.json``: a
+    deterministic failure is terminal here as in every other runner
+    (delete the file to retry the cell). Incomplete cells run, resuming
+    from their checkpoints. If a worker process dies mid-cell the
+    backend's pool breaks: the next round rebuilds it and retries every
+    claimable cell, giving up after ``max_rounds`` consecutive broken
+    rounds — so a killed cell is retried, never recorded as complete.
+
+    Without a ``budget`` every unfinished cell is claimable with no cap,
+    and one clean round finishes the campaign. ``budget`` caps the
+    campaign's *total* evaluation count: cells get deterministic
+    per-cell sample allocations (see :mod:`repro.distrib.budget`), run
+    until their cap, and unspent samples from converged cells are
+    re-granted to unconverged ones in later rounds. The budgeted
+    schedule is a pure function of (matrix, budget, durable registry
+    state), so a budgeted campaign — local, sharded, or distributed
+    across machines — always produces the same merged report for the
+    same inputs.
+    """
+    from ..distrib.budget import campaign_progress, claimable_cells
+
+    registry = RunRegistry(registry_root)
+    cells = matrix.cells()
+    if len({cell.key for cell in cells}) != len(cells):
+        raise ConfigError("suite matrix expands to duplicate cells")
+    progress = campaign_progress(registry, cells, matrix.seed)
+    skipped = sum(1 for state in progress.values() if state.complete)
+    task = SuiteCellTask(matrix, registry_root, eval_workers=eval_workers)
+    backend: EvaluationBackend = resolve_backend(workers)
+    rounds = 0
+    broken = 0
+    try:
+        while broken < max_rounds:
+            runnable = claimable_cells(cells, budget, progress)
+            if not runnable:
+                break
+            rounds += 1
+            try:
+                backend.map(task, runnable)
+                broken = 0
+            except BrokenProcessPool:
+                # One or more workers died mid-cell. Their finished
+                # cells are durable; the next round retries the rest on
+                # a fresh pool (backend.map already tore the old one
+                # down).
+                broken += 1
+            progress = campaign_progress(registry, cells, matrix.seed)
+    finally:
+        backend.close()
+    return campaign_outcome(
+        matrix, registry, budget, progress, rounds=rounds, skipped=skipped
     )

@@ -16,10 +16,16 @@ history tail, which may run ahead of the last checkpoint.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..experiments.reporting import format_table
 from ..runs.registry import RunRegistry, iter_jsonl_text
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..distrib.budget import BudgetView, CellProgress
+    from ..distrib.clock import Clock
 
 #: How far from the end of a history stream to look for its last line.
 _TAIL_BYTES = 4096
@@ -67,56 +73,62 @@ class CellStatus:
 
 
 def campaign_snapshot(
-    matrix, registry: RunRegistry, budget: int | None = None
+    matrix,
+    registry: RunRegistry,
+    progress: dict[tuple, CellProgress],
+    budget_view: BudgetView | None = None,
+    clock: Clock = time.time,
 ) -> list[CellStatus]:
-    """Probe every cell of ``matrix`` in matrix order."""
-    from ..distrib.budget import campaign_progress, compute_allocations
+    """Every cell of ``matrix`` in matrix order, folded from ``progress``.
+
+    ``progress`` is the caller's
+    :func:`~repro.distrib.budget.campaign_progress` map and
+    ``budget_view`` its scheduler verdict (``None`` for an unbudgeted
+    campaign). Only the leases and history tails of unfinished cells
+    are read here; ``clock`` judges lease expiry and heartbeat age.
+    """
     from ..distrib.lease import read_lease
 
-    cells = matrix.cells()
-    allocations = None
-    exhausted: frozenset = frozenset()
-    if budget is not None:
-        progress = campaign_progress(registry, cells, matrix.seed)
-        view = compute_allocations(cells, budget, progress)
-        allocations, exhausted = view.allocations, view.exhausted
+    now = clock()
     statuses = []
-    for cell in cells:
-        config = cell.config_dict()
-        seed = cell.seed(matrix.seed)
-        node = registry.run_node(config, seed)
-        cap = allocations[cell.key] if allocations is not None else None
+    for cell in matrix.cells():
+        state = progress[cell.key]
+        cap = (
+            budget_view.allocations[cell.key]
+            if budget_view is not None
+            else None
+        )
+        if state.complete:
+            statuses.append(
+                CellStatus(
+                    cell_id=cell.cell_id,
+                    state="complete",
+                    evaluations=state.result.get("num_evaluations"),
+                    best_cost=state.result.get("best_cost"),
+                    sample_cap=cap,
+                )
+            )
+            continue
+        if state.failed:
+            statuses.append(
+                CellStatus(cell_id=cell.cell_id, state="failed", sample_cap=cap)
+            )
+            continue
+        node = registry.run_node(cell.config_dict(), cell.seed(matrix.seed))
         tail = tail_jsonl_node(node, "history.jsonl") or {}
         progress_mark = tail.get(
             "tick", tail.get("generation", tail.get("step"))
         )
         evaluations = tail.get("evaluations")
         best_cost = tail.get("best_cost")
-        if registry.is_complete(config, seed):
-            result = registry.load(config, seed).load_result()
-            statuses.append(
-                CellStatus(
-                    cell_id=cell.cell_id,
-                    state="complete",
-                    evaluations=result.get("num_evaluations"),
-                    best_cost=result.get("best_cost"),
-                    sample_cap=cap,
-                )
-            )
-            continue
-        if registry.has_error(config, seed):
-            statuses.append(
-                CellStatus(cell_id=cell.cell_id, state="failed", sample_cap=cap)
-            )
-            continue
         lease = read_lease(node)
         if lease is not None:
             statuses.append(
                 CellStatus(
                     cell_id=cell.cell_id,
-                    state="stalled" if lease.is_expired() else "running",
+                    state="stalled" if lease.is_expired(now) else "running",
                     owner=lease.owner,
-                    heartbeat_age=lease.age(),
+                    heartbeat_age=lease.age(now),
                     progress=progress_mark,
                     evaluations=evaluations,
                     best_cost=best_cost,
@@ -126,10 +138,13 @@ def campaign_snapshot(
                 )
             )
             continue
+        exhausted = (
+            budget_view is not None and cell.key in budget_view.exhausted
+        )
         statuses.append(
             CellStatus(
                 cell_id=cell.cell_id,
-                state="exhausted" if cell.key in exhausted else "pending",
+                state="exhausted" if exhausted else "pending",
                 progress=progress_mark,
                 evaluations=evaluations,
                 best_cost=best_cost,

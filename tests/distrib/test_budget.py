@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distrib.budget import (
     CellProgress,
@@ -14,6 +16,7 @@ from repro.distrib.budget import (
     compute_allocations,
 )
 from repro.runs.registry import RunRegistry
+from repro.runs.suite import CAPPED_SCHEMES
 
 
 @dataclass(frozen=True)
@@ -214,3 +217,61 @@ class TestCellProgress:
         assert cell_progress(registry, config, 5) == running(7)
         run.save_checkpoint([])
         assert cell_progress(registry, config, 5) == running(0)
+
+
+class TestPathIndependenceProperty:
+    """Any run order spends the same caps and ends in the same state.
+
+    A modelled campaign: a capped cell run under cap ``c`` stops at
+    ``min(need, c)`` evaluations (complete when its need fits); a
+    cell-atomic cell spends its whole need whatever its cap. From every
+    probe, some subset of the claimable cells runs under the caps that
+    probe granted, until the campaign is finished. Running every
+    claimable cell each probe (what ``run_suite`` does) is the
+    reference order.
+    """
+
+    @staticmethod
+    def run(cells, needs, budget, choose):
+        progress = {cell.key: running() for cell in cells}
+        caps = {cell.key: [] for cell in cells}
+        while not campaign_finished(cells, budget, progress):
+            claimable = claimable_cells(cells, budget, progress)
+            assert claimable, "an unfinished campaign has claimable cells"
+            for cell, cap in choose(claimable):
+                caps[cell.key].append(cap)
+                need = needs[cell.key]
+                spent = min(need, cap) if cell.scheme in CAPPED_SCHEMES else need
+                progress[cell.key] = CellProgress(
+                    complete=spent == need, failed=False, evaluations=spent
+                )
+        return caps, progress
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from(("cocco", "nsga")),
+                st.integers(min_value=1, max_value=60),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        budget=st.integers(min_value=0, max_value=200),
+        data=st.data(),
+    )
+    def test_every_run_order_spends_the_same_caps(self, cells, budget, data):
+        fakes = [FakeCell(f"c{i}", scheme) for i, (scheme, _) in enumerate(cells)]
+        needs = {fake.key: need for fake, (_, need) in zip(fakes, cells)}
+        reference = self.run(fakes, needs, budget, lambda claimable: claimable)
+
+        def some(claimable):
+            picked = data.draw(
+                st.sets(
+                    st.integers(min_value=0, max_value=len(claimable) - 1),
+                    min_size=1,
+                )
+            )
+            return [claimable[i] for i in sorted(picked)]
+
+        assert self.run(fakes, needs, budget, some) == reference

@@ -79,6 +79,18 @@ class TestSingleWorker:
         rows = merged_report(MATRIX, RunRegistry(tmp_path / "reg")).rows
         assert rows == clean_rows
 
+    def test_entry_decodes_the_spawned_matrix(self, monkeypatch):
+        """A spawned worker holds the coordinator's matrix: equal, and
+        hashable like it."""
+        seen = []
+        monkeypatch.setattr(
+            "repro.distrib.worker.run_worker",
+            lambda matrix, *args, **kwargs: seen.append(matrix),
+        )
+        worker_entry(matrix_to_dict(MATRIX), "reg", "w0")
+        assert seen == [MATRIX]
+        assert hash(seen[0]) == hash(MATRIX)
+
     def test_exits_immediately_on_finished_campaign(self, tmp_path):
         run_worker(MATRIX, tmp_path / "reg", WorkerConfig(worker_id="w0", **FAST))
         summary = run_worker(

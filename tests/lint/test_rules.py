@@ -160,7 +160,7 @@ class TestNonAtomicWrite:
         findings = check(self.RULE, module_from(source))
         assert len(findings) == 1
         assert findings[0].rule_id == "RL004"
-        assert "_write_atomic" in findings[0].message
+        assert "transport's write_atomic" in findings[0].message
 
     @pytest.mark.parametrize(
         "source",

@@ -178,25 +178,17 @@ class TestSourcesAndSinks:
     def test_entropy_reaches_atomic_write_helper(self):
         flows = run_taint(
             {
-                "repro.runs.registry": """
-                    import os
-
-                    def _write_atomic(path, text):
-                        tmp = path.with_name(path.name + ".tmp")
-                        tmp.write_text(text)
-                        os.replace(tmp, path)
-                """,
                 "repro.runs.result": """
                     import os
-                    from repro.runs.registry import _write_atomic
 
-                    def finish(path):
-                        _write_atomic(path, f"pid={os.getpid()}")
+                    def finish(node):
+                        node.write_atomic("result.json", f"pid={os.getpid()}")
                 """,
             }
         )
         assert any(
-            flow.source.kind == "entropy" and "_write_atomic" in flow.sink
+            flow.source.kind == "entropy"
+            and "durable transport write .write_atomic()" in flow.sink
             for flow in flows
         )
 

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.distrib.clock import FakeClock
 from repro.distrib.lease import renew_lease, try_acquire_lease
 from repro.obs import TELEMETRY_FILENAME
 from repro.obs.aggregate import (
@@ -87,6 +88,11 @@ MATRIX = SuiteMatrix(
 )
 
 
+#: The fake time every lease of ``mixed_registry`` is written at; the
+#: tests judge those leases by fake clocks read against it.
+LEASE_TIME = 1000.0
+
+
 @pytest.fixture()
 def mixed_registry(tmp_path):
     """A registry with one cell in every state the reader must handle."""
@@ -135,10 +141,10 @@ def mixed_registry(tmp_path):
     )
 
     # cells[1]: leased, live heartbeat enriched with worker progress.
-    lease = try_acquire_lease(nodes[1], "worker-live", ttl=3600)
+    lease = try_acquire_lease(nodes[1], "worker-live", ttl=3600, now=LEASE_TIME)
     assert lease is not None
     assert renew_lease(
-        lease, extra={"evals_done": 120, "started_at": 1000.0}
+        lease, now=LEASE_TIME, extra={"evals_done": 120, "started_at": 1000.0}
     )
     run1 = registry.open_run(
         cells[1].config_dict(), cells[1].seed(MATRIX.seed)
@@ -164,7 +170,7 @@ def mixed_registry(tmp_path):
 
     # cells[2]: leased but expired — its worker is presumed dead. The
     # telemetry stream ends in a torn line (SIGKILL mid-append).
-    stale = try_acquire_lease(nodes[2], "worker-dead", ttl=0.0)
+    stale = try_acquire_lease(nodes[2], "worker-dead", ttl=0.0, now=LEASE_TIME)
     assert stale is not None
     nodes[2].write_atomic(
         TELEMETRY_FILENAME,
@@ -260,6 +266,19 @@ class TestBuildView:
         assert totals.genomes_cold == 5
         assert totals.batch_hit_rate == pytest.approx(0.75)
         assert totals.evaluator_stats["batch_hits"] == 15.0
+
+    def test_leases_are_judged_by_the_callers_clock(self, tmp_path):
+        # A lease taken 5 s ago on the caller's clock is live, whatever
+        # the wall clock says.
+        clock = FakeClock()
+        registry = RunRegistry(tmp_path / "reg")
+        cell = MATRIX.cells()[0]
+        node = registry.run_node(cell.config_dict(), cell.seed(MATRIX.seed))
+        assert try_acquire_lease(node, "worker", ttl=30, clock=clock)
+        clock.advance(5.0)
+        status = build_view(MATRIX, registry, clock=clock).statuses[0]
+        assert status.state == "running"
+        assert status.heartbeat_age == pytest.approx(5.0)
 
     def test_budget_spend_and_refund(self, mixed_registry):
         # 6 cells, 120 samples: 20 each. The complete cell spent all 20

@@ -23,7 +23,8 @@ from repro.ga.engine import GeneticEngine
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.zoo import get_model
 from repro.runs.checkpoint import ga_checkpoint_to_dict
-from repro.runs.registry import RunRegistry
+from repro.obs import TELEMETRY_FILENAME
+from repro.runs.registry import RunRegistry, iter_jsonl_text
 from repro.runs.suite import (
     FAULT_ENV,
     SuiteCell,
@@ -141,6 +142,30 @@ class TestSerialCampaign:
         assert outcome.errors
         row = report_rows(outcome)[0]
         assert row[-1] in ("failed", "incomplete")
+
+    def test_durable_failure_is_terminal_on_rerun(self, tmp_path):
+        """A re-run reports a failed cell's stored error; it does not run
+        the cell again."""
+        bad = SuiteMatrix(
+            networks=("vgg16", "no_such_model"), schemes=("sa",), scale="tiny"
+        )
+        first = run_suite(bad, tmp_path / "reg")
+        second = run_suite(bad, tmp_path / "reg")
+        victim = bad.cells()[1]
+        node = RunRegistry(tmp_path / "reg").run_node(
+            victim.config_dict(), victim.seed(bad.seed)
+        )
+        kinds = [
+            record["kind"]
+            for record in iter_jsonl_text(node.read_text(TELEMETRY_FILENAME))
+        ]
+        assert kinds.count("cell.start") == 1
+        assert second.rounds == 0
+        assert (second.skipped, second.completed, second.failed) == (1, 0, 1)
+        assert report_rows(second) == report_rows(first)
+        assert report_rows(second)[1][-1] == "failed"
+        assert second.errors == first.errors
+        assert victim.cell_id in second.errors
 
     def test_report_consumable_by_viz_export(self, tmp_path):
         outcome = run_suite(MATRIX, tmp_path / "reg")
@@ -278,9 +303,9 @@ class TestShardedIdentity:
         its own."""
         task = SuiteCellTask(MATRIX, tmp_path / "reg")
         first, second = MATRIX.cells()[:2]
-        task(first)
+        task((first, None))
         registry = task._registry
-        task(second)
+        task((second, None))
         assert task._registry is registry
         assert pickle.loads(pickle.dumps(task))._registry is None
 

@@ -7,7 +7,11 @@ import time
 
 import pytest
 
-from repro.distrib.budget import campaign_progress, claimable_cells
+from repro.distrib.budget import (
+    campaign_progress,
+    claimable_cells,
+    compute_allocations,
+)
 from repro.distrib.lease import try_acquire_lease
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix, classify_campaign, run_cell, run_suite
@@ -23,6 +27,18 @@ MATRIX = SuiteMatrix(
 @pytest.fixture
 def node(tmp_path):
     return RunNode(FsTransport(tmp_path / "registry"), "cell")
+
+
+def _snapshot(matrix, registry, budget=None):
+    """The status view over a fresh progress probe, as its callers fold it."""
+    cells = matrix.cells()
+    progress = campaign_progress(registry, cells, matrix.seed)
+    budget_view = (
+        compute_allocations(cells, budget, progress)
+        if budget is not None
+        else None
+    )
+    return campaign_snapshot(matrix, registry, progress, budget_view)
 
 
 def _tail(node, text):
@@ -69,10 +85,10 @@ class TestTailJsonl:
 class TestSnapshot:
     def test_pending_then_complete(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
-        before = campaign_snapshot(MATRIX, registry)
+        before = _snapshot(MATRIX, registry)
         assert [s.state for s in before] == ["pending", "pending"]
         run_suite(MATRIX, tmp_path / "reg")
-        after = campaign_snapshot(MATRIX, registry)
+        after = _snapshot(MATRIX, registry)
         assert [s.state for s in after] == ["complete", "complete"]
         assert all(s.evaluations for s in after)
 
@@ -88,7 +104,7 @@ class TestSnapshot:
         assert try_acquire_lease(fresh, "alive", ttl=60) is not None
         assert try_acquire_lease(stale, "dead", ttl=0.01) is not None
         time.sleep(0.05)
-        snapshot = campaign_snapshot(MATRIX, registry)
+        snapshot = _snapshot(MATRIX, registry)
         assert snapshot[0].state == "running"
         assert snapshot[0].owner == "alive"
         assert snapshot[1].state == "stalled"
@@ -98,14 +114,14 @@ class TestSnapshot:
         cell = MATRIX.cells()[0]
         run = registry.open_run(cell.config_dict(), cell.seed(MATRIX.seed))
         run.record_error("boom")
-        snapshot = campaign_snapshot(MATRIX, registry)
+        snapshot = _snapshot(MATRIX, registry)
         assert snapshot[0].state == "failed"
 
     def test_exhausted_state_with_budget(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
         budget = 40  # 20 per cell: both pause at their caps
         run_suite(MATRIX, tmp_path / "reg", budget=budget)
-        snapshot = campaign_snapshot(MATRIX, registry, budget=budget)
+        snapshot = _snapshot(MATRIX, registry, budget=budget)
         assert [s.state for s in snapshot] == ["exhausted", "exhausted"]
         assert all(s.sample_cap == 20 for s in snapshot)
         assert all(s.evaluations >= s.sample_cap for s in snapshot)
@@ -130,7 +146,7 @@ class TestSnapshot:
         assert claimable_cells(cells, budget, progress) == [(cells[0], 20)]
         tally = classify_campaign(registry, cells, matrix.seed, budget)
         assert tally.incomplete == cells
-        [status] = campaign_snapshot(matrix, registry, budget=budget)
+        [status] = _snapshot(matrix, registry, budget=budget)
         assert status.state == "pending"
         assert status.sample_cap == 20
         assert status.evaluations == 20  # the streamed tail, as written
@@ -141,7 +157,7 @@ class TestSnapshot:
         run_cell(cell, MATRIX.seed, registry)
         # drop the completion marker to observe the mid-run view
         registry.run_node(cell.config_dict(), cell.seed(0)).delete("result.json")
-        snapshot = campaign_snapshot(MATRIX, registry)
+        snapshot = _snapshot(MATRIX, registry)
         assert snapshot[0].state == "pending"
         assert snapshot[0].progress is not None
         assert snapshot[0].best_cost is not None
@@ -150,7 +166,7 @@ class TestSnapshot:
 class TestRender:
     def test_table_contains_cells_and_tally(self, tmp_path):
         registry = RunRegistry(tmp_path / "reg")
-        text = render_campaign(campaign_snapshot(MATRIX, registry))
+        text = render_campaign(_snapshot(MATRIX, registry))
         assert "2 pending" in text
         assert "vgg16/separate/energy/b1/cocco" in text
         assert "state" in text
