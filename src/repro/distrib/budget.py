@@ -49,6 +49,9 @@ class CellProgress:
     result: dict[str, Any] | None = field(
         default=None, compare=False, repr=False
     )
+    #: A failed cell's stored error message; ``None`` otherwise. Not
+    #: scheduler state either.
+    error: str | None = field(default=None, compare=False, repr=False)
 
 
 def cell_progress(
@@ -82,7 +85,13 @@ def cell_progress(
         # A failed cell still durably *spent* whatever its checkpoint
         # recorded before the error; refunding those samples would let
         # the campaign exceed its budget.
-        return CellProgress(complete=False, failed=True, evaluations=evaluations)
+        stored = registry.load(config, seed).load_error() or {}
+        return CellProgress(
+            complete=False,
+            failed=True,
+            evaluations=evaluations,
+            error=stored.get("error", "failed"),
+        )
     return CellProgress(complete=False, failed=False, evaluations=evaluations)
 
 

@@ -16,9 +16,10 @@ The coordinator owns the campaign's lifecycle but none of its work:
 * it watches lease/checkpoint state live, re-rendering the campaign
   status view, and sweeps expired leases so dead workers' cells free up
   even when every survivor is busy;
-* when the campaign finishes it merges every durable ``result.json``
-  into the final report **exactly as the local path does** — the merge
-  is :func:`repro.runs.suite.merged_report`, shared code, which is what
+* when the campaign finishes and its spawned workers have exited, it
+  merges every durable ``result.json`` into the final report **exactly
+  as the local path does** — the merge is
+  :func:`repro.runs.suite.campaign_outcome`, shared code, which is what
   makes a distributed campaign's report bit-identical to a local run's.
 """
 
@@ -34,7 +35,13 @@ from typing import Callable
 from ..errors import ConfigError, ReproError
 from ..obs import TelemetrySink
 from ..runs.registry import RunRegistry
-from ..runs.suite import SuiteMatrix, SuiteOutcome, campaign_outcome
+from ..runs.suite import (
+    SuiteMatrix,
+    SuiteOutcome,
+    campaign_outcome,
+    matrix_from_dict,
+    matrix_to_dict,
+)
 from .budget import (
     campaign_finished,
     campaign_progress,
@@ -46,33 +53,6 @@ from .lease import break_expired_lease, read_lease
 from .worker import worker_entry
 
 MANIFEST = "campaign.json"
-
-
-def matrix_to_dict(matrix: SuiteMatrix) -> dict:
-    """JSON-able form of a campaign matrix (inverse of ``SuiteMatrix``)."""
-    return {
-        "networks": list(matrix.networks),
-        "modes": list(matrix.modes),
-        "metrics": list(matrix.metrics),
-        "bytes_per_element": list(matrix.bytes_per_element),
-        "schemes": list(matrix.schemes),
-        "alphas": list(matrix.alphas),
-        "scale": matrix.scale,
-        "seed": matrix.seed,
-    }
-
-
-def matrix_from_dict(data: dict) -> SuiteMatrix:
-    return SuiteMatrix(
-        networks=tuple(data["networks"]),
-        modes=tuple(data["modes"]),
-        metrics=tuple(data["metrics"]),
-        bytes_per_element=tuple(int(v) for v in data["bytes_per_element"]),
-        schemes=tuple(data["schemes"]),
-        alphas=tuple(float(v) for v in data["alphas"]),
-        scale=data["scale"],
-        seed=int(data["seed"]),
-    )
 
 
 def write_manifest(
@@ -157,10 +137,10 @@ def run_distributed(
     """Coordinate a distributed campaign; blocks until it finishes.
 
     Returns the :class:`SuiteOutcome` the local runner builds, from the
-    same :func:`campaign_outcome` fold of the last progress map — a
-    distributed campaign (including worker deaths, elastic scale-ups,
-    and lease reclaims along the way) merges to exactly the report of a
-    clean single-process run.
+    same :func:`campaign_outcome` fold of a progress map probed after
+    the spawned workers exit — a distributed campaign (including worker
+    deaths, elastic scale-ups, and lease reclaims along the way) merges
+    to exactly the report of a clean single-process run.
     """
     config = config or CoordinatorConfig()
     registry = RunRegistry(registry_root)
@@ -331,8 +311,13 @@ def run_distributed(
                 retired=elastic_retired,
             )
 
+    # Re-probe after the join: a worker may still have been finishing a
+    # cell when the campaign read as finished (a cell-atomic cell past
+    # its cap, or a capped one between its last checkpoint and its
+    # result), and its result.json lands during the join.
+    progress = campaign_progress(registry, cells, matrix.seed)
     outcome = campaign_outcome(
-        matrix, registry, budget, progress, rounds=1, skipped=skipped
+        matrix, budget, progress, rounds=1, skipped=skipped
     )
     if reclaimed:
         outcome.report.notes.append(

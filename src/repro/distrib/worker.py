@@ -34,7 +34,7 @@ from typing import Callable
 
 from ..obs import TelemetrySink
 from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
-from ..runs.suite import SuiteCellTask, SuiteMatrix
+from ..runs.suite import SuiteCellTask, SuiteMatrix, matrix_from_dict
 from ..viz.campaign import tail_jsonl_node
 from .budget import campaign_finished, campaign_progress, claimable_cells
 from .clock import Clock
@@ -232,9 +232,6 @@ def worker_entry(
     ``multiprocessing.get_context("spawn").Process(target=worker_entry,
     ...)``; everything crossing the boundary is plain picklable data.
     """
-    # The coordinator imports this module, so its decoder loads here.
-    from .coordinator import matrix_from_dict
-
     matrix = matrix_from_dict(matrix_args)
     config = WorkerConfig(
         worker_id=worker_id,

@@ -205,6 +205,34 @@ class SuiteMatrix:
         ]
 
 
+def matrix_to_dict(matrix: SuiteMatrix) -> dict:
+    """JSON-able form of a matrix; :func:`matrix_from_dict` inverts it."""
+    return {
+        "networks": list(matrix.networks),
+        "modes": list(matrix.modes),
+        "metrics": list(matrix.metrics),
+        "bytes_per_element": list(matrix.bytes_per_element),
+        "schemes": list(matrix.schemes),
+        "alphas": list(matrix.alphas),
+        "scale": matrix.scale,
+        "seed": matrix.seed,
+    }
+
+
+def matrix_from_dict(data: dict) -> SuiteMatrix:
+    """Decode a campaign manifest's or a spawned worker's matrix dict."""
+    return SuiteMatrix(
+        networks=tuple(data["networks"]),
+        modes=tuple(data["modes"]),
+        metrics=tuple(data["metrics"]),
+        bytes_per_element=tuple(int(v) for v in data["bytes_per_element"]),
+        schemes=tuple(data["schemes"]),
+        alphas=tuple(float(v) for v in data["alphas"]),
+        scale=data["scale"],
+        seed=int(data["seed"]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cell execution
 # ---------------------------------------------------------------------------
@@ -863,23 +891,26 @@ def _result_row(result: dict[str, Any]) -> tuple:
 
 
 def merged_report(
-    matrix: SuiteMatrix,
-    registry: RunRegistry,
-    progress: dict[tuple, CellProgress] | None = None,
+    matrix: SuiteMatrix, registry: RunRegistry
 ) -> ExperimentResult:
     """Merge every cell's stored result into one report, matrix order.
 
     Rows come exclusively from the registry's durable ``result.json``
     files, so a killed-and-resumed campaign merges to exactly the same
-    report as an uninterrupted one. ``progress`` is the
-    :func:`~repro.distrib.budget.campaign_progress` map a caller already
-    holds; without one, the registry is probed here.
+    report as an uninterrupted one.
     """
-    cells = matrix.cells()
-    if progress is None:
-        from ..distrib.budget import campaign_progress
+    from ..distrib.budget import campaign_progress
 
-        progress = campaign_progress(registry, cells, matrix.seed)
+    return _fold_report(
+        matrix, campaign_progress(registry, matrix.cells(), matrix.seed)
+    )
+
+
+def _fold_report(
+    matrix: SuiteMatrix, progress: dict[tuple, CellProgress]
+) -> ExperimentResult:
+    """The merged report, folded from a campaign progress map."""
+    cells = matrix.cells()
     report = ExperimentResult(
         experiment=(
             f"suite: {len(cells)} cells, scale={matrix.scale}, "
@@ -938,19 +969,23 @@ def classify_campaign(
     cells: list[SuiteCell],
     campaign_seed: int,
     budget: int | None,
-    progress: dict[tuple, CellProgress] | None = None,
 ) -> CampaignTally:
-    """Classify every cell from durable registry state alone.
+    """Classify every cell from durable registry state alone."""
+    from ..distrib.budget import campaign_progress
 
-    ``progress`` is the caller's
-    :func:`~repro.distrib.budget.campaign_progress` map; without one,
-    the registry is probed here. Failed cells' messages are read from
-    their ``error.json``.
-    """
-    from ..distrib.budget import campaign_progress, compute_allocations
+    return _fold_tally(
+        cells, budget, campaign_progress(registry, cells, campaign_seed)
+    )
 
-    if progress is None:
-        progress = campaign_progress(registry, cells, campaign_seed)
+
+def _fold_tally(
+    cells: list[SuiteCell],
+    budget: int | None,
+    progress: dict[tuple, CellProgress],
+) -> CampaignTally:
+    """The campaign tally, folded from a campaign progress map."""
+    from ..distrib.budget import compute_allocations
+
     at_cap: frozenset = frozenset()
     if budget is not None:
         at_cap = compute_allocations(cells, budget, progress).exhausted
@@ -960,12 +995,7 @@ def classify_campaign(
         if state.complete:
             tally.completed.append(cell)
         elif state.failed:
-            stored = (
-                registry.load(cell.config_dict(), cell.seed(campaign_seed))
-                .load_error()
-                or {}
-            )
-            tally.failed[cell.cell_id] = stored.get("error", "failed")
+            tally.failed[cell.cell_id] = state.error
         elif cell.key in at_cap:
             tally.exhausted.append(cell)
         else:
@@ -975,7 +1005,6 @@ def classify_campaign(
 
 def campaign_outcome(
     matrix: SuiteMatrix,
-    registry: RunRegistry,
     budget: int | None,
     progress: dict[tuple, CellProgress],
     rounds: int,
@@ -987,9 +1016,9 @@ def campaign_outcome(
     local runner and the distributed coordinator both end here.
     """
     cells = matrix.cells()
-    tally = classify_campaign(registry, cells, matrix.seed, budget, progress)
+    tally = _fold_tally(cells, budget, progress)
     return SuiteOutcome(
-        report=merged_report(matrix, registry, progress),
+        report=_fold_report(matrix, progress),
         total=len(cells),
         completed=len(tally.completed) - skipped,
         skipped=skipped,
@@ -1064,5 +1093,5 @@ def run_suite(
     finally:
         backend.close()
     return campaign_outcome(
-        matrix, registry, budget, progress, rounds=rounds, skipped=skipped
+        matrix, budget, progress, rounds=rounds, skipped=skipped
     )

@@ -62,6 +62,29 @@ class TestRunDistributed:
         matrix, budget = read_manifest(tmp_path / "reg")
         assert matrix == MATRIX and budget is None
 
+    def test_budgeted_cell_atomic_run_matches_serial(self, tmp_path):
+        # nsga runs whole under any cap. Once its checkpoint passes the
+        # one-sample allocation the campaign reads as out of budget while
+        # the worker still runs the cell; its result lands during the
+        # coordinator's join, and the report must include it.
+        matrix = SuiteMatrix(
+            networks=("googlenet",), schemes=("nsga",), scale="tiny", seed=0
+        )
+        serial = run_suite(matrix, tmp_path / "serial", budget=1)
+        outcome = run_distributed(
+            matrix,
+            tmp_path / "reg",
+            budget=1,
+            config=CoordinatorConfig(
+                spawn_workers=1, lease_ttl=5, poll_interval=0.01, timeout=180
+            ),
+        )
+        assert serial.completed == 1
+        assert outcome.report.rows == serial.report.rows
+        assert outcome.completed == 1
+        assert outcome.failed == outcome.exhausted == 0
+        assert outcome.errors == {}
+
     def test_reclaims_expired_lease_of_dead_worker(self, tmp_path):
         # a "dead worker" holds a long-expired lease on the first cell
         registry = RunRegistry(tmp_path / "reg")
