@@ -8,7 +8,8 @@ phases, runnable against either registry transport (``--transport``):
 * ``objectstore`` — an S3-compatible conditional-PUT object store: the
   smoke process hosts the deterministic in-process fake server
   (:mod:`repro.distrib.objectstore`) and every worker/coordinator
-  subprocess reaches it over a real ``s3://host:port/bucket`` URI.
+  subprocess reaches it over a real ``s3://host:port/bucket`` URI,
+  passed as ``--registry``.
 
 Phase 1 (unbudgeted, cocco+sa matrix):
 
@@ -19,9 +20,10 @@ Phase 1 (unbudgeted, cocco+sa matrix):
    claims the cell's lease, then hard-exits mid-cell exactly like an
    OOM kill — leaving an unreleased lease and no durable result;
 3. start two concurrent survivor `repro worker` processes on the same
-   registry: between them they must steal the dead worker's expired
-   lease (exactly once), re-run/resume its cell, and finish the whole
-   campaign;
+   registry: once the dead worker's lease expires, exactly one of them
+   must claim its cell before it completes (one survivor tears the
+   expired lease down, and either may win the re-create), re-run it,
+   and between them finish the whole campaign;
 4. merge the registry (`repro suite --report-only`) and assert the
    merged rows are bit-identical to the clean single-process run's.
 
@@ -55,7 +57,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import shutil
 import signal
 import subprocess
@@ -136,6 +137,24 @@ class RegistryProbe:
                 return name
         return None
 
+    def claims_before_finish(self, cell: str) -> list[dict]:
+        """``lease.claim`` events on the cell whose id has ``cell``, up to
+        its ``cell.finish``.
+
+        A later claim found the cell complete and ran nothing: its
+        claimant probed progress just before a peer finished the cell.
+        """
+        claims = []
+        for name in self.transport.list_runs():
+            for record in self.telemetry_records(name):
+                if cell not in str(record.get("cell", "")):
+                    continue
+                if record.get("kind") == "cell.finish":
+                    return claims
+                if record.get("kind") == "lease.claim":
+                    claims.append(record)
+        return claims
+
     def telemetry_records(self, name: str = "") -> list[dict]:
         text = self.node(name).read_text("telemetry.jsonl")
         if text is None:
@@ -154,26 +173,15 @@ class RegistryProbe:
         return records
 
 
-#: Local directory anchoring subprocess outputs (report.json) when the
-#: registry itself is a remote URI; set by main().
-_ANCHOR = Path("distrib-smoke") / "local-anchor"
-
-
-def transport_flags(root: str) -> list[str]:
-    """CLI flags addressing a registry root (path or URI).
-
-    ``--registry`` is required by every subcommand; with a URI registry
-    it only anchors local outputs, so it points into the workdir.
-    """
-    if "://" in root:
-        return ["--registry", str(_ANCHOR), "--transport", root]
-    return ["--registry", root]
+#: The smoke's work directory, where object-store dumps land; set by
+#: main().
+_WORKDIR = Path("distrib-smoke")
 
 
 def suite_command(root: str, *extra: str, matrix=None) -> list[str]:
     return [
         sys.executable, "-m", "repro.cli.main", "suite",
-        *(matrix or MATRIX_ARGS), *transport_flags(root), *extra,
+        *(matrix or MATRIX_ARGS), "--registry", root, *extra,
     ]
 
 
@@ -182,7 +190,7 @@ def worker_command(
 ) -> list[str]:
     return [
         sys.executable, "-m", "repro.cli.main", "worker",
-        *(matrix or MATRIX_ARGS), *transport_flags(root),
+        *(matrix or MATRIX_ARGS), "--registry", root,
         "--worker-id", worker_id, "--ttl", "3", "--poll", "0.1", *extra,
     ]
 
@@ -232,12 +240,11 @@ def main() -> int:
                              "is always a local fs registry)")
     args = parser.parse_args()
 
-    global _ANCHOR
-    workdir = Path(args.workdir)
+    global _WORKDIR
+    workdir = _WORKDIR = Path(args.workdir)
     if workdir.exists():
         shutil.rmtree(workdir)
     workdir.mkdir(parents=True)
-    _ANCHOR = workdir / "local-anchor"
     clean = workdir / "clean-registry"
     shared_root = make_registry_root(workdir, args.transport, "shared")
     shared = RegistryProbe(shared_root)
@@ -270,8 +277,8 @@ def main() -> int:
         return 1
     print("victim killed mid-cell; orphaned lease in place")
 
-    # 3. two concurrent survivors: a real shared-registry fleet. One of
-    # them must reclaim the victim's expired lease; both must exit clean.
+    # 3. two concurrent survivors: a real shared-registry fleet. Exactly
+    # one of them must claim the victim's cell; both must exit clean.
     survivors = [
         subprocess.Popen(
             worker_command(shared_root, f"survivor-{i}"), env=env,
@@ -279,20 +286,27 @@ def main() -> int:
         )
         for i in range(2)
     ]
-    reclaimed = 0
     for process in survivors:
         stdout, _ = process.communicate(timeout=600)
         if process.returncode != 0:
             print(f"FAIL: a survivor exited {process.returncode}:\n{stdout}")
             return 1
-        summary = stdout.strip().splitlines()[-1]
-        print(summary)
-        match = re.search(r"reclaimed (\d+) expired lease", summary)
-        reclaimed += int(match.group(1)) if match else 0
-    if reclaimed != 1:
-        print(f"FAIL: expected exactly one lease reclaim across the "
-              f"fleet, saw {reclaimed}")
+        print(stdout.strip().splitlines()[-1])
+    # The survivor whose conditional delete tears down the expired lease
+    # usually wins the re-create too (a "stolen" claim); the other
+    # survivor's create can land in between (a "fresh" claim). Either
+    # way the victim's cell is claimed once before it completes.
+    claims = [
+        record
+        for record in shared.claims_before_finish(FAULT_CELL)
+        if record.get("owner") != "victim"
+    ]
+    if len(claims) != 1:
+        print(f"FAIL: expected exactly one survivor claim of the victim's "
+              f"cell, saw {len(claims)}: {claims}")
         return 1
+    print(f"victim's cell claimed once, by {claims[0].get('owner')} "
+          f"(via {claims[0].get('via')})")
 
     # 4. merged report must be bit-identical to the clean run
     shared_report = workdir / "shared-report.json"
@@ -488,7 +502,7 @@ def observability_postmortem(
     dash = subprocess.run(
         [sys.executable, "-m", "repro.cli.main", "dash", "--once",
          *BUDGET_MATRIX_ARGS, "--budget", str(BUDGET),
-         *transport_flags(shared.root)],
+         "--registry", shared.root],
         env=env, capture_output=True, text=True,
     )
     if dash.returncode != 0:
@@ -503,7 +517,7 @@ def observability_postmortem(
     export = subprocess.run(
         [sys.executable, "-m", "repro.cli.main", "export-metrics",
          *BUDGET_MATRIX_ARGS, "--budget", str(BUDGET),
-         *transport_flags(shared.root), "--out", str(prefix)],
+         "--registry", shared.root, "--out", str(prefix)],
         env=env, capture_output=True, text=True,
     )
     if export.returncode != 0:
@@ -532,7 +546,7 @@ if __name__ == "__main__":
     try:
         _code = main()
     finally:
-        dump_servers(_ANCHOR.parent)
+        dump_servers(_WORKDIR)
         for _name, _server in _SERVERS:
             _server.shutdown()
     sys.exit(_code)

@@ -443,26 +443,6 @@ def _suite_matrix(args: argparse.Namespace):
     )
 
 
-def _registry_root(args: argparse.Namespace) -> str:
-    """Resolve the registry root from ``--transport`` / ``--registry``.
-
-    ``--transport fs`` (the default) keeps the classic behavior: the
-    registry *is* the ``--registry`` directory. Any other value must be
-    a transport URI (``s3://host:port/bucket``) and becomes the
-    registry root itself — ``--registry`` then only anchors local
-    outputs such as the merged ``report.json``.
-    """
-    transport = getattr(args, "transport", None) or "fs"
-    if transport == "fs":
-        return args.registry
-    if "://" not in transport:
-        raise ConfigError(
-            f"unknown transport {transport!r}: expected 'fs' or an "
-            "object-store URI like s3://host:port/bucket"
-        )
-    return transport
-
-
 def _campaign_target(args: argparse.Namespace):
     """Resolve (matrix, budget) from flags or the registry manifest.
 
@@ -481,11 +461,11 @@ def _campaign_target(args: argparse.Namespace):
         matrix = _suite_matrix(args)
         if budget is None:
             try:
-                _, budget = read_manifest(_registry_root(args))
+                _, budget = read_manifest(args.registry)
             except ConfigError:
                 pass  # no coordinator manifest: genuinely unbudgeted
     else:
-        matrix, manifest_budget = read_manifest(_registry_root(args))
+        matrix, manifest_budget = read_manifest(args.registry)
         if budget is None:
             budget = manifest_budget
     return matrix, budget
@@ -508,13 +488,11 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
     lease/checkpoint view, and ``--gc`` reclaims stale checkpoint/lease
     files of completed runs.
     """
-    from pathlib import Path as _Path
-
     from ..runs.registry import RunRegistry
     from ..runs.suite import merged_report, run_suite
+    from ..viz.export import result_to_json
 
-    registry_root = _registry_root(args)
-    registry = RunRegistry(registry_root)
+    registry = RunRegistry(args.registry)
     if args.gc:
         removed, reclaimed = registry.gc()
         return (
@@ -573,35 +551,21 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
             worker_max_idle=args.worker_max_idle,
         )
         outcome = run_distributed(
-            matrix, registry_root, budget=args.budget, config=config
+            matrix, args.registry, budget=args.budget, config=config
         )
     else:
         outcome = run_suite(
-            matrix, registry_root, workers=args.workers,
+            matrix, args.registry, workers=args.workers,
             max_rounds=args.max_rounds, budget=args.budget,
             eval_workers=args.eval_workers,
         )
-    if registry_root == args.registry:
-        # --registry is the registry root, a directory or a URI: the
-        # merged report is one more registry file, written atomically
-        # through the root node.
-        from ..viz.export import result_to_json
-
-        registry.root_node().write_atomic(
-            "report.json", result_to_json(outcome.report)
-        )
-        report_path = (
-            f"{registry.location}/report.json"
-            if "://" in str(registry_root)
-            else _Path(registry_root) / "report.json"
-        )
-    else:
-        # --transport URI: --registry only anchors local outputs.
-        report_path = write_result(
-            outcome.report, _Path(args.registry) / "report.json"
-        )
+    # The merged report is one more registry file, written atomically
+    # through the root node; --export keeps a local copy.
+    registry.root_node().write_atomic(
+        "report.json", result_to_json(outcome.report)
+    )
     lines = [outcome.report.to_text(), "", outcome.summary(),
-             f"merged report: {report_path}"]
+             f"merged report: {registry.location}/report.json"]
     for cell_id, error in outcome.errors.items():
         lines.append(f"  failed {cell_id}: {error}")
     if args.export:
@@ -640,7 +604,7 @@ def cmd_worker(args: argparse.Namespace) -> str:
         eval_workers=args.eval_workers,
         max_idle=args.max_idle,
     )
-    summary = run_worker(matrix, _registry_root(args), config, budget=budget)
+    summary = run_worker(matrix, args.registry, config, budget=budget)
     return summary.render()
 
 
@@ -660,13 +624,12 @@ def cmd_dash(args: argparse.Namespace) -> str:
     from ..runs.registry import RunRegistry
 
     matrix, budget = _campaign_target(args)
-    registry_root = _registry_root(args)
     if args.once:
-        view = build_view(matrix, RunRegistry(registry_root), budget=budget)
+        view = build_view(matrix, RunRegistry(args.registry), budget=budget)
         return render_dashboard(view, width=args.width)
     try:
         frames = run_dash(
-            matrix, registry_root, budget=budget, interval=args.interval,
+            matrix, args.registry, budget=budget, interval=args.interval,
             frames=args.frames, width=args.width,
         )
     except KeyboardInterrupt:
@@ -688,7 +651,6 @@ def cmd_export_metrics(args: argparse.Namespace) -> str:
     from ..obs.metrics import export_metrics
 
     matrix, budget = _campaign_target(args)
-    registry_root = _registry_root(args)
     if args.out:
         prefix = args.out
     elif "://" in str(args.registry):
@@ -699,7 +661,7 @@ def cmd_export_metrics(args: argparse.Namespace) -> str:
     else:
         prefix = str(_Path(args.registry) / "metrics")
     prom, snapshot = export_metrics(
-        matrix, registry_root, prefix, budget=budget
+        matrix, args.registry, prefix, budget=budget
     )
     return f"wrote {prom}\nwrote {snapshot}"
 

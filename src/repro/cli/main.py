@@ -160,13 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--workers", type=int, default=1,
                        help="worker processes cells are sharded across")
     suite.add_argument("--registry", default="runs-registry",
-                       help="run-registry directory (created if missing)")
-    suite.add_argument("--transport", default="fs",
-                       help="registry transport: 'fs' (the --registry "
-                            "directory) or an object-store URI like "
-                            "s3://host:port/bucket (the URI becomes the "
-                            "registry; --registry then only anchors "
-                            "local outputs)")
+                       help="run registry: a directory (created if "
+                            "missing) or an object-store URI "
+                            "s3://host:port/bucket")
     suite.add_argument("--max-rounds", type=int, default=3,
                        help="retry rounds after worker-process deaths")
     suite.add_argument("--report-only", action="store_true",
@@ -237,10 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
              "dead peers' cells",
     )
     worker.add_argument("--registry", required=True,
-                        help="shared run-registry directory")
-    worker.add_argument("--transport", default="fs",
-                        help="registry transport: 'fs' or an object-"
-                             "store URI (s3://host:port/bucket)")
+                        help="shared run registry: a directory or an "
+                             "object-store URI s3://host:port/bucket")
     _add_matrix_flags(worker)
     worker.add_argument("--worker-id", default=None,
                         help="stable worker identity (default: host-pid)")
@@ -262,10 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
              "dead/finished campaigns alike",
     )
     dash.add_argument("--registry", required=True,
-                      help="run-registry directory to watch")
-    dash.add_argument("--transport", default="fs",
-                      help="registry transport: 'fs' or an object-"
-                           "store URI (s3://host:port/bucket)")
+                      help="run registry to watch: a directory or an "
+                           "object-store URI s3://host:port/bucket")
     _add_matrix_flags(dash)
     dash.add_argument("--interval", type=float, default=2.0,
                       help="seconds between refreshes")
@@ -284,15 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(PREFIX.prom) + JSON (PREFIX.json)",
     )
     export_metrics.add_argument("--registry", required=True,
-                                help="run-registry directory to probe")
-    export_metrics.add_argument("--transport", default="fs",
-                                help="registry transport: 'fs' or an "
-                                     "object-store URI "
-                                     "(s3://host:port/bucket)")
+                                help="run registry to probe: a directory "
+                                     "or an object-store URI "
+                                     "s3://host:port/bucket")
     _add_matrix_flags(export_metrics)
     export_metrics.add_argument("--out", default=None,
                                 help="output path prefix (default: "
-                                     "<registry>/metrics)")
+                                     "<registry>/metrics; required for "
+                                     "an object-store registry)")
 
     lint = sub.add_parser(
         "lint",

@@ -18,9 +18,9 @@ and priced as stacked NumPy tensor ops over
   LinearTileModel` preconditions skip the candidate scan entirely — the
   best tile under a separate activation buffer is a closed-form pick.
 
-Everything the batch layer cannot handle — NumPy absent, structure
-derivation or balance validation failing (error messages are
-per-subgraph), empty candidate lists — is simply left out of the result
+Everything the batch layer cannot handle — structure derivation or
+balance validation failing (error messages are per-subgraph), empty
+candidate lists — is simply left out of the result
 dict; the caller reprices those keys serially in first-seen order, so
 exceptions surface exactly where the serial path would raise them. For
 keys that *are* priced, every arithmetic step mirrors the serial
@@ -35,10 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
-try:  # gated dependency: without numpy the serial path handles everything
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+import numpy as _np
 
 from ..config import BufferMode, MemoryConfig
 from ..errors import TilingError
@@ -78,8 +75,6 @@ def _prefix_diffs(values, bounds: list[int]) -> list[int]:
 
 def _segment_sums(values, index_lists: list[list[int]]) -> list[int]:
     """Exact per-list integer sums (one gather + cumsum over the concat)."""
-    if _np is None:
-        return [sum(int(values[i]) for i in lst) for lst in index_lists]
     flat: list[int] = []
     bounds = [0]
     for lst in index_lists:
@@ -120,7 +115,7 @@ def price_population(
     evaluator's LRU caches — the direct-solve path's speedup is exactly
     that it never builds a per-subgraph option table.
     """
-    if _np is None or not cold_keys or not evaluator.tile_candidates:
+    if not cold_keys or not evaluator.tile_candidates:
         # No candidates means the serial profiler raises — let it.
         return {}
     from .evaluator import _lru_get, _lru_put

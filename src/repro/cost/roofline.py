@@ -81,45 +81,15 @@ def classify_subgraph(
 def roofline_report(
     cost: PartitionCost, accel: AcceleratorConfig
 ) -> RooflineReport:
-    """Classify every subgraph of an evaluated partition.
-
-    The intensity/attained coordinates are computed as one array
-    operation per axis over the partition's per-subgraph constants
-    (falling back to scalar loops without NumPy); IEEE-754 float64
-    division keeps the points bit-identical either way.
-    """
-    feasible = [sub for sub in cost.subgraphs if sub.feasible]
-    balance = machine_balance(accel)
-    try:
-        import numpy as np
-    except ImportError:
-        np = None
-    if np is not None and feasible:
-        macs = np.array([s.profile.macs for s in feasible], dtype=np.float64)
-        ema = np.maximum(
-            1.0, np.array([s.ema_bytes for s in feasible], dtype=np.float64)
-        )
-        latency = np.maximum(
-            np.array([s.latency_cycles for s in feasible], dtype=np.float64),
-            1e-12,
-        )
-        intensity = macs / ema
-        attained = macs / latency
-        points = tuple(
-            RooflinePoint(
-                members=sub.profile.members,
-                arithmetic_intensity=float(intensity[i]),
-                attained_macs_per_cycle=float(attained[i]),
-                memory_bound=bool(intensity[i] < balance),
-            )
-            for i, sub in enumerate(feasible)
-        )
-    else:
-        points = tuple(classify_subgraph(sub, accel) for sub in feasible)
+    """Classify every feasible subgraph of an evaluated partition."""
     return RooflineReport(
-        machine_balance=balance,
+        machine_balance=machine_balance(accel),
         peak_macs_per_cycle=accel.macs_per_cycle * accel.pe_utilization,
-        points=points,
+        points=tuple(
+            classify_subgraph(sub, accel)
+            for sub in cost.subgraphs
+            if sub.feasible
+        ),
     )
 
 

@@ -9,7 +9,9 @@ unconverged ones, in deterministic rounds:
   the earliest cells in matrix order);
 * a round *resolves* when every cell still in play has either finished
   (result or durable error) or run exactly up to its allocation
-  (checkpointed, out of samples);
+  (checkpointed, out of samples). A cell-atomic scheme (``nsga``) only
+  spends by running whole, so while it is unfinished it keeps its round
+  open and stays claimable, whatever its checkpoint counts;
 * on resolution, finished cells refund their unspent samples
   (``allocation - evaluations actually used``; cell-atomic schemes may
   overdraw, which simply shrinks the refund pool — floored at zero) and
@@ -151,7 +153,8 @@ def compute_allocations(
     different round's pool, and different workers could derive
     different grant waypoints for the surviving cells. Cell-atomic
     schemes resolve in their first round by construction (they run to
-    completion whenever they run at all).
+    completion whenever they run at all), so an unfinished one has spent
+    nothing yet: only a zero allocation leaves it waiting.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -159,6 +162,12 @@ def compute_allocations(
         cell.key: cell.scheme in CAPPED_SCHEMES for cell in cells
     }
     allocations = {cell.key: 0 for cell in cells}
+    # What an unfinished cell has spent against its cap: its checkpoint's
+    # count, or nothing for a cell-atomic scheme.
+    spent = {
+        key: progress[key].evaluations if checkpointable[key] else 0
+        for key in allocations
+    }
     active = [cell.key for cell in cells]
     pool = budget
     while pool > 0 and active:
@@ -186,7 +195,7 @@ def compute_allocations(
                 # in the cell's checkpoint before it failed were really
                 # drawn from the budget.
                 refunds += max(0, allocations[key] - state.evaluations)
-            elif state.evaluations >= allocations[key]:
+            elif spent[key] >= allocations[key]:
                 still_active.append(key)  # exhausted at this cap
             else:
                 still_active.append(key)
@@ -201,9 +210,7 @@ def compute_allocations(
         if not progress[key].complete and not progress[key].failed
     ]
     exhausted = frozenset(
-        key
-        for key in unfinished_active
-        if progress[key].evaluations >= allocations[key]
+        key for key in unfinished_active if spent[key] >= allocations[key]
     )
     out_of_budget = (
         pool == 0
@@ -228,6 +235,7 @@ def claimable_cells(
     its current allocation (always, for unbudgeted campaigns — the cap
     is then ``None``). Exhausted cells are *not* claimable: they wait
     for their round to resolve and re-enter once a refund grant lands.
+    An unfinished cell-atomic cell is claimable under any positive cap.
     """
     if budget is None:
         return [
@@ -236,15 +244,13 @@ def claimable_cells(
             if not progress[cell.key].complete and not progress[cell.key].failed
         ]
     view = compute_allocations(cells, budget, progress)
-    claimable = []
-    for cell in cells:
-        state = progress[cell.key]
-        if state.complete or state.failed:
-            continue
-        cap = view.allocations[cell.key]
-        if cap >= 1 and state.evaluations < cap:
-            claimable.append((cell, cap))
-    return claimable
+    return [
+        (cell, view.allocations[cell.key])
+        for cell in cells
+        if not progress[cell.key].complete
+        and not progress[cell.key].failed
+        and cell.key not in view.exhausted
+    ]
 
 
 def campaign_finished(

@@ -221,7 +221,7 @@ def run_distributed(
                         cell.config_dict(), cell.seed(matrix.seed)
                     )
                     info = read_lease(node)
-                    if info is None or info.is_expired(clock=config.clock):
+                    if info is None or info.is_expired(config.clock()):
                         depth += 1
                 target = max(config.min_workers, min(config.max_workers, depth))
                 if len(elastic) < target:

@@ -20,7 +20,12 @@ shared POSIX directory and on an S3-compatible object store:
   TTL): ``delete_if_match`` the observed version (on the filesystem a
   rename-to-tombstone with restore-on-mismatch; remotely a conditional
   ``DELETE``), then ``create_if_absent`` a fresh lease. Only one
-  stealer's delete can win.
+  stealer's delete can win. A peer's ``create_if_absent`` can land
+  between that delete and the stealer's create: the peer then holds a
+  ``"fresh"`` lease on the cell and the stealer walks away empty-handed.
+  Either way the dead owner's cell is claimed exactly once; a claim
+  counts as ``"stolen"`` only when its claimant also tore the expired
+  lease down.
 
 Clocks: heartbeat ages compare a reader's clock against a writer's, so
 workers sharing a registry should have roughly synchronized clocks (NTP
@@ -33,11 +38,9 @@ Every time-dependent primitive takes an injectable ``clock`` (a
 zero-argument callable returning seconds, default ``time.time``), so
 expiry behavior is testable with a logical clock instead of real
 sleeps — the lease tests advance a fake clock past the TTL rather than
-waiting it out. The one-shot primitives also keep their older ``now``
-parameter for point-in-time queries; an explicit ``now`` always wins
-and the ``clock`` is consulted only when ``now`` is ``None`` (the
-:class:`Heartbeat` thread is the one consumer that genuinely needs the
-callable — it re-reads the time on every renewal).
+waiting it out. :meth:`LeaseInfo.age` and :meth:`LeaseInfo.is_expired`
+take the instant itself, so a status view judges every lease of one
+snapshot at the same time.
 
 Cell addresses: every primitive takes a
 :class:`repro.runs.transport.RunNode` (``registry.run_node(...)``), the
@@ -77,17 +80,13 @@ class LeaseInfo:
     #: When the owning worker started (its clock), for throughput rates.
     started_at: float | None = None
 
-    def age(
-        self, now: float | None = None, clock: Clock = time.time
-    ) -> float:
-        """Seconds since the last heartbeat."""
-        return (clock() if now is None else now) - self.heartbeat
+    def age(self, now: float) -> float:
+        """Seconds since the last heartbeat, at time ``now``."""
+        return now - self.heartbeat
 
-    def is_expired(
-        self, now: float | None = None, clock: Clock = time.time
-    ) -> bool:
+    def is_expired(self, now: float) -> bool:
         """Whether the owner has missed its heartbeat by more than TTL."""
-        return self.age(now, clock) > self.ttl
+        return self.age(now) > self.ttl
 
 
 @dataclass
@@ -100,7 +99,7 @@ class Lease:
     ttl: float
     acquired_at: float
     #: How this lease was obtained: ``"fresh"`` (free cell) or
-    #: ``"stolen"`` (reclaimed from an expired owner).
+    #: ``"stolen"`` (we tore down an expired owner's lease).
     via: str = "fresh"
     #: Version token of our latest write (content digest / ETag);
     #: renewals compare-and-swap against it, so a steal between two of
@@ -169,7 +168,6 @@ def try_acquire_lease(
     node: RunNode,
     owner: str,
     ttl: float,
-    now: float | None = None,
     clock: Clock = time.time,
 ) -> Lease | None:
     """Claim a cell; ``None`` if it is validly held.
@@ -183,7 +181,7 @@ def try_acquire_lease(
     TTL expiry needs no real sleeping).
     """
     node.ensure()
-    now = clock() if now is None else now
+    now = clock()
     lease = Lease(
         node=node,
         owner=owner,
@@ -222,7 +220,6 @@ def try_acquire_lease(
 
 def renew_lease(
     lease: Lease,
-    now: float | None = None,
     clock: Clock = time.time,
     extra: dict | None = None,
 ) -> bool:
@@ -243,8 +240,7 @@ def renew_lease(
     """
     if lease.version is None:
         return False
-    now = clock() if now is None else now
-    body = _encode(lease, heartbeat=now, extra=extra)
+    body = _encode(lease, heartbeat=clock(), extra=extra)
     version = lease.node.put_if_match(LEASE_FILENAME, body, lease.version)
     if version is None:
         return False
@@ -259,11 +255,7 @@ def release_lease(lease: Lease) -> bool:
     return lease.node.delete_if_match(LEASE_FILENAME, lease.version)
 
 
-def break_expired_lease(
-    node: RunNode,
-    now: float | None = None,
-    clock: Clock = time.time,
-) -> bool:
+def break_expired_lease(node: RunNode, clock: Clock = time.time) -> bool:
     """Coordinator-side reclaim: remove an expired lease outright.
 
     Workers steal expired leases on their own; a coordinator sweeping
@@ -276,7 +268,7 @@ def break_expired_lease(
         return False
     text, observed = current
     info = _decode(text)
-    if info is None or not info.is_expired(now, clock):
+    if info is None or not info.is_expired(clock()):
         return False
     return node.delete_if_match(LEASE_FILENAME, observed)
 

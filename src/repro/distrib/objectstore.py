@@ -7,10 +7,10 @@ provides all three pieces:
 * :class:`ObjectStore` — a deterministic, thread-safe in-memory bucket
   with the conditional-write subset the lease protocol needs: ETag'd
   ``GET``, ``PUT`` with ``If-None-Match: *`` (single-winner create) and
-  ``If-Match`` (compare-and-swap), ``DELETE`` with ``If-Match``,
-  server-side ``COPY``, and sorted prefix listing. ETags are content
-  digests, so identical bodies always carry identical tags — exactly
-  the property the deterministic-duplicate-execution story relies on.
+  ``If-Match`` (compare-and-swap), ``DELETE`` with ``If-Match``, and
+  sorted prefix listing. ETags are content digests, so identical bodies
+  always carry identical tags — exactly the property the
+  deterministic-duplicate-execution story relies on.
 * :class:`ObjectStoreServer` / :func:`serve_in_thread` — a stdlib
   ``ThreadingHTTPServer`` speaking that subset over localhost, so
   *separate worker processes* share one store the way a real fleet
@@ -23,19 +23,20 @@ provides all three pieces:
 
 Atomicity mapping versus the filesystem transport:
 
-* ``write_atomic`` stages the body under a ``<key>.tmp-<uuid8>`` key,
-  then server-side-copies it onto the final key and deletes the stage —
-  the multipart-upload idiom. A writer killed mid-sequence leaves only
-  a staged temp object (never a torn final object), which
-  ``registry.gc()`` sweeps as transport litter.
+* ``write_atomic`` is one ``PUT``. An object store replaces an object
+  whole or not at all: the fake server, like S3, answers a ``PUT``
+  whose body is shorter than its ``Content-Length`` (the writer died
+  mid-upload) with HTTP 400 and stores nothing, so readers see the old
+  value or the new one and a killed writer leaves no litter.
 * ``append_line`` is an optimistic ``If-Match`` read-modify-write.
   Object PUTs are atomic, so this transport cannot produce the torn
-  tail lines the filesystem readers tolerate; contention is bounded by
-  the lease protocol (one writer per run at a time).
+  tail lines the filesystem readers tolerate, and a writer killed
+  mid-append loses only its own line; contention is bounded by the
+  lease protocol (one writer per run at a time).
 
-Nothing here reads a clock or an RNG beyond staging-key UUIDs; replies
-are a pure function of the request stream, which is what makes the
-transport-matrix smoke's bit-identical-report assertion meaningful.
+Nothing here reads a clock or an RNG; replies are a pure function of
+the request stream, which is what makes the transport-matrix smoke's
+bit-identical-report assertion meaningful.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import argparse
 import http.client
 import json
 import threading
-import uuid
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, quote, unquote, urlsplit
@@ -117,15 +117,6 @@ class ObjectStore:
             del self._objects[key]
         return True
 
-    def copy(self, src: str, dst: str) -> str | None:
-        """Server-side copy; the new ETag, or None when ``src`` is absent."""
-        with self._lock:
-            data = self._objects.get(src)
-            if data is None:
-                return None
-            self._objects[dst] = data
-        return content_version(data)
-
     def list(self, prefix: str = "") -> list[tuple[str, int, str]]:
         """Sorted ``(key, size, etag)`` triples under a key prefix.
 
@@ -145,11 +136,6 @@ class ObjectStore:
 # ---------------------------------------------------------------------------
 # The localhost fake server: the conditional-PUT subset over HTTP.
 # ---------------------------------------------------------------------------
-
-#: Header carrying the server-side copy source (the S3 idiom, under a
-#: repo-local name so nothing mistakes the fake for real S3 auth-wise).
-COPY_SOURCE_HEADER = "x-repro-copy-source"
-
 
 class _Handler(BaseHTTPRequestHandler):
     """One bucket's worth of the S3 conditional subset.
@@ -234,15 +220,10 @@ class _Handler(BaseHTTPRequestHandler):
         _bucket, key, _query = self._split()
         length = int(self.headers.get("Content-Length") or 0)
         body = self.rfile.read(length) if length else b""
-        source = self.headers.get(COPY_SOURCE_HEADER)
-        if source is not None:
-            src_key = unquote(source).lstrip("/").split("/", 1)
-            src = src_key[1] if len(src_key) > 1 else src_key[0]
-            etag = self.store.copy(src, key)
-            if etag is None:
-                self._reply(404)
-                return
-            self._reply(200, etag=etag)
+        if len(body) < length:
+            # The writer hung up mid-body: store nothing, as S3 does.
+            self.close_connection = True
+            self._reply(400)
             return
         if_match, if_none = self._condition_headers()
         try:
@@ -371,13 +352,6 @@ class _HttpStore:
             raise PreconditionFailed(key)
         return status == 204
 
-    def copy(self, src: str, dst: str) -> str | None:
-        headers = {COPY_SOURCE_HEADER: f"/{self.bucket}/{src}"}
-        status, _payload, etag = self._request("PUT", dst, headers=headers)
-        if status != 200:
-            return None
-        return etag
-
     def list(self, prefix: str = "") -> list[tuple[str, int, str]]:
         query = f"prefix={quote(prefix)}" if prefix else "list=1"
         status, payload, _etag = self._request("GET", "", query=query)
@@ -451,13 +425,9 @@ class ObjectStoreTransport:
 
     # -- writes ---------------------------------------------------------
     def write_atomic(self, key: str, text: str) -> None:
-        # Stage, copy, delete: the multipart idiom. A kill leaves only
-        # the ".tmp-" staging object — recognized litter, never a torn
-        # final value.
-        staging = f"{key}.tmp-{uuid.uuid4().hex[:8]}"
-        self.store.put(staging, text.encode())
-        self.store.copy(staging, key)
-        self.store.delete(staging)
+        # One PUT: the store keeps the old object unless the body arrives
+        # whole.
+        self.store.put(key, text.encode())
 
     def create_if_absent(self, key: str, text: str) -> str | None:
         try:

@@ -55,8 +55,6 @@ class WorkerConfig:
     lease_ttl: float = 30.0
     #: Idle sleep between probes when nothing is claimable.
     poll_interval: float = 1.0
-    #: Heartbeat renewal period (default: ``lease_ttl / 4``).
-    heartbeat_interval: float | None = None
     #: Local evaluation fan-out *inside* a leased cell (the cell's
     #: population evaluations shard across this many processes; results
     #: are bit-identical for any value).
@@ -187,8 +185,7 @@ def run_worker(
                 budget=budget,
             )
         beat = Heartbeat(
-            lease, config.heartbeat_interval, clock=config.clock,
-            progress=progress_snapshot,
+            lease, clock=config.clock, progress=progress_snapshot
         )
         try:
             with beat:

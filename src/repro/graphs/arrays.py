@@ -7,19 +7,15 @@ per graph (indexed by topological position) so the aggregations in
 :mod:`repro.cost.ema` become array reductions instead of per-node
 ``graph.layer(...)`` attribute walks.
 
-NumPy is used when available and silently skipped otherwise: the
-pure-Python fallback keeps results bit-identical (all the aggregated
-quantities are exact integers), only slower.
+The arrays are NumPy ``int64`` vectors, so every aggregated quantity
+stays an exact integer.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-try:  # gated dependency: the fallback below needs nothing beyond stdlib
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import ComputationGraph
@@ -63,18 +59,11 @@ class GraphArrays:
             row_bytes.append(
                 spec.shape.width * spec.shape.channels * bytes_per_element
             )
-        if _np is not None:
-            self.weight_bytes = _np.asarray(weight_bytes, dtype=_np.int64)
-            self.macs = _np.asarray(macs, dtype=_np.int64)
-            self.output_bytes = _np.asarray(output_bytes, dtype=_np.int64)
-            self.heights = _np.asarray(heights, dtype=_np.int64)
-            self.row_bytes = _np.asarray(row_bytes, dtype=_np.int64)
-        else:
-            self.weight_bytes = tuple(weight_bytes)
-            self.macs = tuple(macs)
-            self.output_bytes = tuple(output_bytes)
-            self.heights = tuple(heights)
-            self.row_bytes = tuple(row_bytes)
+        self.weight_bytes = _np.asarray(weight_bytes, dtype=_np.int64)
+        self.macs = _np.asarray(macs, dtype=_np.int64)
+        self.output_bytes = _np.asarray(output_bytes, dtype=_np.int64)
+        self.heights = _np.asarray(heights, dtype=_np.int64)
+        self.row_bytes = _np.asarray(row_bytes, dtype=_np.int64)
 
     # ------------------------------------------------------------------
     def indices(self, names: Iterable[str]) -> list[int]:
@@ -85,8 +74,6 @@ class GraphArrays:
     @staticmethod
     def total(array, indices: Sequence[int]) -> int:
         """Exact integer sum of ``array`` at ``indices``."""
-        if _np is not None and isinstance(array, _np.ndarray):
-            if not indices:
-                return 0
-            return int(array[indices].sum())
-        return sum(array[i] for i in indices)
+        if not indices:
+            return 0
+        return int(array[indices].sum())

@@ -13,8 +13,8 @@ idioms:
 
 With the pluggable registry transport a third idiom joins them: the
 **conditional put** (:mod:`repro.runs.transport`). ``write_atomic``
-stages and promotes server-side (temp + ``os.replace`` on fs),
-``create_if_absent``/``put_if_match`` commit a whole body iff a version
+replaces a value whole (temp + ``os.replace`` on fs, one ``PUT`` on
+object stores), ``create_if_absent``/``put_if_match`` commit a whole body iff a version
 precondition holds, and ``append_line`` is the stream append — all
 atomic by the transport contract, so calls through them are sanctioned
 writes, never findings (:data:`ATOMIC_TRANSPORT_METHODS`).

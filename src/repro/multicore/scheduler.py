@@ -62,6 +62,12 @@ class MultiCoreEvaluator(Evaluator):
         per_core = -(-profile.min_activation_bytes // self.num_cores)
         return per_core <= memory.activation_capacity
 
+    def _linear_model(self, structure):
+        # The batch pricer's closed-form direct solve prices one core and
+        # one sample; returning no model sends every key through the
+        # scan path, which prices with :meth:`_price` below.
+        return None
+
     def _price(self, profile: SubgraphProfile, memory: MemoryConfig) -> SubgraphCost:
         cores = self.num_cores
         batch = self.batch

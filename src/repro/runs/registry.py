@@ -479,13 +479,15 @@ class RunRegistry:
         A completed run's ``checkpoint.json`` (which can dwarf the
         result for GA/NSGA cells), any leftover ``lease.json``, and the
         transport's write-litter from killed writers (filesystem
-        ``*.tmp-*`` temps and ``lease.json.expired-*`` tombstones;
-        object-store ``.tmp-`` staging objects — SIGKILL mid-write is
-        this subsystem's designed failure mode) are dead weight: the
-        atomically-written ``result.json`` is the only key future
-        invocations read. Incomplete runs keep everything — their
-        checkpoint is exactly what a resume needs, and their temp
-        objects may belong to a live writer.
+        ``*.tmp-*`` temps and ``lease.json.expired-*`` tombstones —
+        SIGKILL mid-write is this subsystem's designed failure mode;
+        object-store writes are single PUTs and leave none, but
+        registries written by older versions may still hold ``.tmp-``
+        staging objects) are dead weight: the atomically-written
+        ``result.json`` is the only key future invocations read.
+        Incomplete runs keep everything — their checkpoint is exactly
+        what a resume needs, and their temp files may belong to a live
+        writer.
 
         Returns ``(files_removed, bytes_reclaimed)``.
         """

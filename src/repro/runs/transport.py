@@ -19,8 +19,10 @@ The contract every transport must honor:
   stores). A mutation with a stale token fails and leaves the current
   value untouched; this is what lease renewals and steals are built on.
 * **write_atomic** — last-writer-wins replacement where readers see the
-  old value or the new, never a torn one. Concurrent writers to one key
-  are legal exactly because cell execution is deterministic: both
+  old value or the new, never a torn one: a temp file plus
+  ``os.replace`` on the filesystem, one ``PUT`` on object stores (which
+  store a body only when it arrives whole). Concurrent writers to one
+  key are legal exactly because cell execution is deterministic: both
   bodies are identical.
 * **append_line** — the streaming idiom behind ``history.jsonl`` and
   ``telemetry.jsonl``. Readers are torn-tail-tolerant, so transports
@@ -48,9 +50,10 @@ from typing import Protocol, runtime_checkable
 
 from ..errors import ConfigError
 
-#: Substrings that mark transport write-litter: staged temp objects of
-#: atomic writes and tombstones of conditional deletes. ``gc()`` sweeps
-#: keys carrying either marker once their run has a durable result.
+#: Substrings that mark transport write-litter: temp files of atomic
+#: writes (and the staged objects older object-store registries hold)
+#: and tombstones of conditional deletes. ``gc()`` sweeps keys carrying
+#: either marker once their run has a durable result.
 LITTER_MARKERS = (".tmp-", ".expired-")
 
 
@@ -60,7 +63,7 @@ def content_version(data: bytes) -> str:
 
 
 def is_litter_key(key: str) -> bool:
-    """Whether a key is write-litter (staging temp or tombstone)."""
+    """Whether a key is write-litter (temp file or tombstone)."""
     leaf = key.rsplit("/", 1)[-1]
     return any(marker in leaf for marker in LITTER_MARKERS)
 

@@ -249,6 +249,38 @@ class TestSuite:
         assert code == 0
         assert json.loads(target.read_text())["rows"]
 
+    def test_object_store_registry_round_trip(self, capsys, tmp_path):
+        from repro.distrib.objectstore import serve_in_thread
+
+        server, _thread = serve_in_thread()
+        try:
+            url = server.url("campaign")
+            argv = (
+                "suite", "--networks", "vgg16", "--schemes", "cocco,sa",
+                "--scale", "tiny", "--registry", url,
+            )
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert "0 failed" in out
+            assert f"merged report: {url}/report.json" in out
+            stored = server.store.get("report.json")
+            assert stored is not None
+            report = json.loads(stored[0])
+            assert len(report["rows"]) == 2
+
+            target = tmp_path / "merged.json"
+            code, out = run_cli(
+                capsys, *argv, "--report-only", "--export", str(target)
+            )
+            assert code == 0
+            assert json.loads(target.read_text())["rows"] == report["rows"]
+
+            code, out = run_cli(capsys, *argv, "--status", "--format", "json")
+            assert code == 0
+            assert json.loads(out)["states"] == {"complete": 2}
+        finally:
+            server.shutdown()
+
 
 class TestSuiteBudgetAndGc:
     def test_budgeted_campaign_exits_nonzero_when_exhausted(

@@ -181,6 +181,18 @@ class TestClaimable:
         pairs = claimable_cells(cells, 60, progress)
         assert pairs == [(cells[1], 30)]
 
+    def test_unfinished_atomic_cell_stays_claimable_past_its_cap(self):
+        # An nsga checkpoint may count more than the cell's allocation,
+        # but the cell only spends by running whole: it keeps its round
+        # open instead of reading as exhausted.
+        cells = [FakeCell("a", scheme="nsga"), FakeCell("b")]
+        progress = {cells[0].key: running(8), cells[1].key: running(5)}
+        view = compute_allocations(cells, 10, progress)
+        assert view.exhausted == frozenset({cells[1].key})
+        assert not view.out_of_budget
+        assert claimable_cells(cells, 10, progress) == [(cells[0], 5)]
+        assert not campaign_finished(cells, 10, progress)
+
     def test_zero_allocation_cells_not_claimable(self):
         cells = [FakeCell(n) for n in "abc"]
         progress = {c.key: running() for c in cells}

@@ -50,7 +50,7 @@ class TestAcquire:
         info = read_lease(node)
         assert info.owner == "w1"
         assert info.nonce == lease.nonce
-        assert not info.is_expired(clock=clock)
+        assert not info.is_expired(clock())
 
     def test_creates_run_dir(self, run_dir, node):
         assert not run_dir.exists()
@@ -96,10 +96,11 @@ class TestAcquire:
 
 
 class TestRenewRelease:
-    def test_renew_updates_heartbeat(self, node):
-        lease = try_acquire_lease(node, "w1", ttl=30)
+    def test_renew_updates_heartbeat(self, node, clock):
+        lease = try_acquire_lease(node, "w1", ttl=30, clock=clock)
         before = read_lease(node).heartbeat
-        assert renew_lease(lease, now=before + 5)
+        clock.advance(5)
+        assert renew_lease(lease, clock=clock)
         assert read_lease(node).heartbeat == before + 5
 
     def test_renew_fails_after_steal(self, node, clock):
@@ -147,8 +148,8 @@ class TestHeartbeat:
         lease = try_acquire_lease(node, "w1", ttl=0.4)
         with Heartbeat(lease, interval=0.05):
             time.sleep(0.6)  # > ttl: would expire without the thread
-            assert not read_lease(node).is_expired()
-        assert not read_lease(node).is_expired()
+            assert not read_lease(node).is_expired(time.time())
+        assert not read_lease(node).is_expired(time.time())
 
     def test_thread_stamps_with_injected_clock(self, node):
         clock = FakeClock(now=5_000.0)

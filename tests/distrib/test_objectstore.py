@@ -3,14 +3,16 @@
 The conformance suite (:mod:`tests.distrib.test_transport_conformance`)
 proves the transport contract; this module pins the pieces *under* it:
 the in-memory store's conditional semantics, the HTTP protocol surface
-(status codes, ETag quoting, 412 on failed preconditions, server-side
-copy), URL parsing, and the staged-write litter story. These are the
-behaviors a real S3 endpoint would have to match for cloud campaigns.
+(status codes, ETag quoting, 412 on failed preconditions, 400 on a
+truncated body), URL parsing, and the one-PUT atomic write. These are
+the behaviors a real S3 endpoint would have to match for cloud
+campaigns.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -51,13 +53,6 @@ class TestObjectStore:
         store = ObjectStore()
         with pytest.raises(PreconditionFailed):
             store.put("ghost", b"x", if_match="whatever")
-
-    def test_copy_is_server_side(self):
-        store = ObjectStore()
-        etag = store.put("src", b"payload")
-        assert store.copy("src", "dst") == etag
-        assert store.get("dst") == (b"payload", etag)
-        assert store.copy("ghost", "dst2") is None
 
     def test_list_is_sorted_and_prefix_bounded(self):
         store = ObjectStore()
@@ -106,11 +101,41 @@ class TestHttpServer:
         assert client.delete("k", if_match=etag)
         assert client.get("k") is None
 
-    def test_server_side_copy_header(self, served):
+    def test_truncated_put_keeps_the_previous_value(self, served):
+        # A writer that dies mid-upload sends fewer bytes than its
+        # Content-Length and hangs up; S3 stores nothing in that case.
         client = self._client(served)
-        etag = client.put("src", b"payload")
-        assert client.copy("src", "dst") == etag
-        assert client.get("dst") == (b"payload", etag)
+        before = b'{"generation": 0}\n{"generation": 1}\n'
+        etag = client.put("run/history.jsonl", before)
+        host, port = served.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"PUT /bucket/run/history.jsonl HTTP/1.1\r\n"
+                b"Host: localhost\r\nContent-Length: 100\r\n\r\n"
+                b'{"generati'
+            )
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert client.get("run/history.jsonl") == (before, etag)
+
+    def test_write_atomic_is_one_request(self, served):
+        transport = ObjectStoreTransport.from_url(served.url("bucket"))
+        requests: list[tuple[str, str]] = []
+        send = transport.store._request
+
+        def counting(method, key, *args, **kwargs):
+            requests.append((method, key))
+            return send(method, key, *args, **kwargs)
+
+        transport.store._request = counting
+        transport.write_atomic("run/result.json", "{}")
+        assert requests == [("PUT", "run/result.json")]
+        keys = [key for key, _size, _etag in served.store.list("")]
+        assert keys == ["run/result.json"]
+        assert transport.read_text("run/result.json") == "{}"
 
     def test_listing_over_the_wire(self, served):
         client = self._client(served)
@@ -139,31 +164,12 @@ class TestTransportSpecifics:
         with pytest.raises(ConfigError):
             resolve_transport("ftp://127.0.0.1:9000/bucket")
 
-    def test_staged_write_leaves_only_recognized_litter(self):
-        store = ObjectStore()
-        transport = ObjectStoreTransport(store)
-
-        captured: list[str] = []
-        original_copy = store.copy
-
-        def observing_copy(src: str, dst: str):
-            captured.append(src)
-            return original_copy(src, dst)
-
-        store.copy = observing_copy
-        transport.write_atomic("run/result.json", "{}")
-        assert len(captured) == 1
-        staging = captured[0]
-        assert ".tmp-" in staging
-        # the staging object was deleted after promotion
-        assert store.get(staging) is None
-        assert transport.litter("run") == []
-
     def test_interrupted_staged_write_is_litter(self):
         store = ObjectStore()
         transport = ObjectStoreTransport(store)
-        # a writer killed between stage and copy leaves the staging
-        # object behind; it must be recognized litter, not an artifact
+        # registries written by older versions, which staged atomic
+        # writes under ".tmp-" keys, may hold a staging object a killed
+        # writer left behind; it is recognized litter, not an artifact
         store.put("run/result.json.tmp-deadbeef", b"torn")
         assert transport.litter("run") == ["run/result.json.tmp-deadbeef"]
         # the torn staging object never masquerades as the artifact

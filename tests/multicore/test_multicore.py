@@ -1,14 +1,19 @@
 """Multi-core and batch extension (Sec 5.4.2-5.4.3)."""
 
+import random
+
 import pytest
 
 from repro.config import AcceleratorConfig, MemoryConfig
 from repro.errors import ConfigError
+from repro.experiments.common import paper_accelerator
+from repro.graphs.zoo import get_model
 from repro.multicore.crossbar import crossbar_cycles, crossbar_energy_pj
 from repro.multicore.scheduler import MultiCoreEvaluator
 from repro.multicore.weight_sharing import shard_weights
 from repro.partition.partition import Partition
-from repro.units import kb
+from repro.partition.random_init import random_partition
+from repro.units import kb, mb
 
 from ..conftest import build_chain
 
@@ -123,3 +128,24 @@ class TestMultiCoreEvaluator:
         evaluator = make_evaluator(chain, cores=1, shared_kb=1)
         cost = evaluator.subgraph_cost(frozenset(chain.compute_names))
         assert not cost.feasible
+
+
+class TestBatchPricing:
+    """Population batch pricing must price with the multi-core model."""
+
+    @pytest.mark.parametrize("name", ("resnet50", "googlenet"))
+    @pytest.mark.parametrize(
+        "memory",
+        (MemoryConfig.separate(mb(1), kb(1152)), MemoryConfig.shared(kb(512))),
+        ids=("separate", "shared"),
+    )
+    def test_population_matches_serial(self, name, memory):
+        graph = get_model(name)
+        accel = paper_accelerator(memory, num_cores=2)
+        rng = random.Random(7)
+        pops = [random_partition(graph, rng).subgraph_sets for _ in range(6)]
+        serial = MultiCoreEvaluator(graph, accel, batch=2)
+        expected = [serial.summarize(p) for p in pops]
+        batch = MultiCoreEvaluator(graph, accel, batch=2)
+        assert batch.summarize_population(pops) == expected
+        assert batch.num_batch_priced > 0

@@ -141,10 +141,13 @@ def mixed_registry(tmp_path):
     )
 
     # cells[1]: leased, live heartbeat enriched with worker progress.
-    lease = try_acquire_lease(nodes[1], "worker-live", ttl=3600, now=LEASE_TIME)
+    lease_clock = FakeClock(now=LEASE_TIME)
+    lease = try_acquire_lease(nodes[1], "worker-live", ttl=3600, clock=lease_clock)
     assert lease is not None
     assert renew_lease(
-        lease, now=LEASE_TIME, extra={"evals_done": 120, "started_at": 1000.0}
+        lease,
+        clock=lease_clock,
+        extra={"evals_done": 120, "started_at": 1000.0},
     )
     run1 = registry.open_run(
         cells[1].config_dict(), cells[1].seed(MATRIX.seed)
@@ -170,7 +173,9 @@ def mixed_registry(tmp_path):
 
     # cells[2]: leased but expired — its worker is presumed dead. The
     # telemetry stream ends in a torn line (SIGKILL mid-append).
-    stale = try_acquire_lease(nodes[2], "worker-dead", ttl=0.0, now=LEASE_TIME)
+    stale = try_acquire_lease(
+        nodes[2], "worker-dead", ttl=0.0, clock=lease_clock
+    )
     assert stale is not None
     nodes[2].write_atomic(
         TELEMETRY_FILENAME,

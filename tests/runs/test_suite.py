@@ -435,6 +435,26 @@ class TestBudgetedCampaign:
         row = report_rows(outcome)[1]
         assert row[-1] == "failed"
 
+    def test_atomic_cell_resumes_from_a_checkpoint_past_its_cap(self, tmp_path):
+        # nsga runs whole: under budget 10 its generation-0 checkpoint
+        # already records 8 evaluations against an allocation of 5. A
+        # kill after that checkpoint must not leave the cell exhausted.
+        matrix = SuiteMatrix(
+            networks=("googlenet",), schemes=("nsga", "sa"), scale="tiny"
+        )
+        clean = run_suite(matrix, tmp_path / "reg", budget=10)
+        nsga = matrix.cells()[0]
+        node = RunRegistry(tmp_path / "reg").run_node(
+            nsga.config_dict(), nsga.seed(matrix.seed)
+        )
+        assert report_rows(clean)[0][-1] == "complete"
+        assert node.exists("checkpoint.json")
+        node.delete("result.json")
+        resumed = run_suite(matrix, tmp_path / "reg", budget=10)
+        assert resumed.rounds == 1
+        assert nsga.cell_id not in resumed.errors
+        assert report_rows(resumed) == report_rows(clean)
+
 
 # ---------------------------------------------------------------------------
 class TestIslandsCellResume:
