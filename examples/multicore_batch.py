@@ -10,7 +10,14 @@ cores, and sub-linear latency growth with batch size.
 
 import sys
 
-from repro import CapacitySpace, GAConfig, Metric, MultiCoreEvaluator, cocco_co_optimize, get_model
+from repro import (
+    CapacitySpace,
+    Evaluator,
+    GAConfig,
+    Metric,
+    cocco_co_optimize,
+    get_model,
+)
 from repro.experiments.common import paper_accelerator
 from repro.units import ms_from_cycles, to_kb
 
@@ -23,7 +30,7 @@ def main(model_name: str = "googlenet") -> None:
     for cores in (1, 2, 4):
         for batch in (1, 2, 8):
             accel = paper_accelerator(num_cores=cores)
-            evaluator = MultiCoreEvaluator(graph, accel, batch=batch)
+            evaluator = Evaluator(graph, accel, batch=batch)
             outcome = cocco_co_optimize(
                 evaluator,
                 space,

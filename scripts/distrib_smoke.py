@@ -180,7 +180,7 @@ _WORKDIR = Path("distrib-smoke")
 
 def suite_command(root: str, *extra: str, matrix=None) -> list[str]:
     return [
-        sys.executable, "-m", "repro.cli.main", "suite",
+        sys.executable, "-m", "repro", "suite",
         *(matrix or MATRIX_ARGS), "--registry", root, *extra,
     ]
 
@@ -189,7 +189,7 @@ def worker_command(
     root: str, worker_id: str, *extra: str, matrix=None
 ) -> list[str]:
     return [
-        sys.executable, "-m", "repro.cli.main", "worker",
+        sys.executable, "-m", "repro", "worker",
         *(matrix or MATRIX_ARGS), "--registry", root,
         "--worker-id", worker_id, "--ttl", "3", "--poll", "0.1", *extra,
     ]
@@ -500,7 +500,7 @@ def observability_postmortem(
     # export-metrics take the matrix by explicit flags — the same way
     # the workers themselves were launched.
     dash = subprocess.run(
-        [sys.executable, "-m", "repro.cli.main", "dash", "--once",
+        [sys.executable, "-m", "repro", "dash", "--once",
          *BUDGET_MATRIX_ARGS, "--budget", str(BUDGET),
          "--registry", shared.root],
         env=env, capture_output=True, text=True,
@@ -515,7 +515,7 @@ def observability_postmortem(
 
     prefix = workdir / "postmortem"
     export = subprocess.run(
-        [sys.executable, "-m", "repro.cli.main", "export-metrics",
+        [sys.executable, "-m", "repro", "export-metrics",
          *BUDGET_MATRIX_ARGS, "--budget", str(BUDGET),
          "--registry", shared.root, "--out", str(prefix)],
         env=env, capture_output=True, text=True,

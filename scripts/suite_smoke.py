@@ -80,7 +80,7 @@ def suite_command(
 ) -> list[str]:
     budget_args = [] if budget is None else ["--budget", str(budget)]
     return [
-        sys.executable, "-m", "repro.cli.main", "suite",
+        sys.executable, "-m", "repro", "suite",
         *MATRIX_ARGS,
         "--registry", str(registry),
         "--workers", str(workers),

@@ -20,7 +20,8 @@ Public API tour:
   process-pool) shared by every search loop.
 * :mod:`repro.dse` — fixed-hardware, two-step, and co-optimization
   exploration schemes, plus the NSGA-II multi-objective extension.
-* :mod:`repro.multicore` — multi-core / batch extension.
+* :mod:`repro.multicore` — crossbar and weight-sharding models of the
+  multi-core / batch extension (the evaluator prices cores and batch).
 * :mod:`repro.experiments` — regenerates every table and figure of the
   paper's evaluation.
 * :mod:`repro.viz` — ASCII charts and CSV/JSON result export.
@@ -79,7 +80,6 @@ from .parallel import (
 )
 from .mapper import GraphMapping, calibrated_accelerator, map_graph, map_layer
 from .memory import SubgraphTrace, trace_subgraph, validate_trace
-from .multicore import MultiCoreEvaluator
 from .runs import RunRegistry, derive_seed
 
 __version__ = "1.0.0"
@@ -142,7 +142,6 @@ __all__ = [
     "SubgraphTrace",
     "trace_subgraph",
     "validate_trace",
-    "MultiCoreEvaluator",
     "RunRegistry",
     "derive_seed",
     "__version__",

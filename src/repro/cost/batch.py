@@ -16,7 +16,9 @@ and priced as stacked NumPy tensor ops over
   candidates with a single row-bytes x tile-rows matrix product,
 * classes passing the :class:`~repro.execution.tiling_batch.
   LinearTileModel` preconditions skip the candidate scan entirely — the
-  best tile under a separate activation buffer is a closed-form pick.
+  best tile under a separate activation buffer is a closed-form pick, on
+  any core count and batch (a tile fits when each core's ``⌈act/C⌉``
+  share fits its buffer, i.e. when ``act`` fits ``C`` buffers).
 
 Everything the batch layer cannot handle — structure derivation or
 balance validation failing (error messages are per-subgraph), empty
@@ -41,6 +43,7 @@ from ..config import BufferMode, MemoryConfig
 from ..errors import TilingError
 from ..execution.tiling import TilingStructure
 from ..execution.tiling_batch import LinearTileModel, member_max_height, scan_table
+from ..multicore.crossbar import crossbar_cycles, crossbar_energy_pj
 from .ema import SubgraphProfile, _select_options
 from .latency import dram_bytes_per_cycle, effective_macs_per_cycle
 
@@ -128,6 +131,8 @@ def price_population(
     tile_candidates = evaluator.tile_candidates
     compute_rate = effective_macs_per_cycle(accel)
     bytes_per_cycle = dram_bytes_per_cycle(accel)
+    cores = accel.num_cores
+    batch = evaluator.batch
 
     # Requested memory keys per member set (dedup preserves first-seen).
     wanted: dict[frozenset[str], list[tuple]] = {}
@@ -252,11 +257,12 @@ def price_population(
                 separate = memory.mode is BufferMode.SEPARATE
                 if model is not None and separate:
                     # GOMA-style direct solve: closed-form best candidate.
+                    # ``⌈act/C⌉ <= buffer`` exactly when ``act <= buffer·C``.
                     f = foot_slot[members]
                     choice = model.choose(
                         foot_slopes[f],
                         foot_icepts[f],
-                        memory.global_buffer_bytes,
+                        memory.global_buffer_bytes * cores,
                     )
                     if choice < 0:
                         results[(members, mem_key)] = _INFEASIBLE
@@ -270,21 +276,28 @@ def price_population(
                     num_ops = model.kept_ops[choice]
                     weight_bytes = weight_totals[s]
                     cached = _greedy_cached_bytes(
-                        weights_desc, memory.weight_buffer_bytes
+                        weights_desc, memory.weight_buffer_bytes * cores
                     )
-                    weight_ema = cached + (weight_bytes - cached) * num_ops
-                    ema = weight_ema + input_totals[s] + output_totals[s]
-                    macs = mac_totals[s]
+                    weight_ema = cached + (weight_bytes - cached) * num_ops * batch
+                    ema = weight_ema + (input_totals[s] + output_totals[s]) * batch
+                    macs = mac_totals[s] * batch
+                    rotation = weight_bytes * (cores - 1) * batch
                     energy = evaluator._energy_rates(memory).breakdown(
                         ema_bytes=ema,
                         activation_traffic_bytes=2
-                        * (input_totals[s] + act_totals[s]),
+                        * (input_totals[s] + act_totals[s])
+                        * batch,
                         weight_write_bytes=weight_ema,
-                        weight_read_bytes=weight_bytes * num_ops,
+                        weight_read_bytes=weight_bytes * num_ops * batch,
                         macs=macs,
+                        crossbar_pj=crossbar_energy_pj(accel, rotation),
                     ).total_pj
-                    compute = macs / compute_rate
-                    latency = max(compute, ema / bytes_per_cycle)
+                    compute = macs / compute_rate / cores
+                    latency = max(
+                        compute,
+                        ema / bytes_per_cycle / cores,
+                        crossbar_cycles(accel, rotation),
+                    )
                     results[(members, mem_key)] = (True, ema, energy, latency)
                     evaluator.num_batch_direct += 1
                     continue

@@ -69,6 +69,7 @@ class EnergyRates:
         weight_write_bytes: int,
         weight_read_bytes: int,
         macs: int,
+        crossbar_pj: float = 0.0,
     ) -> EnergyBreakdown:
         return EnergyBreakdown(
             dram_pj=ema_bytes * self.dram_pj_per_byte,
@@ -76,6 +77,7 @@ class EnergyRates:
             sram_weight_pj=(weight_write_bytes + weight_read_bytes)
             * self.wgt_pj_per_byte,
             mac_pj=macs * self.mac_pj,
+            crossbar_pj=crossbar_pj,
         )
 
 

@@ -27,6 +27,20 @@ All caches are bounded LRUs so long searches stay within memory, and
 every fast path is bit-identical to the retained reference pipeline in
 :mod:`repro.cost.reference` (enforced by ``tests/cost/``).
 
+Every path prices ``accel.num_cores`` cores running ``batch`` samples
+(Sec 5.4.2-5.4.3; one core and one sample by default). Capacities in a
+:class:`MemoryConfig` are *per core* (Table 3's "size in each core"):
+
+* each core holds ``⌈act / C⌉`` of a tile's activations;
+* weights are sharded, each core caching ``1/C`` of them, so the cores
+  together cache ``C`` budgets' worth; a shard visits every core once
+  per sample, rotating ``W·(C−1)`` bytes per sample over the crossbar;
+* samples run back to back, reusing cached weights: activation traffic,
+  uncached weight re-streams, MACs and rotation scale with the batch,
+  one-time weight loads do not;
+* compute and DRAM time split over the cores (per-core DRAM links
+  aggregate), and the crossbar time bounds latency too.
+
 Setting ``collect_timings=True`` accumulates per-stage wall-clock
 (``profile`` / ``price`` / ``aggregate``) into :attr:`Evaluator.timings`
 for the CLI's ``--profile-timings`` report.
@@ -40,7 +54,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..config import AcceleratorConfig, BufferMode, MemoryConfig
+from ..errors import ConfigError
 from ..graphs.graph import ComputationGraph
+from ..multicore.crossbar import crossbar_cycles, crossbar_energy_pj
 from ..obs import span
 from .bandwidth import BandwidthReport, bandwidth_report
 from .ema import (
@@ -136,19 +152,26 @@ def _memory_key(memory: MemoryConfig) -> tuple:
 
 
 class Evaluator:
-    """Prices subgraphs and partitions of one graph on one accelerator."""
+    """Prices subgraphs and partitions of one graph on one accelerator.
+
+    ``accel.num_cores`` cores process ``batch`` samples per subgraph.
+    """
 
     def __init__(
         self,
         graph: ComputationGraph,
         accel: AcceleratorConfig | None = None,
+        batch: int = 1,
         tile_candidates: tuple[int, ...] = DEFAULT_TILE_CANDIDATES,
         profile_cache_size: int = 100_000,
         cost_cache_size: int = 200_000,
         collect_timings: bool = False,
     ) -> None:
+        if batch < 1:
+            raise ConfigError(f"batch must be >= 1, got {batch}")
         self.graph = graph
         self.accel = accel or AcceleratorConfig()
+        self.batch = batch
         self.tile_candidates = tile_candidates
         self._profiles: OrderedDict[frozenset[str], SubgraphProfile] = OrderedDict()
         self._min_footprints: OrderedDict[frozenset[str], int] = OrderedDict()
@@ -271,8 +294,8 @@ class Evaluator:
 
         Equivalent to ``subgraph_cost(members, memory).feasible`` — a
         subgraph is feasible exactly when its smallest tile option's
-        activation footprint fits the activation capacity — but answered
-        without pricing. In-situ capacity repair probes far more
+        per-core activation share fits the activation capacity — but
+        answered without pricing. In-situ capacity repair probes far more
         candidate sets than ever get priced, so this is its dedicated
         fast path: a cached profile answers directly; otherwise, for
         shape classes with a closed-form direct solve, the minimum
@@ -284,23 +307,23 @@ class Evaluator:
         key = frozenset(members)
         profile = _lru_get(self._profiles, key)
         if profile is not None:
-            return profile.min_activation_bytes <= memory.activation_capacity
-        hit = _lru_get(self._min_acts, key)
-        if hit is None:
-            structure = self._structure(key)
-            model = self._linear_model(structure)
-            if model is None:
-                return (
-                    self.profile(key).min_activation_bytes
-                    <= memory.activation_capacity
-                )
-            arrays = self.graph.arrays(self.accel.bytes_per_element)
-            index = arrays.index
-            row_bytes = [int(arrays.row_bytes[index[n]]) for n in structure.names]
-            hit = model.min_activation_bytes(row_bytes)
-            _lru_put(self._min_acts, key, hit, self._profile_cache_size)
-            self.num_direct_probes += 1
-        return hit <= memory.activation_capacity
+            min_act = profile.min_activation_bytes
+        else:
+            min_act = _lru_get(self._min_acts, key)
+            if min_act is None:
+                structure = self._structure(key)
+                model = self._linear_model(structure)
+                if model is None:
+                    min_act = self.profile(key).min_activation_bytes
+                else:
+                    arrays = self.graph.arrays(self.accel.bytes_per_element)
+                    index = arrays.index
+                    min_act = model.min_activation_bytes(
+                        [int(arrays.row_bytes[index[n]]) for n in structure.names]
+                    )
+                    _lru_put(self._min_acts, key, min_act, self._profile_cache_size)
+                    self.num_direct_probes += 1
+        return -(-min_act // self.accel.num_cores) <= memory.activation_capacity
 
     # ------------------------------------------------------------------
     def subgraph_cost(
@@ -337,34 +360,45 @@ class Evaluator:
 
     def _price(self, profile: SubgraphProfile, memory: MemoryConfig) -> SubgraphCost:
         separate = memory.mode is BufferMode.SEPARATE
+        accel = self.accel
+        cores = accel.num_cores
+        batch = self.batch
         rates = self._energy_rates(memory)
-        compute = profile.macs / effective_macs_per_cycle(self.accel)
-        bytes_per_cycle = dram_bytes_per_cycle(self.accel)
-        activation_traffic = 2 * (
-            profile.input_bytes + profile.member_activation_bytes
+        compute = profile.macs * batch / effective_macs_per_cycle(accel) / cores
+        bytes_per_cycle = dram_bytes_per_cycle(accel)
+        activation_traffic = (
+            2 * (profile.input_bytes + profile.member_activation_bytes) * batch
         )
+        rotation = profile.weight_bytes * (cores - 1) * batch
+        rotation_pj = crossbar_energy_pj(accel, rotation)
+        rotation_cycles = crossbar_cycles(accel, rotation)
         # In separate-buffer mode the weight budget is the same for every
         # tile option, so the greedy selection runs once, not per option.
+        # Each core caches its 1/C shard: the cores cache C budgets.
         if separate:
             fixed_selection = cached_weight_selection(
-                profile.layer_weights, memory.weight_buffer_bytes
+                profile.layer_weights, memory.weight_buffer_bytes * cores
             )
         best: SubgraphCost | None = None
         for option in profile.tile_options:
+            per_core_act = -(-option.activation_bytes // cores)
             if separate:
-                if option.activation_bytes > memory.global_buffer_bytes:
+                if per_core_act > memory.global_buffer_bytes:
                     continue
                 cached_nodes, cached_bytes = fixed_selection
             else:
-                budget = memory.shared_buffer_bytes - option.activation_bytes
+                budget = memory.shared_buffer_bytes - per_core_act
                 if budget < 0:
                     continue
                 cached_nodes, cached_bytes = cached_weight_selection(
-                    profile.layer_weights, budget
+                    profile.layer_weights, budget * cores
                 )
+            # Cached weights load once; uncached ones re-stream per
+            # elementary operation of every sample.
+            streams = option.num_elementary_ops * batch
             uncached = profile.weight_bytes - cached_bytes
-            weight_ema = cached_bytes + uncached * option.num_elementary_ops
-            ema = weight_ema + profile.io_bytes
+            weight_ema = cached_bytes + uncached * streams
+            ema = weight_ema + profile.io_bytes * batch
             if best is not None and ema > best.ema_bytes:
                 continue
             if (
@@ -377,8 +411,9 @@ class Evaluator:
                 ema_bytes=ema,
                 activation_traffic_bytes=activation_traffic,
                 weight_write_bytes=weight_ema,
-                weight_read_bytes=profile.weight_bytes * option.num_elementary_ops,
-                macs=profile.macs,
+                weight_read_bytes=profile.weight_bytes * streams,
+                macs=profile.macs * batch,
+                crossbar_pj=rotation_pj,
             )
             best = SubgraphCost(
                 profile=profile,
@@ -391,7 +426,9 @@ class Evaluator:
                 ema_bytes=ema,
                 energy=energy,
                 compute_cycles=compute,
-                latency_cycles=max(compute, ema / bytes_per_cycle),
+                latency_cycles=max(
+                    compute, ema / bytes_per_cycle / cores, rotation_cycles
+                ),
             )
         if best is not None:
             return best

@@ -21,10 +21,13 @@ This module keeps that implementation alive in two forms:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from ..config import AcceleratorConfig, BufferMode, MemoryConfig
 from ..graphs.graph import ComputationGraph
+from ..multicore.crossbar import crossbar_cycles, crossbar_energy_pj
+from ..multicore.weight_sharing import shard_weights
 from .bandwidth import bandwidth_report
 from .ema import (
     DEFAULT_TILE_CANDIDATES,
@@ -41,31 +44,41 @@ from .evaluator import (
     _lru_get,
     _lru_put,
 )
-from .latency import compute_cycles, subgraph_latency_cycles
+from .latency import compute_cycles, dram_cycles
 
 
 def price_subgraph_reference(
     accel: AcceleratorConfig,
     profile: SubgraphProfile,
     memory: MemoryConfig,
+    batch: int = 1,
 ) -> SubgraphCost:
-    """Original tile-option pricing loop, nothing hoisted or cached."""
+    """Original tile-option pricing loop, nothing hoisted or cached.
+
+    Prices ``accel.num_cores`` cores running ``batch`` samples: per-core
+    activation shares, sharded weight caching with crossbar rotation,
+    and batch-scaled traffic (see :mod:`repro.cost.evaluator`).
+    """
+    cores = accel.num_cores
+    shard = shard_weights(profile.weight_bytes, cores)
     best: SubgraphCost | None = None
     for option in profile.tile_options:
+        per_core_act = -(-option.activation_bytes // cores)
         if memory.mode is BufferMode.SEPARATE:
-            if option.activation_bytes > memory.global_buffer_bytes:
+            if per_core_act > memory.global_buffer_bytes:
                 continue
-            budget = memory.weight_buffer_bytes
+            per_core_budget = memory.weight_buffer_bytes
         else:
-            budget = memory.shared_buffer_bytes - option.activation_bytes
-            if budget < 0:
+            per_core_budget = memory.shared_buffer_bytes - per_core_act
+            if per_core_budget < 0:
                 continue
+        # Sharding multiplies the effective cache: each core holds 1/C.
         cached_nodes, cached_bytes = cached_weight_selection(
-            profile.layer_weights, budget
+            profile.layer_weights, per_core_budget * cores
         )
         uncached = profile.weight_bytes - cached_bytes
-        weight_ema = cached_bytes + uncached * option.num_elementary_ops
-        ema = weight_ema + profile.io_bytes
+        weight_ema = cached_bytes + uncached * option.num_elementary_ops * batch
+        ema = weight_ema + profile.io_bytes * batch
         if best is not None and ema > best.ema_bytes:
             continue
         if (
@@ -74,16 +87,22 @@ def price_subgraph_reference(
             and option.tile_rows <= best.tile_rows
         ):
             continue
+        rotation = shard.rotation_bytes_per_sample * batch
         energy = subgraph_energy(
             accel,
             memory,
             ema_bytes=ema,
             activation_traffic_bytes=2
-            * (profile.input_bytes + profile.member_activation_bytes),
+            * (profile.input_bytes + profile.member_activation_bytes)
+            * batch,
             weight_write_bytes=weight_ema,
-            weight_read_bytes=profile.weight_bytes * option.num_elementary_ops,
-            macs=profile.macs,
+            weight_read_bytes=profile.weight_bytes
+            * option.num_elementary_ops
+            * batch,
+            macs=profile.macs * batch,
         )
+        energy = replace(energy, crossbar_pj=crossbar_energy_pj(accel, rotation))
+        compute = compute_cycles(accel, profile.macs * batch) / cores
         best = SubgraphCost(
             profile=profile,
             feasible=True,
@@ -94,8 +113,12 @@ def price_subgraph_reference(
             weight_ema_bytes=weight_ema,
             ema_bytes=ema,
             energy=energy,
-            compute_cycles=compute_cycles(accel, profile.macs),
-            latency_cycles=subgraph_latency_cycles(accel, profile.macs, ema),
+            compute_cycles=compute,
+            latency_cycles=max(
+                compute,
+                dram_cycles(accel, ema) / cores,
+                crossbar_cycles(accel, rotation),
+            ),
         )
     if best is not None:
         return best
@@ -109,7 +132,7 @@ def price_subgraph_reference(
         weight_ema_bytes=0,
         ema_bytes=int(1e18),
         energy=None,
-        compute_cycles=compute_cycles(accel, profile.macs),
+        compute_cycles=compute_cycles(accel, profile.macs * batch) / cores,
         latency_cycles=float("inf"),
     )
 
@@ -120,6 +143,7 @@ def evaluate_partition_reference(
     subgraph_sets: Sequence[frozenset[str]],
     memory: MemoryConfig | None = None,
     tile_candidates: tuple[int, ...] = DEFAULT_TILE_CANDIDATES,
+    batch: int = 1,
 ) -> PartitionCost:
     """Cache-free partition pricing with the original generator sums."""
     memory = memory or accel.memory
@@ -133,6 +157,7 @@ def evaluate_partition_reference(
                 tile_candidates=tile_candidates,
             ),
             memory,
+            batch,
         )
         for members in subgraph_sets
     ]
@@ -181,7 +206,7 @@ class ReferenceEvaluator(Evaluator):
         return profile
 
     def _price(self, profile: SubgraphProfile, memory: MemoryConfig) -> SubgraphCost:
-        return price_subgraph_reference(self.accel, profile, memory)
+        return price_subgraph_reference(self.accel, profile, memory, self.batch)
 
     def feasible(
         self, members: Iterable[str], memory: MemoryConfig | None = None

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
+from ..runs.registry import RunHandle, RunRegistry
 from ..runs.suite import CAPPED_SCHEMES
 
 
@@ -74,20 +74,21 @@ def cell_progress(
             result=result,
         )
     evaluations = 0
-    node = registry.run_node(config, seed)
-    if node.exists(CHECKPOINT_FILENAME):
-        try:
-            state = registry.load(config, seed).load_checkpoint()
+    handle = RunHandle(registry.run_node(config, seed), config)
+    try:
+        # One read, ``None`` when the cell never checkpointed.
+        state = handle.load_checkpoint()
+        if state is not None:
             evaluations = int(state.get("evaluations", 0))
-        except Exception:
-            # Half-written by a dying writer, or not a checkpoint object
-            # at all: counts as no checkpoint.
-            pass
+    except Exception:
+        # Half-written by a dying writer, or not a checkpoint object
+        # at all: counts as no checkpoint.
+        pass
     if registry.has_error(config, seed):
         # A failed cell still durably *spent* whatever its checkpoint
         # recorded before the error; refunding those samples would let
         # the campaign exceed its budget.
-        stored = registry.load(config, seed).load_error() or {}
+        stored = handle.load_error() or {}
         return CellProgress(
             complete=False,
             failed=True,

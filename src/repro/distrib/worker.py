@@ -8,7 +8,8 @@ and loops:
    cell complete/failed, or the sample budget is spent);
 2. claim the first claimable cell in matrix order — free cells via
    atomic lease creation, dead workers' cells by stealing their expired
-   leases;
+   leases — and re-probe it under the lease: a cell a peer finished
+   since step 1 is released untouched and the next one tried;
 3. execute the cell through :func:`repro.runs.suite.run_cell` under a
    heartbeat thread: checkpoints stream per generation/step/island/
    candidate exactly as in local mode, so a cell of *any* scheme
@@ -36,7 +37,7 @@ from ..obs import TelemetrySink
 from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
 from ..runs.suite import SuiteCellTask, SuiteMatrix, matrix_from_dict
 from ..viz.campaign import tail_jsonl_node
-from .budget import campaign_finished, campaign_progress, claimable_cells
+from .budget import campaign_finished, campaign_progress, cell_progress, claimable_cells
 from .clock import Clock
 from .lease import Heartbeat, release_lease, try_acquire_lease
 
@@ -125,14 +126,22 @@ def run_worker(
             return summary
         claimed = None
         for cell, cap in claimable_cells(cells, budget, progress):
-            node = registry.run_node(cell.config_dict(), cell.seed(matrix.seed))
+            cell_config, cell_seed = cell.config_dict(), cell.seed(matrix.seed)
+            node = registry.run_node(cell_config, cell_seed)
             lease = try_acquire_lease(
                 node, config.worker_id, config.lease_ttl,
                 clock=config.clock,
             )
-            if lease is not None:
-                claimed = (cell, cap, lease, node)
-                break
+            if lease is None:
+                continue
+            # A peer may have finished the cell since ``progress`` was
+            # probed; running it again would only re-read its result.
+            state = cell_progress(registry, cell_config, cell_seed)
+            if state.complete or state.failed:
+                release_lease(lease)
+                continue
+            claimed = (cell, cap, lease, node)
+            break
         if claimed is None:
             now = config.clock()
             if idle_since is None:

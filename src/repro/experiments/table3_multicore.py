@@ -10,10 +10,10 @@ scales sub-linearly thanks to inter-sample weight reuse.
 
 from __future__ import annotations
 
+from ..cost.evaluator import Evaluator
 from ..cost.objective import Metric
 from ..dse.cocco import cocco_co_optimize
 from ..graphs.zoo import get_model
-from ..multicore.scheduler import MultiCoreEvaluator
 from ..search_space import CapacitySpace
 from ..units import ms_from_cycles, to_kb
 from .common import CORE_MODELS, DEFAULT_SCALE, Scale, derive_seed, paper_accelerator
@@ -42,7 +42,7 @@ def run(
         for cores in core_counts:
             for batch in batch_sizes:
                 accel = paper_accelerator(num_cores=cores)
-                evaluator = MultiCoreEvaluator(graph, accel, batch=batch)
+                evaluator = Evaluator(graph, accel, batch=batch)
                 # Stable per-cell stream: (campaign seed, model, cores,
                 # batch). The old ``seed + cores*10 + batch`` collided
                 # across cells and shifted when the matrix changed.

@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import SearchError
-from ..parallel.backend import EvaluationBackend
 from .engine import GAResult, RngState, SampleRecord
 from .genome import Genome
 from .mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
@@ -82,7 +81,6 @@ def simulated_annealing(
     problem: OptimizationProblem,
     config: SAConfig | None = None,
     initial: Genome | None = None,
-    backend: EvaluationBackend | None = None,
     on_step=None,
     resume_from: SACheckpoint | None = None,
     max_evaluations: int | None = None,
@@ -90,11 +88,8 @@ def simulated_annealing(
     """Run SA and return the result in the shared :class:`GAResult` shape.
 
     The Metropolis chain is inherently sequential — each step's candidate
-    depends on the previous accept — so a one-genome batch is the largest
-    evaluation SA can fan out. The ``backend`` parameter exists so a
-    shared backend's merged cache statistics stay consistent when SA runs
-    alongside the population methods; results are identical for any
-    backend, and the serial default is the sensible choice.
+    depends on the previous accept — so it scores one genome per step,
+    in process.
 
     ``on_step`` (when given) receives an :class:`SACheckpoint` after the
     initial evaluation (step 0), every ``config.checkpoint_interval``
@@ -129,7 +124,7 @@ def simulated_annealing(
     else:
         current = initial if initial is not None else problem.random_genome(rng)
         current = problem.repair(current)
-        current_cost = problem.cost_batch([current], backend)[0]
+        current_cost = problem.cost(current)
         best, best_cost = current, current_cost
         evaluations = 1
         history = [(1, best_cost)]
@@ -170,7 +165,7 @@ def simulated_annealing(
         if problem.space is not None and rng.random() < config.dse_mutation_rate:
             candidate = mutate_dse(candidate, rng, problem.space)
         candidate = problem.repair(candidate)
-        candidate_cost = problem.cost_batch([candidate], backend)[0]
+        candidate_cost = problem.cost(candidate)
         evaluations += 1
         if config.record_samples:
             samples.append(

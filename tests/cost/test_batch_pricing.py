@@ -2,10 +2,10 @@
 
 ``summarize_population`` / ``prime_summaries`` must be invisible except
 for speed: identical summaries to serial ``summarize`` (and the naive
-reference), identical error behaviour, and summary/warm-state caches in
-the same logical state afterwards. The LRU regression test pins the
-satellite fix: summary-cache hits now refresh recency, so hot entries
-are no longer the first evicted.
+reference) on any core count and batch, identical error behaviour, and
+summary/warm-state caches in the same logical state afterwards. The LRU
+regression test pins that summary-cache hits refresh recency, so hot
+entries are not the first evicted.
 """
 
 from __future__ import annotations
@@ -32,11 +32,19 @@ MEMORIES = (
     MemoryConfig.shared(kb(32)),
 )
 
+#: Per buffer mode, a roomy buffer and one too small for one core to
+#: hold the larger zoo subgraphs (their per-core shares on 2 or 4 cores
+#: fit).
+MODE_MEMORIES = {"separate": MEMORIES[:2], "shared": MEMORIES[2:]}
 
-def _population(graph, seed: int, count: int = 8):
+#: ``(num_cores, batch)`` points every pricing path must agree on.
+CORES_BATCH = ((1, 1), (2, 2), (4, 8))
+
+
+def _population(graph, seed: int, count: int = 8, memories=MEMORIES):
     rng = random.Random(seed)
     pops = [random_partition(graph, rng).subgraph_sets for _ in range(count)]
-    mems = [MEMORIES[i % len(MEMORIES)] for i in range(count)]
+    mems = [memories[i % len(memories)] for i in range(count)]
     return pops, mems
 
 
@@ -52,6 +60,29 @@ class TestPopulationIdentity:
         assert batch.summarize_population(pops, mems) == expected
         assert batch.num_batch_priced > 0
         assert batch.num_batch_direct > 0  # the closed form actually fires
+
+    @pytest.mark.parametrize("cores,batch", CORES_BATCH)
+    @pytest.mark.parametrize("name", ("resnet50", "googlenet"))
+    @pytest.mark.parametrize("mode", tuple(MODE_MEMORIES))
+    def test_cores_and_batch_match_reference(self, mode, name, cores, batch):
+        """Batch, serial and naive pricing agree on every core count.
+
+        Separate-buffer keys take the direct solve, shared ones the
+        scan, so both batch paths price cores and batch.
+        """
+        graph = get_model(name)
+        accel = paper_accelerator(num_cores=cores)
+        pops, mems = _population(
+            graph, seed=7, count=6, memories=MODE_MEMORIES[mode]
+        )
+        reference = ReferenceEvaluator(graph, accel, batch=batch)
+        expected = [reference.summarize(p, m) for p, m in zip(pops, mems)]
+        serial = Evaluator(graph, accel, batch=batch)
+        assert [serial.summarize(p, m) for p, m in zip(pops, mems)] == expected
+        batched = Evaluator(graph, accel, batch=batch)
+        assert batched.summarize_population(pops, mems) == expected
+        assert batched.num_batch_priced > 0
+        assert (batched.num_batch_direct > 0) == (mode == "separate")
 
     def test_zoo_population_matches_reference(self):
         graph = get_model("mobilenet_v2")

@@ -4,7 +4,7 @@ Property-style randomized checks that the optimized evaluation pipeline
 (single-pass profiling, hoisted pricing, incremental summaries) produces
 *bit-identical* results to the retained reference implementation in
 :mod:`repro.cost.reference`, across random graphs, random partitions,
-and a spread of memory configurations.
+a spread of memory configurations, and core counts and batch sizes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,14 @@ MEMORIES = (
     MemoryConfig.separate(kb(64), kb(64)),
     MemoryConfig.shared(kb(512)),
     MemoryConfig.shared(kb(32)),
+    # Too small for one core to hold most random-DAG subgraphs, while
+    # the per-core shares of a four-core split fit.
+    MemoryConfig.separate(512, 256),
+    MemoryConfig.shared(512),
 )
+
+#: ``(num_cores, batch)`` points every pricing path must agree on.
+CORES_BATCH = ((1, 1), (2, 2), (4, 8))
 
 
 class TestProfileEquivalence:
@@ -60,20 +67,21 @@ class TestProfileEquivalence:
 
 
 class TestPartitionCostEquivalence:
+    @pytest.mark.parametrize("cores,batch", CORES_BATCH)
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_partitions_bit_identical(self, seed):
+    def test_random_partitions_bit_identical(self, seed, cores, batch):
         graph = build_random_dag(seed + 20, num_layers=14)
-        accel = paper_accelerator()
-        evaluator = Evaluator(graph, accel)
+        accel = paper_accelerator(num_cores=cores)
+        evaluator = Evaluator(graph, accel, batch=batch)
         rng = random.Random(seed)
         for _ in range(2):
             partition = random_partition(graph, rng)
-            memory = MEMORIES[rng.randrange(len(MEMORIES))]
-            fast = evaluator.evaluate(partition.subgraph_sets, memory)
-            reference = evaluate_partition_reference(
-                graph, accel, partition.subgraph_sets, memory
-            )
-            assert fast == reference
+            for memory in MEMORIES:
+                fast = evaluator.evaluate(partition.subgraph_sets, memory)
+                reference = evaluate_partition_reference(
+                    graph, accel, partition.subgraph_sets, memory, batch=batch
+                )
+                assert fast == reference
 
     def test_zoo_model_bit_identical(self):
         graph = get_model("mobilenet_v2")
@@ -120,17 +128,25 @@ class TestSummaryEquivalence:
 
 
 class TestFeasibilityFastPath:
+    @pytest.mark.parametrize("cores,batch", CORES_BATCH)
     @pytest.mark.parametrize("seed", range(5))
-    def test_feasible_matches_priced_feasibility(self, seed):
+    def test_feasible_matches_priced_feasibility(self, seed, cores, batch):
         graph = build_random_dag(seed + 60, num_layers=12)
-        evaluator = Evaluator(graph, paper_accelerator())
+        evaluator = Evaluator(graph, paper_accelerator(num_cores=cores), batch=batch)
         rng = random.Random(seed)
-        partition = random_partition(graph, rng)
-        for memory in MEMORIES:
-            for members in partition.subgraph_sets:
-                assert evaluator.feasible(members, memory) == (
-                    evaluator.subgraph_cost(members, memory).feasible
-                )
+        sets = random_partition(graph, rng).subgraph_sets
+        # Every tier answers: a cold probe takes the direct solve's
+        # footprint (or a profile), a repeat reads the footprint cache,
+        # and a probe after pricing reads the profile.
+        probes = [[evaluator.feasible(m, memory) for m in sets] for memory in MEMORIES]
+        assert probes == [
+            [evaluator.feasible(m, memory) for m in sets] for memory in MEMORIES
+        ]
+        for memory, probed in zip(MEMORIES, probes):
+            for members, verdict in zip(sets, probed):
+                priced = evaluator.subgraph_cost(members, memory).feasible
+                assert verdict == priced
+                assert evaluator.feasible(members, memory) == priced
 
 
 class TestReferenceEvaluatorParity:

@@ -17,6 +17,7 @@ from repro.distrib.budget import (
 )
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import CAPPED_SCHEMES
+from repro.runs.transport import FsTransport
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,31 @@ class TestCellProgress:
         assert cell_progress(registry, config, 5) == running(7)
         run.save_checkpoint([])
         assert cell_progress(registry, config, 5) == running(0)
+
+    def test_checkpointed_cell_costs_two_probes_and_one_read(self, tmp_path):
+        """The checkpoint is read once, with no existence probe before."""
+
+        class CountingFs(FsTransport):
+            def __init__(self, root):
+                super().__init__(root)
+                self.probes = self.reads = 0
+
+            def exists(self, key):
+                self.probes += 1
+                return super().exists(key)
+
+            def read_text(self, key):
+                self.reads += 1
+                return super().read_text(key)
+
+        transport = CountingFs(tmp_path)
+        registry = RunRegistry(tmp_path, transport=transport)
+        config = {"network": "vgg16", "scheme": "cocco"}
+        registry.open_run(config, 5).save_checkpoint({"evaluations": 7})
+        transport.probes = transport.reads = 0
+        assert cell_progress(registry, config, 5) == running(7)
+        # Result probe, checkpoint read, error probe.
+        assert (transport.probes, transport.reads) == (2, 1)
 
 
 class TestPathIndependenceProperty:

@@ -26,6 +26,7 @@ from repro.cost.evaluator import Evaluator
 from repro.cost.objective import Metric
 from repro.experiments.common import SCALES
 from repro.graphs.zoo import get_model
+from repro.obs import TELEMETRY_FILENAME
 from repro.runs.checkpoint import ga_checkpoint_to_dict
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import (
@@ -134,6 +135,42 @@ class TestSingleWorker:
         assert summary.cells_resumed >= 1
         rows = merged_report(MATRIX, registry).rows
         assert rows == clean_rows
+
+
+class TestStaleProgress:
+    """A cell a peer finished after the worker's progress probe."""
+
+    def test_claimed_cell_finished_since_the_probe_is_released_unrun(
+        self, tmp_path, monkeypatch
+    ):
+        matrix = SuiteMatrix(
+            networks=("vgg16",), schemes=("cocco",), scale="tiny", seed=0
+        )
+        registry = RunRegistry(tmp_path / "reg")
+        (cell,) = matrix.cells()
+        # The worker's first probe predates the peer's completion.
+        stale = campaign_progress(registry, matrix.cells(), matrix.seed)
+        run_suite(matrix, tmp_path / "reg")
+        probes = [stale]
+
+        def probe(*args):
+            return probes.pop() if probes else campaign_progress(*args)
+
+        monkeypatch.setattr("repro.distrib.worker.campaign_progress", probe)
+        fake = FakeClock()
+        summary = run_worker(
+            matrix,
+            tmp_path / "reg",
+            WorkerConfig(
+                worker_id="late", poll_interval=0.02, clock=fake, sleep=fake.sleep
+            ),
+        )
+        assert not probes  # the stale map was served
+        assert (summary.cells_run, summary.cells_completed) == (0, 0)
+        assert summary.cells_resumed == 0
+        node = registry.run_node(cell.config_dict(), cell.seed(matrix.seed))
+        assert read_lease(node) is None
+        assert '"lease.claim"' not in node.read_text(TELEMETRY_FILENAME)
 
 
 class TestIdleGiveUp:

@@ -8,7 +8,6 @@ from repro.cost.objective import Metric
 from repro.dse.cocco import cocco_co_optimize, cocco_partition_only
 from repro.ga.engine import GAConfig
 from repro.graphs.zoo import get_model
-from repro.multicore.scheduler import MultiCoreEvaluator
 from repro.partition.greedy import greedy_partition
 from repro.partition.partition import Partition
 from repro.partition.validity import check_partition
@@ -83,7 +82,7 @@ class TestMultiCorePipeline:
     def test_co_opt_on_two_cores(self):
         graph = get_model("randwire_a")
         accel = AcceleratorConfig(num_cores=2)
-        evaluator = MultiCoreEvaluator(graph, accel, batch=2)
+        evaluator = Evaluator(graph, accel, batch=2)
         result = cocco_co_optimize(
             evaluator,
             CapacitySpace.paper_shared(),

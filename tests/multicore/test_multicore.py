@@ -1,19 +1,18 @@
-"""Multi-core and batch extension (Sec 5.4.2-5.4.3)."""
+"""Multi-core and batch extension (Sec 5.4.2-5.4.3).
 
-import random
+Batch pricing on cores and batch is pinned against the reference in
+``tests/cost/test_batch_pricing.py`` (``TestPopulationIdentity``).
+"""
 
 import pytest
 
 from repro.config import AcceleratorConfig, MemoryConfig
+from repro.cost.evaluator import Evaluator
 from repro.errors import ConfigError
-from repro.experiments.common import paper_accelerator
-from repro.graphs.zoo import get_model
 from repro.multicore.crossbar import crossbar_cycles, crossbar_energy_pj
-from repro.multicore.scheduler import MultiCoreEvaluator
 from repro.multicore.weight_sharing import shard_weights
 from repro.partition.partition import Partition
-from repro.partition.random_init import random_partition
-from repro.units import kb, mb
+from repro.units import kb
 
 from ..conftest import build_chain
 
@@ -27,7 +26,7 @@ def make_evaluator(chain, cores=1, batch=1, shared_kb=256):
     accel = AcceleratorConfig(
         memory=MemoryConfig.shared(kb(shared_kb)), num_cores=cores
     )
-    return MultiCoreEvaluator(chain, accel, batch=batch)
+    return Evaluator(chain, accel, batch=batch)
 
 
 class TestWeightSharding:
@@ -114,9 +113,25 @@ class TestMultiCoreEvaluator:
         accel = AcceleratorConfig(
             memory=MemoryConfig.shared(kb(256)), dram_bandwidth=0.1e9
         )
-        b1 = MultiCoreEvaluator(chain, accel, batch=1).subgraph_cost(members)
-        b8 = MultiCoreEvaluator(chain, accel, batch=8).subgraph_cost(members)
+        b1 = Evaluator(chain, accel, batch=1).subgraph_cost(members)
+        b8 = Evaluator(chain, accel, batch=8).subgraph_cost(members)
         assert b8.latency_cycles < 8 * b1.latency_cycles
+
+    def test_accelerator_core_count_prices_per_core(self, chain):
+        """A plain ``Evaluator`` reads ``num_cores`` from its accelerator."""
+        members = frozenset(chain.compute_names)
+        memory = MemoryConfig.shared(kb(256))
+        one = Evaluator(chain, AcceleratorConfig(memory=memory))
+        two = Evaluator(chain, AcceleratorConfig(memory=memory, num_cores=2))
+        single, split = one.subgraph_cost(members), two.subgraph_cost(members)
+        assert split.compute_cycles == single.compute_cycles / 2
+        rotation = single.profile.weight_bytes  # W * (C - 1) at C = 2
+        assert split.energy.crossbar_pj == rotation * two.accel.crossbar_pj_per_byte
+        # A buffer one core's footprint overflows holds each core's half.
+        tight = MemoryConfig.shared(single.profile.min_activation_bytes - 1)
+        assert not one.feasible(members, tight)
+        assert two.feasible(members, tight)
+        assert two.subgraph_cost(members, tight).feasible
 
     def test_partition_evaluation_works(self, chain):
         evaluator = make_evaluator(chain, cores=2, batch=2)
@@ -128,24 +143,3 @@ class TestMultiCoreEvaluator:
         evaluator = make_evaluator(chain, cores=1, shared_kb=1)
         cost = evaluator.subgraph_cost(frozenset(chain.compute_names))
         assert not cost.feasible
-
-
-class TestBatchPricing:
-    """Population batch pricing must price with the multi-core model."""
-
-    @pytest.mark.parametrize("name", ("resnet50", "googlenet"))
-    @pytest.mark.parametrize(
-        "memory",
-        (MemoryConfig.separate(mb(1), kb(1152)), MemoryConfig.shared(kb(512))),
-        ids=("separate", "shared"),
-    )
-    def test_population_matches_serial(self, name, memory):
-        graph = get_model(name)
-        accel = paper_accelerator(memory, num_cores=2)
-        rng = random.Random(7)
-        pops = [random_partition(graph, rng).subgraph_sets for _ in range(6)]
-        serial = MultiCoreEvaluator(graph, accel, batch=2)
-        expected = [serial.summarize(p) for p in pops]
-        batch = MultiCoreEvaluator(graph, accel, batch=2)
-        assert batch.summarize_population(pops) == expected
-        assert batch.num_batch_priced > 0

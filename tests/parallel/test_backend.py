@@ -16,7 +16,6 @@ from repro.cost.evaluator import Evaluator
 from repro.cost.objective import Metric
 from repro.errors import ConfigError, SearchError
 from repro.dse.nsga import NSGAConfig, nsga2_co_optimize
-from repro.ga.annealing import SAConfig, simulated_annealing
 from repro.ga.engine import GAConfig, GeneticEngine
 from repro.ga.islands import IslandConfig, island_search
 from repro.ga.problem import OptimizationProblem
@@ -302,13 +301,3 @@ class TestOtherLoops:
         assert parallel.best_cost == serial.best_cost
         assert parallel.best_genome == serial.best_genome
         assert parallel.num_evaluations == serial.num_evaluations
-
-    def test_sa_backend_changes_nothing(self, chain):
-        config = SAConfig(steps=40, seed=13)
-        plain = simulated_annealing(make_problem(chain), config)
-        with_backend = simulated_annealing(
-            make_problem(chain), config, backend=SerialBackend()
-        )
-        assert with_backend.best_cost == plain.best_cost
-        assert with_backend.best_genome == plain.best_genome
-        assert with_backend.history == plain.history
