@@ -38,8 +38,10 @@ speedup is enforced in the full configuration)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
+import statistics
 import sys
 import time
 
@@ -67,6 +69,9 @@ REGRESSION_TOLERANCE = 2.0
 #: Telemetry (sink active, events streaming to disk) may slow the
 #: generation loop by at most this fraction.
 TELEMETRY_OVERHEAD_CEILING = 0.05
+#: Enabled/disabled run pairs the telemetry overhead is the median of:
+#: even, so that each side goes first equally often.
+TELEMETRY_PAIRS = 40
 
 _PRICE_MEMORIES = (
     MemoryConfig.separate(mb(1), kb(1152)),
@@ -338,9 +343,7 @@ def stage_generations(
     }
 
 
-def stage_telemetry(
-    graph, accel, population: int, generations: int, seed: int, reps: int
-) -> dict:
+def stage_telemetry(graph, accel, population: int, generations: int, seed: int) -> dict:
     """Telemetry overhead: the generation loop with the sink on vs off.
 
     Runs the same short GA twice — once with an active
@@ -351,6 +354,11 @@ def stage_telemetry(
     the enabled path's wall-clock overhead. ``overhead`` is the
     fractional slowdown (0.02 = 2%); the observability acceptance bar
     is < 5%.
+
+    The runs alternate in :data:`TELEMETRY_PAIRS` enabled/disabled
+    pairs, each pair swapping which side goes first, and ``overhead``
+    is the median of the paired ratios: host-speed drift lands on both
+    sides of a pair instead of reading as overhead.
     """
     import tempfile
 
@@ -376,7 +384,15 @@ def stage_telemetry(
         node = RunRegistry(tmp).root_node()
 
         def timed(enabled: bool) -> float:
-            return run(TelemetrySink(node) if enabled else None)[1]
+            # Like timeit, time with the collector off (after a full
+            # collection): a collection landing in one side of a pair
+            # would otherwise read as overhead.
+            gc.collect()
+            gc.disable()
+            try:
+                return run(TelemetrySink(node) if enabled else None)[1]
+            finally:
+                gc.enable()
 
         check_sink = TelemetrySink(node)
         on_result, _ = run(check_sink)
@@ -391,20 +407,25 @@ def stage_telemetry(
         if check_sink.events_written == 0:
             raise AssertionError("telemetry stage emitted no events")
 
-        t_on = _best_of(reps, lambda: timed(True))
-        t_off = _best_of(reps, lambda: timed(False))
+        on_times: list[float] = []
+        off_times: list[float] = []
+        for pair in range(TELEMETRY_PAIRS):
+            for enabled in (True, False) if pair % 2 == 0 else (False, True):
+                (on_times if enabled else off_times).append(timed(enabled))
 
+    t_on, t_off = statistics.median(on_times), statistics.median(off_times)
+    ratio = statistics.median(on / off for on, off in zip(on_times, off_times))
     evaluations = on_result.num_evaluations
     return {
         "ops": evaluations,
         "fast_ops_per_sec": evaluations / t_off,
         "enabled_ops_per_sec": evaluations / t_on,
         "events_per_run": check_sink.events_written,
-        "overhead": t_on / t_off - 1.0,
+        "overhead": ratio - 1.0,
         # Uniform shape with the other stages (and harmless if this
         # stage ever lands in a committed baseline): disabled vs
         # enabled, ~1.0 when telemetry is free.
-        "speedup": t_on / t_off,
+        "speedup": ratio,
         "reference_ops_per_sec": evaluations / t_on,
     }
 
@@ -432,9 +453,7 @@ def measure(
         "generations": stage_generations(
             graph, accel, population, generations, seed, reps
         ),
-        "telemetry": stage_telemetry(
-            graph, accel, population, generations, seed, reps
-        ),
+        "telemetry": stage_telemetry(graph, accel, population, generations, seed),
     }
     return {
         "meta": {

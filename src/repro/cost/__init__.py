@@ -9,7 +9,6 @@ from .ema import (
 from .evaluator import Evaluator, PartitionCost, PartitionSummary, SubgraphCost
 from .objective import Metric, co_opt_objective, partition_objective
 from .energy import EnergyBreakdown, subgraph_energy
-from .latency import subgraph_latency_cycles
 from .bandwidth import BandwidthReport, bandwidth_report
 from .area import buffer_area_mm2
 from .roofline import (
@@ -34,7 +33,6 @@ __all__ = [
     "partition_objective",
     "EnergyBreakdown",
     "subgraph_energy",
-    "subgraph_latency_cycles",
     "BandwidthReport",
     "bandwidth_report",
     "buffer_area_mm2",

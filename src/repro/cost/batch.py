@@ -25,17 +25,16 @@ balance validation failing (error messages are per-subgraph), empty
 candidate lists — is simply left out of the result
 dict; the caller reprices those keys serially in first-seen order, so
 exceptions surface exactly where the serial path would raise them. For
-keys that *are* priced, every arithmetic step mirrors the serial
-pipeline operation-for-operation (scan classes are priced through the
-real :func:`~repro.cost.ema._select_options` /
-``Evaluator._price`` code over precomputed tables), keeping summaries
-bit-identical to :mod:`repro.cost.reference`.
+keys that *are* priced, only the tile pick differs from the serial
+path (scan classes run the real :func:`~repro.cost.ema._select_options`
+/ ``Evaluator._price`` over precomputed tables; the direct solve prices
+its closed-form pick through the same fit rule and pricing kernel),
+keeping summaries bit-identical to :mod:`repro.cost.reference`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 import numpy as _np
 
@@ -43,12 +42,8 @@ from ..config import BufferMode, MemoryConfig
 from ..errors import TilingError
 from ..execution.tiling import TilingStructure
 from ..execution.tiling_batch import LinearTileModel, member_max_height, scan_table
-from ..multicore.crossbar import crossbar_cycles, crossbar_energy_pj
 from .ema import SubgraphProfile, _select_options
-from .latency import dram_bytes_per_cycle, effective_macs_per_cycle
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .evaluator import Evaluator
+from .evaluator import Evaluator, _lru_get, _lru_put, weight_budget
 
 #: Summary scalars of a subgraph no tile option fits (mirrors the
 #: infeasible ``SubgraphCost`` through ``ema_bytes``/``energy_pj``/
@@ -105,7 +100,7 @@ def _greedy_cached_bytes(weights_desc: list[int], budget: int) -> int:
 
 
 def price_population(
-    evaluator: "Evaluator",
+    evaluator: Evaluator,
     cold_keys: list[tuple[frozenset[str], tuple]],
     memories: dict[tuple, MemoryConfig],
 ) -> dict[tuple, tuple]:
@@ -121,18 +116,13 @@ def price_population(
     if not cold_keys or not evaluator.tile_candidates:
         # No candidates means the serial profiler raises — let it.
         return {}
-    from .evaluator import _lru_get, _lru_put
-
     graph = evaluator.graph
     accel = evaluator.accel
     arrays = graph.arrays(accel.bytes_per_element)
     index = arrays.index
     succ_map = graph.successor_map()
     tile_candidates = evaluator.tile_candidates
-    compute_rate = effective_macs_per_cycle(accel)
-    bytes_per_cycle = dram_bytes_per_cycle(accel)
     cores = accel.num_cores
-    batch = evaluator.batch
 
     # Requested memory keys per member set (dedup preserves first-seen).
     wanted: dict[frozenset[str], list[tuple]] = {}
@@ -256,8 +246,9 @@ def price_population(
                 memory = memories[mem_key]
                 separate = memory.mode is BufferMode.SEPARATE
                 if model is not None and separate:
-                    # GOMA-style direct solve: closed-form best candidate.
-                    # ``⌈act/C⌉ <= buffer`` exactly when ``act <= buffer·C``.
+                    # GOMA-style direct solve. The closed form keeps footprints
+                    # ``act <= buffer·C``: exactly those the fit rule accepts.
+                    evaluator.num_batch_direct += 1
                     f = foot_slot[members]
                     choice = model.choose(
                         foot_slopes[f],
@@ -266,40 +257,27 @@ def price_population(
                     )
                     if choice < 0:
                         results[(members, mem_key)] = _INFEASIBLE
-                        evaluator.num_batch_direct += 1
                         continue
                     if weights_desc is None:
                         weights_desc = sorted(
                             (int(w) for w in arrays.weight_bytes[member_lists[s]]),
                             reverse=True,
                         )
-                    num_ops = model.kept_ops[choice]
-                    weight_bytes = weight_totals[s]
-                    cached = _greedy_cached_bytes(
-                        weights_desc, memory.weight_buffer_bytes * cores
+                    budget = weight_budget(
+                        memory,
+                        cores,
+                        foot_slopes[f] * model.kept[choice] + foot_icepts[f],
                     )
-                    weight_ema = cached + (weight_bytes - cached) * num_ops * batch
-                    ema = weight_ema + (input_totals[s] + output_totals[s]) * batch
-                    macs = mac_totals[s] * batch
-                    rotation = weight_bytes * (cores - 1) * batch
-                    energy = evaluator._energy_rates(memory).breakdown(
-                        ema_bytes=ema,
-                        activation_traffic_bytes=2
-                        * (input_totals[s] + act_totals[s])
-                        * batch,
-                        weight_write_bytes=weight_ema,
-                        weight_read_bytes=weight_bytes * num_ops * batch,
-                        macs=macs,
-                        crossbar_pj=crossbar_energy_pj(accel, rotation),
-                    ).total_pj
-                    compute = macs / compute_rate / cores
-                    latency = max(
-                        compute,
-                        ema / bytes_per_cycle / cores,
-                        crossbar_cycles(accel, rotation),
+                    _, ema, energy, _, latency = evaluator._tile_cost(
+                        memory,
+                        weight_totals[s],
+                        mac_totals[s],
+                        input_totals[s] + output_totals[s],
+                        input_totals[s] + act_totals[s],
+                        model.kept_ops[choice],
+                        _greedy_cached_bytes(weights_desc, budget),
                     )
-                    results[(members, mem_key)] = (True, ema, energy, latency)
-                    evaluator.num_batch_direct += 1
+                    results[(members, mem_key)] = (True, ema, energy.total_pj, latency)
                     continue
 
                 # Class-batched scan: shared solves + one matmul, then
@@ -369,11 +347,5 @@ def price_population(
                         profile,
                         evaluator._profile_cache_size,
                     )
-                cost = evaluator._price(profile, memory)
-                results[(members, mem_key)] = (
-                    cost.feasible,
-                    cost.ema_bytes,
-                    cost.energy_pj,
-                    cost.latency_cycles,
-                )
+                results[(members, mem_key)] = evaluator._price(profile, memory).summary
     return results

@@ -10,9 +10,9 @@ layered, throughput-oriented pipeline:
    :class:`~repro.execution.tiling.TilingStructure` derivation prices all
    tile candidates) over the graph's precomputed constant arrays.
 2. :meth:`Evaluator.subgraph_cost` — memory-*dependent* pricing of one
-   profile (feasible tile choice, weight caching, EMA/energy/latency)
-   with the weight-caching selection and SRAM energy rates hoisted out
-   of the tile-option loop.
+   profile: the tile options are ranked on EMA alone (weight caching
+   included, the greedy selection run once per distinct budget), and
+   only the winner is priced in energy and latency, by the kernel.
 3. :meth:`Evaluator.evaluate` / :meth:`Evaluator.summarize` — partition
    aggregation. ``evaluate`` builds the full :class:`PartitionCost`
    (bandwidth report included); ``summarize`` is the incremental path the
@@ -28,8 +28,10 @@ every fast path is bit-identical to the retained reference pipeline in
 :mod:`repro.cost.reference` (enforced by ``tests/cost/``).
 
 Every path prices ``accel.num_cores`` cores running ``batch`` samples
-(Sec 5.4.2-5.4.3; one core and one sample by default). Capacities in a
-:class:`MemoryConfig` are *per core* (Table 3's "size in each core"):
+(Sec 5.4.2-5.4.3; one core and one sample by default) through one fit
+rule, :func:`weight_budget`, and one pricing kernel,
+:meth:`Evaluator._tile_cost`. Capacities in a :class:`MemoryConfig` are
+*per core* (Table 3's "size in each core"):
 
 * each core holds ``⌈act / C⌉`` of a tile's activations;
 * weights are sharded, each core caching ``1/C`` of them, so the cores
@@ -89,6 +91,11 @@ class SubgraphCost:
     def energy_pj(self) -> float:
         return self.energy.total_pj if self.energy is not None else float("inf")
 
+    @property
+    def summary(self) -> tuple:
+        """The scalars :meth:`Evaluator.summarize` sums."""
+        return (self.feasible, self.ema_bytes, self.energy_pj, self.latency_cycles)
+
 
 @dataclass(frozen=True)
 class PartitionCost:
@@ -145,6 +152,25 @@ _LINEAR_MODELS: OrderedDict[tuple, tuple] = OrderedDict()
 _CLASS_CACHE_SIZE = 8192
 
 
+def weight_budget(memory: MemoryConfig, cores: int, act: int) -> int | None:
+    """Weight bytes ``cores`` cores cache beside a tile of ``act``
+    activation bytes, or ``None`` when one core's share does not fit
+    (the fit rule: each core holds ``⌈act/C⌉`` and caches its weight
+    shard in the weight buffer, or in what a shared buffer leaves)."""
+    share = -(-act // cores)
+    if memory.mode is BufferMode.SEPARATE:
+        if share > memory.global_buffer_bytes:
+            return None
+        return memory.weight_buffer_bytes * cores
+    room = memory.shared_buffer_bytes - share
+    return room * cores if room >= 0 else None
+
+
+def _weight_ema(weight_bytes: int, cached_bytes: int, streams: int) -> int:
+    """Cached weights load once; uncached ones re-stream ``streams`` times."""
+    return cached_bytes + (weight_bytes - cached_bytes) * streams
+
+
 def _memory_key(memory: MemoryConfig) -> tuple:
     if memory.mode is BufferMode.SHARED:
         return ("shared", memory.shared_buffer_bytes)
@@ -187,7 +213,7 @@ class Evaluator:
         self.num_batch_direct = 0
         self.num_batch_hits = 0
         self.num_direct_probes = 0
-        # Per-(memory, accel) pricing constants, hoisted out of _price.
+        # Per-(memory, accel) energy rates, hoisted out of _tile_cost.
         self._rates: dict[tuple, EnergyRates] = {}
         # Direct-solve minimum footprints for profile-less feasibility
         # probes (same semantics as SubgraphProfile.min_activation_bytes).
@@ -323,7 +349,7 @@ class Evaluator:
                     )
                     _lru_put(self._min_acts, key, min_act, self._profile_cache_size)
                     self.num_direct_probes += 1
-        return -(-min_act // self.accel.num_cores) <= memory.activation_capacity
+        return weight_budget(memory, self.accel.num_cores, min_act) is not None
 
     # ------------------------------------------------------------------
     def subgraph_cost(
@@ -359,92 +385,102 @@ class Evaluator:
         return rates
 
     def _price(self, profile: SubgraphProfile, memory: MemoryConfig) -> SubgraphCost:
-        separate = memory.mode is BufferMode.SEPARATE
+        cores = self.accel.num_cores
+        weight_bytes = profile.weight_bytes
+        winner = selected_for = None
+        chosen = ((), 0)
+        for option in profile.tile_options:
+            budget = weight_budget(memory, cores, option.activation_bytes)
+            if budget is None:
+                continue
+            # Separate buffers give every tile the same budget, so the
+            # greedy selection runs once, not per option.
+            if budget != selected_for:
+                selection = cached_weight_selection(profile.layer_weights, budget)
+                selected_for = budget
+            # Every option moves the same IO bytes, so weight EMA ranks
+            # them as EMA does; ties go to the larger tile.
+            ops = option.num_elementary_ops
+            weight_ema = _weight_ema(weight_bytes, selection[1], ops * self.batch)
+            rank = (weight_ema, -option.tile_rows)
+            if winner is None or rank < best:
+                best, winner, chosen = rank, option, selection
+        num_ops = winner.num_elementary_ops if winner else 0
+        cached_nodes, cached_bytes = chosen
+        weight_ema, ema, energy, compute, latency = self._tile_cost(
+            memory,
+            weight_bytes,
+            profile.macs,
+            profile.io_bytes,
+            profile.input_bytes + profile.member_activation_bytes,
+            num_ops,
+            cached_bytes,
+        )
+        if winner is None:
+            # No tile fits; the bandwidth report still reads the compute.
+            return SubgraphCost(
+                profile=profile,
+                feasible=False,
+                tile_rows=0,
+                num_elementary_ops=0,
+                cached_weight_nodes=(),
+                cached_weight_bytes=0,
+                weight_ema_bytes=0,
+                ema_bytes=int(1e18),
+                energy=None,
+                compute_cycles=compute,
+                latency_cycles=float("inf"),
+            )
+        return SubgraphCost(
+            profile=profile,
+            feasible=True,
+            tile_rows=winner.tile_rows,
+            num_elementary_ops=num_ops,
+            cached_weight_nodes=cached_nodes,
+            cached_weight_bytes=cached_bytes,
+            weight_ema_bytes=weight_ema,
+            ema_bytes=ema,
+            energy=energy,
+            compute_cycles=compute,
+            latency_cycles=latency,
+        )
+
+    def _tile_cost(
+        self,
+        memory: MemoryConfig,
+        weight_bytes: int,
+        macs: int,
+        io_bytes: int,
+        buffered_bytes: int,
+        num_ops: int,
+        cached_bytes: int,
+    ) -> tuple[int, int, EnergyBreakdown, float, float]:
+        """``(weight_ema_bytes, ema_bytes, energy, compute_cycles,
+        latency_cycles)`` of one tile choice (the pricing kernel), from
+        the subgraph's totals (``buffered_bytes``: inputs plus member
+        outputs), the tile's elementary-op count and the cached bytes."""
         accel = self.accel
         cores = accel.num_cores
         batch = self.batch
-        rates = self._energy_rates(memory)
-        compute = profile.macs * batch / effective_macs_per_cycle(accel) / cores
-        bytes_per_cycle = dram_bytes_per_cycle(accel)
-        activation_traffic = (
-            2 * (profile.input_bytes + profile.member_activation_bytes) * batch
+        streams = num_ops * batch
+        weight_ema = _weight_ema(weight_bytes, cached_bytes, streams)
+        ema = weight_ema + io_bytes * batch
+        rotation = weight_bytes * (cores - 1) * batch
+        energy = self._energy_rates(memory).breakdown(
+            ema_bytes=ema,
+            activation_traffic_bytes=2 * buffered_bytes * batch,
+            weight_write_bytes=weight_ema,
+            weight_read_bytes=weight_bytes * streams,
+            macs=macs * batch,
+            crossbar_pj=crossbar_energy_pj(accel, rotation),
         )
-        rotation = profile.weight_bytes * (cores - 1) * batch
-        rotation_pj = crossbar_energy_pj(accel, rotation)
-        rotation_cycles = crossbar_cycles(accel, rotation)
-        # In separate-buffer mode the weight budget is the same for every
-        # tile option, so the greedy selection runs once, not per option.
-        # Each core caches its 1/C shard: the cores cache C budgets.
-        if separate:
-            fixed_selection = cached_weight_selection(
-                profile.layer_weights, memory.weight_buffer_bytes * cores
-            )
-        best: SubgraphCost | None = None
-        for option in profile.tile_options:
-            per_core_act = -(-option.activation_bytes // cores)
-            if separate:
-                if per_core_act > memory.global_buffer_bytes:
-                    continue
-                cached_nodes, cached_bytes = fixed_selection
-            else:
-                budget = memory.shared_buffer_bytes - per_core_act
-                if budget < 0:
-                    continue
-                cached_nodes, cached_bytes = cached_weight_selection(
-                    profile.layer_weights, budget * cores
-                )
-            # Cached weights load once; uncached ones re-stream per
-            # elementary operation of every sample.
-            streams = option.num_elementary_ops * batch
-            uncached = profile.weight_bytes - cached_bytes
-            weight_ema = cached_bytes + uncached * streams
-            ema = weight_ema + profile.io_bytes * batch
-            if best is not None and ema > best.ema_bytes:
-                continue
-            if (
-                best is not None
-                and ema == best.ema_bytes
-                and option.tile_rows <= best.tile_rows
-            ):
-                continue
-            energy = rates.breakdown(
-                ema_bytes=ema,
-                activation_traffic_bytes=activation_traffic,
-                weight_write_bytes=weight_ema,
-                weight_read_bytes=profile.weight_bytes * streams,
-                macs=profile.macs * batch,
-                crossbar_pj=rotation_pj,
-            )
-            best = SubgraphCost(
-                profile=profile,
-                feasible=True,
-                tile_rows=option.tile_rows,
-                num_elementary_ops=option.num_elementary_ops,
-                cached_weight_nodes=cached_nodes,
-                cached_weight_bytes=cached_bytes,
-                weight_ema_bytes=weight_ema,
-                ema_bytes=ema,
-                energy=energy,
-                compute_cycles=compute,
-                latency_cycles=max(
-                    compute, ema / bytes_per_cycle / cores, rotation_cycles
-                ),
-            )
-        if best is not None:
-            return best
-        return SubgraphCost(
-            profile=profile,
-            feasible=False,
-            tile_rows=0,
-            num_elementary_ops=0,
-            cached_weight_nodes=(),
-            cached_weight_bytes=0,
-            weight_ema_bytes=0,
-            ema_bytes=int(1e18),
-            energy=None,
-            compute_cycles=compute,
-            latency_cycles=float("inf"),
+        compute = macs * batch / effective_macs_per_cycle(accel) / cores
+        latency = max(
+            compute,
+            ema / dram_bytes_per_cycle(accel) / cores,
+            crossbar_cycles(accel, rotation),
         )
+        return weight_ema, ema, energy, compute, latency
 
     # ------------------------------------------------------------------
     def trace(
@@ -461,11 +497,17 @@ class Evaluator:
         accelerator's ``bytes_per_element`` — one source of truth for
         the element width, so the trace and the analytic cost can never
         silently disagree on units. Returns a
-        :class:`~repro.memory.trace.SubgraphTrace`.
+        :class:`~repro.memory.trace.SubgraphTrace`. It replays one core
+        and one sample, so more of either raises :class:`ConfigError`.
         """
         from ..errors import CapacityError
         from ..memory.trace import trace_subgraph
 
+        if self.accel.num_cores > 1 or self.batch > 1:
+            raise ConfigError(
+                "the memory trace replays one core and one sample; got "
+                f"{self.accel.num_cores} cores and batch {self.batch}"
+            )
         members = frozenset(members)  # may be a one-shot iterable
         memory = memory or self.accel.memory
         cost = self.subgraph_cost(members, memory)
@@ -546,13 +588,7 @@ class Evaluator:
         hit = _lru_get(self._summaries, key)
         if hit is not None:
             return hit
-        cost = self.subgraph_cost(members, memory)
-        summary = (
-            cost.feasible,
-            cost.ema_bytes,
-            cost.energy_pj,
-            cost.latency_cycles,
-        )
+        summary = self.subgraph_cost(members, memory).summary
         self._store_summary(key, summary)
         return summary
 

@@ -30,10 +30,3 @@ def compute_cycles(accel: AcceleratorConfig, macs: int) -> float:
 def dram_cycles(accel: AcceleratorConfig, ema_bytes: int) -> float:
     """Cycles to move ``ema_bytes`` over the core's DRAM link."""
     return ema_bytes / dram_bytes_per_cycle(accel)
-
-
-def subgraph_latency_cycles(
-    accel: AcceleratorConfig, macs: int, ema_bytes: int
-) -> float:
-    """Latency of one subgraph: max of compute and communication."""
-    return max(compute_cycles(accel, macs), dram_cycles(accel, ema_bytes))

@@ -7,7 +7,7 @@ from repro.cost.area import buffer_area_mm2
 from repro.cost.bandwidth import bandwidth_report
 from repro.cost.energy import EnergyBreakdown, subgraph_energy
 from repro.cost.evaluator import Evaluator, PartitionCost
-from repro.cost.latency import compute_cycles, dram_cycles, subgraph_latency_cycles
+from repro.cost.latency import compute_cycles, dram_cycles
 from repro.cost.objective import (
     DEFAULT_ALPHA,
     Metric,
@@ -66,17 +66,6 @@ class TestEnergy:
 
 
 class TestLatency:
-    def test_compute_bound(self, accel):
-        # Many MACs, no traffic.
-        assert subgraph_latency_cycles(accel, 10**9, 0) == compute_cycles(
-            accel, 10**9
-        )
-
-    def test_bandwidth_bound(self, accel):
-        assert subgraph_latency_cycles(accel, 0, 10**9) == dram_cycles(
-            accel, 10**9
-        )
-
     def test_dram_cycles_match_16gbs(self, accel):
         # 16 bytes/cycle at 1 GHz and 16 GB/s.
         assert dram_cycles(accel, 1600) == pytest.approx(100.0)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config import AcceleratorConfig, MemoryConfig
+from repro.cost import energy
 from repro.cost.evaluator import Evaluator
+from repro.cost.reference import price_subgraph_reference
 from repro.partition.partition import Partition
 from repro.units import kb, mb
 
@@ -79,6 +81,34 @@ class TestSubgraphCost:
         cost_small = evaluator.subgraph_cost(members, small)
         cost_large = evaluator.subgraph_cost(members, large)
         assert cost_large.ema_bytes <= cost_small.ema_bytes
+
+    def test_only_the_winning_tile_is_priced(self, monkeypatch):
+        """Tiles are ranked on EMA; energy and latency price the winner.
+
+        Under this shared buffer the EMA improves twice along the tile
+        options, so the oracle prices three tiles; the evaluator prices
+        one, with the same result.
+        """
+        built = []
+
+        class CountedBreakdown(energy.EnergyBreakdown):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(energy, "EnergyBreakdown", CountedBreakdown)
+        chain = build_chain(depth=4, size=32, channels=16)
+        members = frozenset(chain.compute_names)
+        memory = MemoryConfig.shared(14336)
+        evaluator = Evaluator(chain)
+        cost = evaluator.subgraph_cost(members, memory)
+        assert len(built) == 1
+        built.clear()
+        reference = price_subgraph_reference(
+            evaluator.accel, evaluator.profile(members), memory
+        )
+        assert len(built) >= 3  # at least one per tile the oracle priced
+        assert cost == reference
 
 
 class TestPartitionCost:

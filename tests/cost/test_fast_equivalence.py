@@ -10,8 +10,11 @@ a spread of memory configurations, and core counts and batch sizes.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MemoryConfig
 from repro.cost.ema import profile_subgraph, profile_subgraph_reference
@@ -21,11 +24,12 @@ from repro.cost.reference import (
     evaluate_partition_reference,
 )
 from repro.experiments.common import paper_accelerator
+from repro.graphs.graph import ComputationGraph
 from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
 from repro.units import kb, mb
 
-from ..conftest import build_random_dag
+from ..conftest import build_random_dag, random_dags
 
 MEMORIES = (
     MemoryConfig.separate(mb(1), kb(1152)),
@@ -40,6 +44,41 @@ MEMORIES = (
 
 #: ``(num_cores, batch)`` points every pricing path must agree on.
 CORES_BATCH = ((1, 1), (2, 2), (4, 8))
+
+
+def _without_weights(graph: ComputationGraph) -> ComputationGraph:
+    """The same DAG with every weight zeroed: all tile options tie on EMA."""
+    twin = ComputationGraph(f"{graph.name}-noweights")
+    for name in graph.topological_order():
+        twin.add_layer(
+            replace(graph.layer(name), weight_bytes=0), graph.predecessors(name)
+        )
+    return twin
+
+
+@st.composite
+def fit_edge_cases(draw):
+    """A random-DAG subgraph, a ``(cores, batch)`` point and a memory
+    whose activation capacity sits at one drawn tile's per-core share:
+    exactly ``⌈act/C⌉`` or one byte below it. A shared buffer at the
+    exact share leaves that tile no room for weights."""
+    graph = draw(random_dags())
+    if draw(st.booleans()):
+        graph = _without_weights(graph)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    members = draw(st.sampled_from(random_partition(graph, rng).subgraph_sets))
+    cores = draw(st.sampled_from((1, 2, 3, 4)))
+    batch = draw(st.sampled_from((1, 2, 8)))
+    profile = profile_subgraph_reference(graph, members)
+    act = draw(st.sampled_from(profile.tile_options)).activation_bytes
+    capacity = max(1, -(-act // cores) - draw(st.sampled_from((0, 1))))
+    if draw(st.booleans()):
+        memory = MemoryConfig.shared(capacity)
+    else:
+        weights = profile.weight_bytes
+        weight_buffer = draw(st.sampled_from((1, -(-weights // cores), weights)))
+        memory = MemoryConfig.separate(capacity, max(1, weight_buffer))
+    return graph, members, cores, batch, memory
 
 
 class TestProfileEquivalence:
@@ -162,3 +201,33 @@ class TestReferenceEvaluatorParity:
             assert fast.summarize(partition.subgraph_sets, memory) == (
                 reference.summarize(partition.subgraph_sets, memory)
             )
+
+
+class TestKernelDifferential:
+    """The fit rule and the pricing kernel against the oracle at the edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=fit_edge_cases())
+    def test_every_path_matches_the_reference(self, case):
+        graph, members, cores, batch, memory = case
+        accel = paper_accelerator(num_cores=cores)
+        reference = evaluate_partition_reference(
+            graph, accel, [members], memory, batch=batch
+        )
+        # A cold evaluator batch-prices the key: separate buffers take the
+        # direct solve when the shape class has a closed form.
+        batched = Evaluator(graph, accel, batch=batch)
+        assert batched.summarize_population([[members]], memory) == [
+            PartitionSummary(
+                feasible=reference.feasible,
+                num_subgraphs=1,
+                ema_bytes=reference.ema_bytes,
+                energy_pj=reference.energy_pj,
+                latency_cycles=reference.latency_cycles,
+            )
+        ]
+        assert batched.feasible(members, memory) == reference.feasible
+        serial = Evaluator(graph, accel, batch=batch)
+        assert serial.feasible(members, memory) == reference.feasible
+        assert serial.subgraph_cost(members, memory) == reference.subgraphs[0]
+        assert serial.feasible(members, memory) == reference.feasible

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.config import MemoryConfig
+from repro.config import AcceleratorConfig, MemoryConfig
 from repro.cost.evaluator import Evaluator
-from repro.errors import TilingError
+from repro.errors import ConfigError, TilingError
 from repro.graphs.graph import ComputationGraph
 from repro.memory.trace import (
     EventKind,
@@ -208,6 +208,18 @@ class TestValidation:
         tiny = MemoryConfig.separate(kb(1), kb(1))
         problems = validate_trace(trace, chain_graph, memory=tiny)
         assert any("capacity" in p for p in problems)
+
+    @pytest.mark.parametrize("cores,batch", [(2, 2), (2, 1), (1, 2)])
+    def test_trace_refuses_more_than_one_core_or_sample(
+        self, chain_graph, cores, batch
+    ):
+        # The replay runs one core on one sample of the whole tile. On 2
+        # cores with batch 2 the pricer calls the whole chain feasible in
+        # 1,664 B per core, yet that replay peaks at 3,328 B.
+        accel = AcceleratorConfig(num_cores=cores)
+        evaluator = Evaluator(chain_graph, accel, batch=batch)
+        with pytest.raises(ConfigError, match="one core and one sample"):
+            evaluator.trace(compute_members(chain_graph), MemoryConfig.shared(1664))
 
     @settings(max_examples=15, deadline=None)
     @given(graph=random_dags())
