@@ -549,4 +549,5 @@ if __name__ == "__main__":
         dump_servers(_WORKDIR)
         for _name, _server in _SERVERS:
             _server.shutdown()
+            _server.server_close()
     sys.exit(_code)

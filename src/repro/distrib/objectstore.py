@@ -19,7 +19,11 @@ provides all three pieces:
 * :class:`ObjectStoreTransport` — the
   :class:`repro.runs.transport.RegistryTransport` implementation over
   either backend: an in-process store (conformance tests) or an
-  ``s3://host:port/bucket`` URL (multi-process campaigns).
+  ``s3://host:port/bucket`` URL (multi-process campaigns). A URL's
+  client keeps one persistent HTTP/1.1 connection, and the server
+  sends with Nagle's algorithm off: on a reused connection a reply
+  written in two pieces would otherwise wait ~40 ms for the client's
+  delayed ACK.
 
 Atomicity mapping versus the filesystem transport:
 
@@ -45,6 +49,7 @@ import argparse
 import http.client
 import json
 import threading
+import weakref
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, quote, unquote, urlsplit
@@ -148,6 +153,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-objectstore/1"
+    # ``_reply`` writes headers and body separately; with Nagle on, the
+    # body of a reply on a kept-alive connection waits for the client's
+    # delayed ACK of the headers (~40 ms on Linux).
+    disable_nagle_algorithm = True
 
     @property
     def store(self) -> ObjectStore:
@@ -275,17 +284,32 @@ def serve_in_thread(
     return server, thread
 
 
+def _failed(method: str, key: str, status: int) -> OSError:
+    """The error for a reply status the request does not expect."""
+    return OSError(f"object-store {method} {key!r} failed: HTTP {status}")
+
+
 class _HttpStore:
     """The :class:`ObjectStore` method surface over HTTP.
 
-    One connection per request: trivially correct under threads and
-    forked/spawned workers, and plenty for campaign-rate traffic.
+    Every request goes over one persistent HTTP/1.1 connection, opened
+    on first use and closed when the store is collected. A lock
+    serializes the store's users (a worker loop and its lease heartbeat
+    thread), so a store never holds more than one connection. Pool
+    children build their own stores; none uses its parent's.
+
+    Only a 404 reads as a missing key. Any other unexpected status
+    raises :class:`OSError`, so an unavailable store is never mistaken
+    for an empty one.
     """
 
     def __init__(self, host: str, port: int, bucket: str):
         self.host = host
         self.port = port
         self.bucket = bucket
+        self._conn = http.client.HTTPConnection(host, port, timeout=30)
+        self._lock = threading.Lock()
+        weakref.finalize(self, self._conn.close)
 
     def _request(
         self,
@@ -294,33 +318,58 @@ class _HttpStore:
         body: bytes | None = None,
         headers: dict[str, str] | None = None,
         query: str = "",
-    ) -> tuple[int, bytes, str | None]:
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=30)
-        try:
-            path = f"/{quote(self.bucket)}/{quote(key)}"
-            if query:
-                path = f"/{quote(self.bucket)}?{query}"
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = response.read()
-            etag = response.getheader("ETag")
-            if etag is not None:
-                etag = etag.strip().strip('"')
-            return response.status, payload, etag
-        finally:
-            conn.close()
+    ) -> tuple[int, bytes, str | None, int]:
+        """One HTTP request: ``(status, body, etag, Content-Length)``.
+
+        The length is the one the server declared, which on a ``HEAD``
+        is the object's size although no body follows.
+        """
+        path = f"/{quote(self.bucket)}/{quote(key)}"
+        if query:
+            path = f"/{quote(self.bucket)}?{query}"
+        headers = headers or {}
+        with self._lock:
+            conn = self._conn
+            try:
+                reused = conn.sock is not None
+                try:
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                except (ConnectionResetError, BrokenPipeError):
+                    # No status line came back (``RemoteDisconnected``
+                    # is a reset too). On a reused connection that means
+                    # the server closed it idle and never saw the
+                    # request: send it once more, on a fresh connection.
+                    if not reused:
+                        raise
+                    conn.close()
+                    conn.request(method, path, body=body, headers=headers)
+                    response = conn.getresponse()
+                payload = response.read()
+            except BaseException:
+                conn.close()  # no half-read reply reaches the next request
+                raise
+        etag = response.getheader("ETag")
+        if etag is not None:
+            etag = etag.strip().strip('"')
+        length = int(response.getheader("Content-Length") or 0)
+        return response.status, payload, etag, length
 
     def get(self, key: str) -> tuple[bytes, str] | None:
-        status, payload, etag = self._request("GET", key)
-        if status != 200 or etag is None:
+        status, payload, etag, _length = self._request("GET", key)
+        if status == 404:
             return None
+        if status != 200 or etag is None:
+            raise _failed("GET", key, status)
         return payload, etag
 
     def head(self, key: str) -> tuple[int, str] | None:
-        status, _payload, etag = self._request("HEAD", key)
-        if status != 200 or etag is None:
+        status, _payload, etag, size = self._request("HEAD", key)
+        if status == 404:
             return None
-        return 0, etag
+        if status != 200 or etag is None:
+            raise _failed("HEAD", key, status)
+        return size, etag
 
     def put(
         self,
@@ -334,33 +383,41 @@ class _HttpStore:
             headers["If-Match"] = f'"{if_match}"'
         if if_none_match:
             headers["If-None-Match"] = "*"
-        status, _payload, etag = self._request(
+        status, _payload, etag, _length = self._request(
             "PUT", key, body=data, headers=headers
         )
         if status == 412:
             raise PreconditionFailed(key)
         if status != 200 or etag is None:
-            raise OSError(f"object-store PUT {key!r} failed: HTTP {status}")
+            raise _failed("PUT", key, status)
         return etag
 
     def delete(self, key: str, if_match: str | None = None) -> bool:
         headers: dict[str, str] = {}
         if if_match is not None:
             headers["If-Match"] = f'"{if_match}"'
-        status, _payload, _etag = self._request("DELETE", key, headers=headers)
+        status, _payload, _etag, _length = self._request(
+            "DELETE", key, headers=headers
+        )
         if status == 412:
             raise PreconditionFailed(key)
-        return status == 204
+        if status == 404:
+            return False
+        if status != 204:
+            raise _failed("DELETE", key, status)
+        return True
 
     def list(self, prefix: str = "") -> list[tuple[str, int, str]]:
         query = f"prefix={quote(prefix)}" if prefix else "list=1"
-        status, payload, _etag = self._request("GET", "", query=query)
+        status, payload, _etag, _length = self._request("GET", "", query=query)
         if status != 200:
-            return []
+            raise _failed("LIST", prefix, status)
         try:
             objects = json.loads(payload.decode()).get("objects", [])
-        except (ValueError, UnicodeDecodeError):
-            return []
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise OSError(
+                f"object-store LIST {prefix!r}: undecodable listing"
+            ) from exc
         return [
             (obj["key"], int(obj["size"]), obj["etag"])
             for obj in objects
@@ -399,10 +456,8 @@ class ObjectStoreTransport:
         return self.store.head(key) is not None
 
     def size(self, key: str) -> int | None:
-        for found_key, size, _etag in self.store.list(key):
-            if found_key == key:
-                return size
-        return None
+        stat = self.store.head(key)
+        return None if stat is None else stat[0]
 
     def read_text(self, key: str) -> str | None:
         found = self.store.get(key)

@@ -5,7 +5,9 @@ matrix (from CLI flags or the coordinator's ``campaign.json`` manifest),
 and loops:
 
 1. probe durable progress; exit when the campaign is finished (every
-   cell complete/failed, or the sample budget is spent);
+   cell complete/failed, or the sample budget is spent). Both finished
+   states are terminal, so a cell once seen finished is not probed
+   again;
 2. claim the first claimable cell in matrix order — free cells via
    atomic lease creation, dead workers' cells by stealing their expired
    leases — and re-probe it under the lease: a cell a peer finished
@@ -37,7 +39,13 @@ from ..obs import TelemetrySink
 from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
 from ..runs.suite import SuiteCellTask, SuiteMatrix, matrix_from_dict
 from ..viz.campaign import tail_jsonl_node
-from .budget import campaign_finished, campaign_progress, cell_progress, claimable_cells
+from .budget import (
+    CellProgress,
+    campaign_finished,
+    campaign_progress,
+    cell_progress,
+    claimable_cells,
+)
 from .clock import Clock
 from .lease import Heartbeat, release_lease, try_acquire_lease
 
@@ -119,9 +127,23 @@ def run_worker(
     idle_since: float | None = None
     started_at = config.clock()
     evals_total = 0
+    # Complete and failed are terminal: ``result.json`` is written last
+    # and never deleted, and no runner retries a cell with an
+    # ``error.json``. So a cell seen finished is not probed again.
+    finished: dict[tuple, CellProgress] = {}
 
     while True:
-        progress = campaign_progress(registry, cells, matrix.seed)
+        progress = campaign_progress(
+            registry,
+            [cell for cell in cells if cell.key not in finished],
+            matrix.seed,
+        )
+        finished.update(
+            (key, state)
+            for key, state in progress.items()
+            if state.complete or state.failed
+        )
+        progress.update(finished)
         if campaign_finished(cells, budget, progress):
             return summary
         claimed = None
@@ -138,6 +160,7 @@ def run_worker(
             # probed; running it again would only re-read its result.
             state = cell_progress(registry, cell_config, cell_seed)
             if state.complete or state.failed:
+                finished[cell.key] = state
                 release_lease(lease)
                 continue
             claimed = (cell, cap, lease, node)

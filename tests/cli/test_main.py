@@ -280,6 +280,7 @@ class TestSuite:
             assert json.loads(out)["states"] == {"complete": 2}
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestSuiteBudgetAndGc:

@@ -206,6 +206,7 @@ def open_transport(kind: str, root) -> Iterator:
             yield resolve_transport(server.url("conformance"))
         finally:
             server.shutdown()
+            server.server_close()
 
 
 @pytest.fixture(params=TRANSPORT_KINDS)

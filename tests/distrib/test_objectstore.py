@@ -6,13 +6,19 @@ the in-memory store's conditional semantics, the HTTP protocol surface
 (status codes, ETag quoting, 412 on failed preconditions, 400 on a
 truncated body), URL parsing, and the one-PUT atomic write. These are
 the behaviors a real S3 endpoint would have to match for cloud
-campaigns.
+campaigns. The client side is pinned too: one persistent connection
+per store, one resend after the server closed it idle, and no read
+that mistakes an unavailable store for a missing key.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import sys
+import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -20,10 +26,79 @@ from repro.distrib.objectstore import (
     ObjectStore,
     ObjectStoreTransport,
     PreconditionFailed,
+    _Handler,
     serve_in_thread,
 )
 from repro.errors import ConfigError
-from repro.runs.transport import resolve_transport
+from repro.runs.registry import RunRegistry
+from repro.runs.transport import content_version, resolve_transport
+
+
+@contextmanager
+def serving(handler: type[_Handler] = _Handler):
+    """The fake server answering through ``handler``; closed on exit."""
+    server, _thread = serve_in_thread(("127.0.0.1", 0), ObjectStore())
+    server.RequestHandlerClass = handler  # before any client connects
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def counting_handler(**attrs) -> tuple[type[_Handler], list]:
+    """A ``_Handler`` subclass and the list of connections it accepted.
+
+    The server builds one handler per accepted connection, so the list
+    grows by one per TCP connection, however many requests it carries.
+    """
+    accepted: list = []
+
+    def setup(self) -> None:
+        accepted.append(self.client_address)
+        _Handler.setup(self)
+
+    return type("Counting", (_Handler,), {"setup": setup, **attrs}), accepted
+
+
+def record_requests(transport: ObjectStoreTransport) -> list[tuple[str, str]]:
+    """Log ``(method, key)`` of every HTTP request ``transport`` sends."""
+    requests: list[tuple[str, str]] = []
+    send = transport.store._request
+
+    def recording(method, key, *args, **kwargs):
+        requests.append((method, key))
+        return send(method, key, *args, **kwargs)
+
+    transport.store._request = recording
+    return requests
+
+
+class _Unavailable(_Handler):
+    """Answers every request with HTTP 503, as an overloaded store may."""
+
+    def _unavailable(self) -> None:
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self._reply(503)
+
+    do_GET = do_HEAD = do_PUT = do_DELETE = _unavailable
+
+
+class _CheckpointUnavailable(_Handler):
+    """Answers HEAD of any ``checkpoint.json`` with 503, the rest as usual."""
+
+    def do_HEAD(self) -> None:  # noqa: N802
+        if self.path.endswith("/checkpoint.json"):
+            self._reply(503)
+        else:
+            super().do_HEAD()
+
+
+class _GarbledListing(_Handler):
+    """Answers listings with a body that is not JSON."""
+
+    def do_GET(self) -> None:  # noqa: N802
+        self._reply(200, b"<ListBucketResult")
 
 
 class TestObjectStore:
@@ -68,11 +143,8 @@ class TestObjectStore:
 class TestHttpServer:
     @pytest.fixture()
     def served(self):
-        server, _thread = serve_in_thread(("127.0.0.1", 0), ObjectStore())
-        try:
+        with serving() as server:
             yield server
-        finally:
-            server.shutdown()
 
     def _client(self, served):
         return ObjectStoreTransport.from_url(served.url("bucket")).store
@@ -123,14 +195,7 @@ class TestHttpServer:
 
     def test_write_atomic_is_one_request(self, served):
         transport = ObjectStoreTransport.from_url(served.url("bucket"))
-        requests: list[tuple[str, str]] = []
-        send = transport.store._request
-
-        def counting(method, key, *args, **kwargs):
-            requests.append((method, key))
-            return send(method, key, *args, **kwargs)
-
-        transport.store._request = counting
+        requests = record_requests(transport)
         transport.write_atomic("run/result.json", "{}")
         assert requests == [("PUT", "run/result.json")]
         keys = [key for key, _size, _etag in served.store.list("")]
@@ -149,6 +214,144 @@ class TestHttpServer:
         two = self._client(served)
         one.put("k", b"shared")
         assert two.get("k")[0] == b"shared"
+
+    def test_size_is_one_head(self, served):
+        transport = ObjectStoreTransport.from_url(served.url("bucket"))
+        transport.write_atomic("run/history.jsonl", "x" * 37)
+        assert transport.store.head("run/history.jsonl")[0] == 37
+        requests = record_requests(transport)
+        assert transport.size("run/history.jsonl") == 37
+        assert transport.size("run/none") is None
+        assert requests == [("HEAD", "run/history.jsonl"), ("HEAD", "run/none")]
+
+
+class TestPersistentConnection:
+    """One store, one TCP connection, whatever the request mix."""
+
+    def test_every_request_kind_shares_one_connection(self):
+        handler, accepted = counting_handler()
+        with serving(handler) as server:
+            client = ObjectStoreTransport.from_url(server.url("bucket")).store
+            body = b"0123456789" * 100
+            etag = client.put("k", body)
+            assert client.get("k") == (body, etag)
+            assert client.head("k") == (len(body), etag)
+            fresh = client.put("k", b"new", if_match=etag)
+            with pytest.raises(PreconditionFailed):  # 412
+                client.put("k", b"again", if_none_match=True)
+            assert [key for key, _s, _e in client.list("")] == ["k"]
+            assert client.delete("k", if_match=fresh)
+            assert client.get("k") is None  # 404
+            assert not client.delete("k")
+        assert len(accepted) == 1
+
+    def test_request_after_an_idle_close_is_sent_once(self):
+        # A handler with a timeout closes a connection that sat idle
+        # longer than it, as S3 does; the next request finds it closed.
+        handler, accepted = counting_handler(timeout=0.2)
+        with serving(handler) as server:
+            transport = ObjectStoreTransport.from_url(server.url("bucket"))
+            etag = transport.store.put("k", b"v")
+            time.sleep(1.0)
+            assert transport.store.get("k") == (b"v", etag)
+            time.sleep(1.0)
+            # Applied twice, the create would lose to itself (None).
+            created = transport.create_if_absent("new", "x")
+            assert created == content_version(b"x")
+            assert server.store.get("new") == (b"x", created)
+        assert len(accepted) == 3
+
+    def test_threads_share_the_connection_without_crossed_replies(self):
+        # The lease heartbeat thread shares its worker's store; the lock
+        # keeps one request at a time on the connection.
+        handler, accepted = counting_handler()
+        with serving(handler) as server:
+            client = ObjectStoreTransport.from_url(server.url("bucket")).store
+            bodies = {f"k{t}": f"value-{t};".encode() * (t + 1) for t in range(6)}
+            for key, body in bodies.items():
+                client.put(key, body)
+            barrier = threading.Barrier(len(bodies))
+            errors: list[BaseException] = []
+
+            def reader(key: str) -> None:
+                try:
+                    barrier.wait(timeout=10)
+                    for _ in range(40):
+                        assert client.get(key)[0] == bodies[key]
+                        assert client.head(key)[0] == len(bodies[key])
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(k,)) for k in bodies]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+        assert len(accepted) == 1
+
+    def test_replies_with_a_body_do_not_wait_for_delayed_acks(self):
+        # With Nagle on at the server, each reply's body waits for the
+        # client's delayed ACK of its headers: ~40 ms per GET.
+        with serving() as server:
+            client = ObjectStoreTransport.from_url(server.url("bucket")).store
+            blob = bytes(range(256)) * 80
+            client.put("blob", blob)
+            client.get("blob")
+            start = time.perf_counter()
+            for _ in range(20):
+                assert client.get("blob")[0] == blob
+            assert time.perf_counter() - start < 0.4
+
+
+class TestFailedReads:
+    """Only a 404 means missing; any other failure raises."""
+
+    @pytest.fixture(scope="class")
+    def unavailable(self):
+        with serving(_Unavailable) as server:
+            yield server
+
+    @pytest.mark.parametrize("read", ["get", "head", "list", "delete"])
+    def test_store_reads_raise_on_503(self, unavailable, read):
+        client = ObjectStoreTransport.from_url(unavailable.url("bucket")).store
+        with pytest.raises(OSError, match="HTTP 503"):
+            getattr(client, read)("run/result.json")
+
+    @pytest.mark.parametrize(
+        "read", ["exists", "size", "read_text", "list_keys", "list_runs"]
+    )
+    def test_transport_reads_raise_on_503(self, unavailable, read):
+        transport = ObjectStoreTransport.from_url(unavailable.url("bucket"))
+        args = ("run/result.json",) if read != "list_runs" else ()
+        with pytest.raises(OSError, match="HTTP 503"):
+            getattr(transport, read)(*args)
+
+    def test_undecodable_listing_raises(self):
+        with serving(_GarbledListing) as server:
+            client = ObjectStoreTransport.from_url(server.url("bucket")).store
+            with pytest.raises(OSError, match="undecodable"):
+                client.list("run")
+
+    def test_unavailable_checkpoint_keeps_the_history(self):
+        # Read as "no checkpoint", a 503 here made ``open_run`` delete a
+        # resumable run's history stream.
+        with serving(_CheckpointUnavailable) as server:
+            registry = RunRegistry(server.url("bucket"))
+            config = {"scheme": "sa", "network": "vgg16"}
+            run = registry.open_run(config, seed=3)
+            run.log_history({"step": 1, "evaluations": 4})
+            run.save_checkpoint({"evaluations": 4})
+            with pytest.raises(OSError, match="HTTP 503"):
+                registry.open_run(config, seed=3)
+            history = run.node.key("history.jsonl")
+            assert server.store.get(history) is not None
 
 
 class TestTransportSpecifics:

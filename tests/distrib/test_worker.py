@@ -173,6 +173,34 @@ class TestStaleProgress:
         assert '"lease.claim"' not in node.read_text(TELEMETRY_FILENAME)
 
 
+class TestFinishedCells:
+    """Complete and failed are terminal: a cell seen finished stays so."""
+
+    def test_no_cell_is_reprobed_after_it_is_seen_finished(
+        self, tmp_path, monkeypatch
+    ):
+        passes: list[dict] = []  # per pass: the states its probe returned
+
+        def probe(registry, cells, seed):
+            progress = campaign_progress(registry, cells, seed)
+            passes.append(dict(progress))
+            return progress
+
+        monkeypatch.setattr("repro.distrib.worker.campaign_progress", probe)
+        summary = run_worker(
+            MATRIX, tmp_path / "reg", WorkerConfig(worker_id="w0", **FAST)
+        )
+        assert summary.cells_completed == 4
+        assert len(passes) == 5  # one per cell, then the finished check
+        for cell in MATRIX.cells():
+            seen = min(
+                i for i, progress in enumerate(passes, 1)
+                if cell.key in progress and progress[cell.key].complete
+            )
+            later = sum(cell.key in progress for progress in passes[seen:])
+            assert later <= 1, cell.cell_id
+
+
 class TestIdleGiveUp:
     """``max_idle`` against a logical clock: no real waiting at all."""
 
