@@ -13,10 +13,10 @@ from repro.cost.evaluator import Evaluator
 from repro.execution.tiling import derive_tiling
 from repro.ga.crossover import crossover
 from repro.ga.genome import Genome
-from repro.ga.mutation import modify_node
+from repro.ga.mutation import merge_subgraph, modify_node, split_subgraph
 from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
-from repro.partition.validity import normalize_groups
+from repro.partition.validity import normalize_groups, split_infeasible
 from repro.experiments.common import paper_accelerator
 from repro.search_space import CapacitySpace
 
@@ -85,3 +85,24 @@ def test_modify_node_mutation(benchmark, resnet):
     space = CapacitySpace.paper_shared()
     genome = Genome(random_partition(resnet, rng, 0.5), space.sample(rng))
     benchmark(modify_node, genome, rng)
+
+
+def test_split_subgraph_mutation(benchmark, resnet):
+    rng = random.Random(0)
+    space = CapacitySpace.paper_shared()
+    genome = Genome(random_partition(resnet, rng, 0.1), space.sample(rng))
+    benchmark(split_subgraph, genome, rng)
+
+
+def test_merge_subgraph_mutation(benchmark, resnet):
+    rng = random.Random(0)
+    space = CapacitySpace.paper_shared()
+    genome = Genome(random_partition(resnet, rng, 0.5), space.sample(rng))
+    benchmark(merge_subgraph, genome, rng)
+
+
+def test_split_infeasible(benchmark, resnet):
+    # Every subgraph of more than 6 layers is bisected until it fits.
+    rng = random.Random(0)
+    partition = random_partition(resnet, rng, 0.05)
+    benchmark(split_infeasible, partition, lambda members: len(members) <= 6)

@@ -80,9 +80,11 @@ def cell_progress(
         state = handle.load_checkpoint()
         if state is not None:
             evaluations = int(state.get("evaluations", 0))
-    except Exception:
+    except (ValueError, TypeError, AttributeError):
         # Half-written by a dying writer, or not a checkpoint object
-        # at all: counts as no checkpoint.
+        # at all: counts as no checkpoint. A failed read (an ``OSError``,
+        # such as an unavailable object store) propagates: taken for "no
+        # checkpoint", it would refund the samples the cell spent.
         pass
     if registry.has_error(config, seed):
         # A failed cell still durably *spent* whatever its checkpoint

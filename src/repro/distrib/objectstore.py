@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import sys
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -272,6 +273,21 @@ class ObjectStoreServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"s3://{host}:{port}/{bucket}"
 
+    def handle_error(self, request: object, client_address: object) -> None:
+        """Report a failed request, unless its client just hung up.
+
+        A killed worker resets its connection mid-request; that is a
+        normal event here, not a server fault worth a traceback.
+        """
+        if isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
+            return
+        super().handle_error(request, client_address)
+
+
+#: How often a served-in-thread fake checks for ``shutdown()``, in
+#: seconds: ``shutdown()`` waits up to this long.
+_POLL_INTERVAL_S = 0.01
+
 
 def serve_in_thread(
     address: tuple[str, int] = ("127.0.0.1", 0),
@@ -279,7 +295,9 @@ def serve_in_thread(
 ) -> tuple[ObjectStoreServer, threading.Thread]:
     """Start the fake server on a daemon thread; (server, thread)."""
     server = ObjectStoreServer(address, store=store)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+    )
     thread.start()
     return server, thread
 

@@ -8,6 +8,11 @@ remainder or merges the remainder into one of the subgraphs the decided
 layers belong to (the paper's Child-1 / Child-2 alternatives). The memory
 configuration of the offspring is the parents' average, rounded to the
 candidate grid.
+
+A subgraph reproduced whole is kept as the parent's own member set, and
+both parents go to
+:func:`~repro.partition.validity.normalize_groups`, which then splits
+only the remainders and merged groups into components.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ def crossover(
     """Blend two parents into one offspring genome."""
     graph = dad.partition.graph
     decided: dict[str, int] = {}
-    groups: list[set[str]] = []
+    groups: list[frozenset[str]] = []
 
     for name in graph.compute_names:
         if name in decided:
@@ -39,14 +44,16 @@ def crossover(
         overlap_groups = sorted({decided[n] for n in source if n in decided})
         if overlap_groups and rng.random() < 0.5:
             target = rng.choice(overlap_groups)
+            groups[target] = groups[target] | undecided
         else:
+            # A subgraph reproduced whole stays the parent's frozenset.
             target = len(groups)
-            groups.append(set())
-        groups[target] |= undecided
+            whole = len(undecided) == len(source)
+            groups.append(source if whole else frozenset(undecided))
         for member in sorted(undecided):
             decided[member] = target
 
-    partition = normalize_groups(graph, groups)
+    partition = normalize_groups(graph, groups, (dad.partition, mom.partition))
     if space is not None:
         memory = space.average(dad.memory, mom.memory)
     else:

@@ -31,7 +31,7 @@ class Genome:
                 self.memory.global_buffer_bytes,
                 self.memory.weight_buffer_bytes,
             )
-        return (self.partition._key, mem_key)
+        return (self.partition.labels, mem_key)
 
     def with_partition(self, partition: Partition) -> "Genome":
         """Copy with a different partition."""

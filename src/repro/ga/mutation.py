@@ -10,7 +10,10 @@
 
 Every operator emits its raw grouping through
 :func:`~repro.partition.validity.normalize_groups`, which restores
-precedence/connectivity, so genomes stay valid by construction.
+precedence/connectivity, so genomes stay valid by construction. The
+operators pass the parent partition along and keep every subgraph they
+did not touch as the parent's own member set, so normalization splits
+only the one or two groups a mutation changed.
 """
 
 from __future__ import annotations
@@ -26,23 +29,23 @@ def modify_node(genome: Genome, rng: random.Random) -> Genome:
     """Reassign one random layer to a neighbor's subgraph or a new one."""
     partition = genome.partition
     graph = partition.graph
+    topo = graph.topology()
+    labels = partition.labels
     name = rng.choice(graph.compute_names)
-    current = partition.index_of(name)
+    i = topo.index[name]
+    current = labels[i]
+    # Model inputs carry the label -1: they belong to no subgraph.
     neighbor_indices = sorted(
-        {
-            partition.index_of(n)
-            for n in (*graph.predecessors(name), *graph.successors(name))
-            if not graph.layer(n).is_input
-        }
-        - {current}
+        {labels[j] for j in (*topo.preds[i], *topo.succs[i])} - {current, -1}
     )
-    groups = partition.groups()
-    groups[current].discard(name)
+    groups = list(partition.subgraph_sets)
+    groups[current] = groups[current] - {name}
     if neighbor_indices and rng.random() < 0.7:
-        groups[rng.choice(neighbor_indices)].add(name)
+        target = rng.choice(neighbor_indices)
+        groups[target] = groups[target] | {name}
     else:
-        groups.append({name})
-    return genome.with_partition(normalize_groups(graph, groups))
+        groups.append(frozenset([name]))
+    return genome.with_partition(normalize_groups(graph, groups, (partition,)))
 
 
 def split_subgraph(genome: Genome, rng: random.Random) -> Genome:
@@ -53,34 +56,32 @@ def split_subgraph(genome: Genome, rng: random.Random) -> Genome:
     if not splittable:
         return genome
     target = rng.choice(splittable)
-    topo_index = graph.topo_index()
-    ordered = sorted(partition.members(target), key=lambda n: topo_index[n])
+    ordered = sorted(partition.members(target), key=graph.topo_index().__getitem__)
     cut = rng.randint(1, len(ordered) - 1)
-    groups = partition.groups()
-    groups[target] = set(ordered[:cut])
-    groups.append(set(ordered[cut:]))
-    return genome.with_partition(normalize_groups(graph, groups))
+    groups = list(partition.subgraph_sets)
+    groups[target] = frozenset(ordered[:cut])
+    groups.append(frozenset(ordered[cut:]))
+    return genome.with_partition(normalize_groups(graph, groups, (partition,)))
 
 
 def merge_subgraph(genome: Genome, rng: random.Random) -> Genome:
     """Merge two randomly selected adjacent subgraphs into one."""
     partition = genome.partition
     graph = partition.graph
-    assignment = partition.assignment
+    labels = partition.labels
+    # Precedence makes every cross edge run from a lower label to a
+    # higher one, so ``(labels[u], labels[v])`` is already sorted.
     pairs = sorted(
-        {
-            tuple(sorted((assignment[u], assignment[v])))
-            for u, v in graph.edges
-            if u in assignment and v in assignment and assignment[u] != assignment[v]
-        }
+        {(labels[u], labels[v]) for u, v in graph.topology().edges
+         if 0 <= labels[u] != labels[v]}
     )
     if not pairs:
         return genome
     a, b = rng.choice(pairs)
-    groups = partition.groups()
-    groups[a] |= groups[b]
-    groups.pop(b)
-    return genome.with_partition(normalize_groups(graph, groups))
+    groups = list(partition.subgraph_sets)
+    merged = groups.pop(b)
+    groups[a] = groups[a] | merged
+    return genome.with_partition(normalize_groups(graph, groups, (partition,)))
 
 
 def mutate_dse(

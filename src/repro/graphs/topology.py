@@ -23,7 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class GraphTopology:
     """Immutable id-indexed adjacency of one graph (build via ``graph.topology()``)."""
 
-    __slots__ = ("names", "index", "preds", "succs", "edges", "compute", "compute_mask")
+    __slots__ = (
+        "names", "index", "preds", "succs", "edges", "compute", "inputs", "compute_mask"
+    )
 
     def __init__(self, graph: "ComputationGraph"):
         names = graph.topological_order()
@@ -48,6 +50,10 @@ class GraphTopology:
         )
         #: Ids of the compute layers, ascending (``graph.compute_names``).
         self.compute: tuple[int, ...] = tuple(index[n] for n in graph.compute_names)
+        #: Ids of the model inputs, ascending.
+        self.inputs: tuple[int, ...] = tuple(
+            i for i, name in enumerate(names) if graph.layer(name).is_input
+        )
         #: ``compute_mask[i]`` is 1 when id ``i`` is a compute layer.
         mask = bytearray(len(names))
         for i in self.compute:

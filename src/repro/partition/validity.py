@@ -9,16 +9,26 @@ Three rules make a partition valid (Sec 4.1.1):
    edges.
 
 :func:`normalize_groups` turns *any* raw grouping into a valid partition:
-it splits disconnected groups into components, merges groups that form
-cycles in the quotient graph (an SCC contraction — the union of a quotient
-cycle is always connected, because each group is connected and the cycle's
-cross edges link them), and renumbers by a deterministic topological sort
-of the condensation. Every GA operator funnels its output through it,
+it splits disconnected groups into components, orders the groups by a
+deterministic topological sort of the quotient graph and, when that sort
+stalls on a quotient cycle, merges the groups on cycles (an SCC
+contraction — the union of a quotient cycle is always connected, because
+each group is connected and the cycle's cross edges link them) and sorts
+the condensation. Every GA operator funnels its output through it,
 which is what lets crossover and the mutations stay simple while still
 "guaranteeing the validity of genomes" (Sec 4.4.3).
 
+The operators and the capacity repair pass their parent partitions
+along. A group equal to a parent's member set is connected already, so
+normalization carries it whole, as the parent's frozenset, and splits
+only the groups the operator changed; the result is the one a full pass
+gives. There is one normalization routine: without parents it is the
+full pass.
+
 Normalization and validation both run over the graph's integer topology
-(:meth:`~repro.graphs.graph.ComputationGraph.topology`);
+(:meth:`~repro.graphs.graph.ComputationGraph.topology`): normalization
+hands :class:`~repro.partition.partition.Partition` per-id labels and
+member sets, which its constructor checks in one integer pass.
 :mod:`repro.partition.reference` keeps the name-keyed original as the
 test oracle.
 """
@@ -26,97 +36,17 @@ test oracle.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from ..errors import PartitionError
 from ..graphs.graph import ComputationGraph
 from ..graphs.topology import GraphTopology
 from .partition import Partition
 from .subgraph import weakly_connected_components
 
 
-def partition_labels(
-    graph: ComputationGraph, assignment: Mapping[str, int]
-) -> tuple[list[int], int]:
-    """Validate ``assignment``; return its per-id labels and subgraph count.
-
-    ``labels[i]`` is the subgraph of the layer with topology id ``i``
-    (``-1`` for model inputs). One pass over the integer edge list checks
-    precedence and unions the endpoints of same-subgraph edges: every
-    subgraph is connected exactly when the union-find is left with one
-    root per subgraph. Raises :class:`PartitionError` on a bad domain,
-    non-dense indices, a precedence violation or a disconnected subgraph.
-    """
-    topo = graph.topology()
-    index = topo.index
-    mask = topo.compute_mask
-    labels = [-1] * len(mask)
-    for name, sub in assignment.items():
-        i = index.get(name)
-        if i is None or not mask[i]:
-            _raise_domain(graph, assignment)
-        labels[i] = sub
-    if len(assignment) != len(topo.compute):
-        _raise_domain(graph, assignment)
-    indices = set(assignment.values())
-    count = len(indices)
-    if min(indices) != 0 or indices != set(range(count)):
-        raise PartitionError(f"subgraph indices are not dense: {sorted(indices)[:10]}")
-    parent = list(range(len(mask)))
-    roots = len(topo.compute)
-    for u, v in topo.edges:
-        a = labels[u]
-        if a < 0:  # model input: no subgraph
-            continue
-        b = labels[v]
-        if a > b:
-            raise PartitionError(
-                f"precedence violated on edge ({topo.names[u]!r}, "
-                f"{topo.names[v]!r}): {a} > {b}"
-            )
-        if a == b:
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-                roots -= 1
-    if roots != count:
-        _raise_disconnected(graph, assignment)
-    return labels, count
-
-
-def _raise_domain(graph: ComputationGraph, assignment: Mapping[str, int]) -> NoReturn:
-    """Name the missing and extra layers of a bad assignment domain."""
-    compute = set(graph.compute_names)
-    assigned = set(assignment)
-    missing = sorted(compute - assigned)
-    extra = sorted(assigned - compute)
-    raise PartitionError(
-        f"bad assignment domain: missing={missing[:5]} extra={extra[:5]}"
-    )
-
-
-def _raise_disconnected(
-    graph: ComputationGraph, assignment: Mapping[str, int]
-) -> NoReturn:
-    """Name the first disconnected subgraph (one exists: the root count is off)."""
-    groups: dict[int, list[str]] = {}
-    for name, index in assignment.items():
-        groups.setdefault(index, []).append(name)
-    for index in sorted(groups):
-        components = weakly_connected_components(graph, groups[index])
-        if len(components) != 1:
-            raise PartitionError(
-                f"subgraph {index} is disconnected: "
-                f"{[sorted(c)[:3] for c in components]}"
-            )
-
-
 def check_partition(graph: ComputationGraph, assignment: Mapping[str, int]) -> None:
     """Raise :class:`PartitionError` unless ``assignment`` is valid."""
-    partition_labels(graph, assignment)
+    Partition.from_assignment(graph, assignment)
 
 
 def _strong_components(succ: list[set[int]]) -> list[list[int]]:
@@ -166,82 +96,132 @@ def _strong_components(succ: list[set[int]]) -> list[list[int]]:
     return sccs
 
 
-def _quotient(
-    topo: GraphTopology, members: list[list[int]], owner: list[int]
-) -> list[set[int]]:
-    """Successor sets of the quotient graph; fills ``owner`` (id -> group)."""
-    for gi, ids in enumerate(members):
-        for i in ids:
-            owner[i] = gi
-    succs = topo.succs
-    quotient: list[set[int]] = []
-    for gi, ids in enumerate(members):
-        targets = set()
-        for i in ids:
-            for j in succs[i]:
-                targets.add(owner[j])
-        targets.discard(gi)
-        quotient.append(targets)
+def _quotient(topo: GraphTopology, owner: list[int], count: int) -> list[set[int]]:
+    """Successor sets of the quotient graph of ``count`` groups, where
+    ``owner`` maps every id to its group (``-1`` for model inputs)."""
+    quotient: list[set[int]] = [set() for _ in range(count)]
+    for u, v in topo.edges:
+        a = owner[u]
+        b = owner[v]
+        if a != b and a >= 0:
+            quotient[a].add(b)
     return quotient
 
 
-def normalize_groups(
-    graph: ComputationGraph, groups: Sequence[Iterable[str]]
-) -> Partition:
-    """Repair any raw grouping of the compute layers into a valid partition."""
-    topo = graph.topology()
-    index, names = topo.index, topo.names
-    # 1. Claim layers: the first group naming a layer wins, unknown names
-    #    and inputs are dropped, unclaimed layers become singletons.
-    free = bytearray(topo.compute_mask)
-    members: list[list[int]] = []
-    for group in groups:
-        ids: list[int] = []
-        for name in group:
-            i = index.get(name)
-            if i is not None and free[i]:
-                free[i] = 0
-                ids.append(i)
-        # 2. Split every multi-layer group into its components.
-        if len(ids) > 1:
-            parts = weakly_connected_components(graph, [names[i] for i in ids])
-            if len(parts) > 1:
-                members.extend([index[n] for n in part] for part in parts)
-                continue
-        if ids:
-            members.append(ids)
-    members.extend([i] for i in topo.compute if free[i])
-
-    # 3. Merge groups lying on quotient cycles. Each strongly connected
-    #    set of connected groups is linked by its own cross edges, so the
-    #    merged groups stay connected and their condensation is acyclic.
-    owner = [-1] * len(names)
-    quotient = _quotient(topo, members, owner)
-    sccs = _strong_components(quotient)
-    if len(sccs) != len(members):
-        members = [[i for gi in scc for i in members[gi]] for scc in sccs]
-        quotient = _quotient(topo, members, owner)
-
-    # 4. Kahn's sort of the condensation, always taking the ready group
-    #    with the earliest topological member (ids are distinct, and
-    #    ``owner`` maps a group's earliest id back to the group).
-    indegree = [0] * len(members)
+def _schedule(quotient: list[set[int]], owner: list[int]) -> list[int]:
+    """Kahn's sort of the quotient, always taking the ready group with the
+    earliest topological member (ids are distinct and ascend in
+    topological order). Returns the groups in schedule order; on a
+    quotient cycle the sort stalls and the list is short."""
+    count = len(quotient)
+    # The last write wins, so walking the ids downwards leaves each
+    # group's earliest id (and a stray key -1 for the inputs).
+    earliest = dict(zip(reversed(owner), range(len(owner) - 1, -1, -1)))
+    indegree = [0] * count
     for targets in quotient:
         for gi in targets:
             indegree[gi] += 1
-    ready = [min(ids) for gi, ids in enumerate(members) if not indegree[gi]]
+    ready = [earliest[gi] for gi in range(count) if not indegree[gi]]
     heapify(ready)
-    position = [0] * len(members)
-    placed = 0
+    order: list[int] = []
     while ready:
         gi = owner[heappop(ready)]
-        position[gi] = placed
-        placed += 1
+        order.append(gi)
         for nxt in quotient[gi]:
             indegree[nxt] -= 1
             if not indegree[nxt]:
-                heappush(ready, min(members[nxt]))
-    return Partition(graph, {names[i]: position[owner[i]] for i in topo.compute})
+                heappush(ready, earliest[nxt])
+    return order
+
+
+def normalize_groups(
+    graph: ComputationGraph,
+    groups: Sequence[Iterable[str]],
+    parents: Sequence[Partition] = (),
+) -> Partition:
+    """Repair any raw grouping of the compute layers into a valid partition.
+
+    ``parents`` are valid partitions of ``graph`` the grouping was bred
+    from. A group equal to one of their member sets is connected already,
+    so it is carried whole, as that frozenset, instead of being split
+    into components; only the groups an operator changed are split. The
+    result is the same with or without ``parents``.
+    """
+    topo = graph.topology()
+    index, names, mask = topo.index, topo.names, topo.compute_mask
+    whole = {s for p in parents if p.graph is graph for s in p.subgraph_sets}
+    # 1. Claim layers: the first group naming a layer wins, unknown names
+    #    and inputs are dropped, unclaimed layers become singletons.
+    #    ``owner`` maps each id to its group (-1: unclaimed or an input,
+    #    -2: claimed by a group not yet split), ``sets`` each group to its
+    #    member names.
+    owner = [-1] * len(names)
+    sets: list[frozenset[str]] = []
+    claimed = 0
+    for group in groups:
+        if whole and isinstance(group, (set, frozenset)) and group in whole:
+            gi = len(sets)
+            for name in group:
+                i = index[name]
+                if owner[i] != -1:
+                    break
+                owner[i] = gi
+            else:
+                sets.append(frozenset(group))  # a frozenset is its own copy
+                claimed += len(group)
+                continue
+            for name in group:  # an earlier group took a layer: undo
+                i = index[name]
+                if owner[i] == gi:
+                    owner[i] = -1
+        ids = []
+        for name in group:
+            i = index.get(name)
+            if i is not None and mask[i] and owner[i] == -1:
+                owner[i] = -2
+                ids.append(i)
+        if not ids:
+            continue
+        claimed += len(ids)
+        # 2. Split every changed multi-layer group into its components.
+        if len(ids) == 1:
+            parts = [frozenset([names[ids[0]]])]
+        else:
+            parts = weakly_connected_components(graph, [names[i] for i in ids])
+        for part in parts:
+            gi = len(sets)
+            for name in part:
+                owner[index[name]] = gi
+            sets.append(part)
+    if claimed < len(topo.compute):
+        for i in topo.compute:
+            if owner[i] == -1:
+                owner[i] = len(sets)
+                sets.append(frozenset([names[i]]))
+
+    # 3. Sort the quotient. A stall means a quotient cycle: merge every
+    #    strongly connected set of groups and sort again. Each such set of
+    #    connected groups is linked by its own cross edges, so the merged
+    #    groups stay connected and their condensation is acyclic.
+    quotient = _quotient(topo, owner, len(sets))
+    order = _schedule(quotient, owner)
+    if len(order) < len(sets):
+        sccs = _strong_components(quotient)
+        merged = [-1] * (len(sets) + 1)  # the trailing -1 keeps inputs at -1
+        for gi, scc in enumerate(sccs):
+            for old in scc:
+                merged[old] = gi
+        owner = [merged[gi] for gi in owner]
+        sets = [frozenset().union(*[sets[old] for old in scc]) for scc in sccs]
+        quotient = _quotient(topo, owner, len(sets))
+        order = _schedule(quotient, owner)
+
+    # 4. Label every layer with its group's place in the schedule.
+    position = [-1] * (len(sets) + 1)  # the trailing -1 keeps inputs at -1
+    for place, gi in enumerate(order):
+        position[gi] = place
+    labels = [position[gi] for gi in owner]
+    return Partition(graph, labels, [sets[gi] for gi in order])
 
 
 def split_infeasible(
@@ -255,30 +235,30 @@ def split_infeasible(
     when a subgraph exceeds the buffer capacity, bisect it along the
     topological order and retry. Singleton subgraphs that still do not fit
     are left in place (the partition is then genuinely infeasible for this
-    hardware and will be priced at infinity).
+    hardware and will be priced at infinity). Subgraphs that fit are
+    handed to :func:`normalize_groups` as the partition's own member
+    sets, so only the halves are split into components.
     """
     graph = partition.graph
     topo_index = graph.topo_index()
     current = partition
     for _ in range(max_rounds):
-        groups = [set(g) for g in current.subgraph_sets]
-        oversized = [
-            g for g in groups if len(g) > 1 and not is_feasible(frozenset(g))
-        ]
-        if not oversized:
+        sets = current.subgraph_sets
+        oversized = [len(s) > 1 and not is_feasible(s) for s in sets]
+        if not any(oversized):
             return current
-        next_groups: list[set[str]] = []
-        for group in groups:
-            if group not in oversized:
-                next_groups.append(group)
+        next_groups: list[frozenset[str]] = []
+        for members, split in zip(sets, oversized):
+            if not split:
+                next_groups.append(members)
                 continue
-            ordered = sorted(group, key=lambda n: topo_index[n])
+            ordered = sorted(members, key=topo_index.__getitem__)
             half = len(ordered) // 2
-            next_groups.append(set(ordered[:half]))
-            next_groups.append(set(ordered[half:]))
+            next_groups.append(frozenset(ordered[:half]))
+            next_groups.append(frozenset(ordered[half:]))
         # Normalization may re-merge pieces whose split created quotient
         # cycles, so feasibility is re-checked on the normalized result
         # each round; singleton quotients are DAGs, which guarantees
         # termination.
-        current = normalize_groups(graph, next_groups)
+        current = normalize_groups(graph, next_groups, (current,))
     return current

@@ -86,7 +86,7 @@ def genome_to_dict(genome: Genome) -> dict[str, Any]:
 
 def genome_from_dict(data: dict[str, Any], graph: ComputationGraph) -> Genome:
     return Genome(
-        partition=Partition(graph, data["assignment"]),
+        partition=Partition.from_assignment(graph, data["assignment"]),
         memory=memory_from_dict(data["memory"]),
     )
 

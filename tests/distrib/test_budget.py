@@ -15,9 +15,12 @@ from repro.distrib.budget import (
     campaign_finished,
     compute_allocations,
 )
+from repro.distrib.objectstore import _Handler
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import CAPPED_SCHEMES
 from repro.runs.transport import FsTransport
+
+from .test_objectstore import serving
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,30 @@ class TestCellProgress:
         assert cell_progress(registry, config, 5) == running(7)
         run.save_checkpoint([])
         assert cell_progress(registry, config, 5) == running(0)
+
+    def test_torn_checkpoint_counts_as_none(self, tmp_path):
+        registry = RunRegistry(tmp_path)
+        config = {"network": "vgg16", "scheme": "cocco"}
+        run = registry.open_run(config, 5)
+        run.node.write_atomic("checkpoint.json", '{"evaluations": 7')
+        assert cell_progress(registry, config, 5) == running(0)
+
+    def test_unreadable_checkpoint_raises(self):
+        """A failed read is not "no checkpoint": it would refund 40 samples."""
+
+        class CheckpointGetUnavailable(_Handler):
+            def do_GET(self) -> None:  # noqa: N802
+                if self.path.endswith("/checkpoint.json"):
+                    self._reply(503)
+                else:
+                    super().do_GET()
+
+        with serving(CheckpointGetUnavailable) as server:
+            registry = RunRegistry(server.url("bucket"))
+            config = {"network": "vgg16", "scheme": "cocco"}
+            registry.open_run(config, 5).save_checkpoint({"evaluations": 40})
+            with pytest.raises(OSError, match="HTTP 503"):
+                cell_progress(registry, config, 5)
 
     def test_checkpointed_cell_costs_two_probes_and_one_read(self, tmp_path):
         """The checkpoint is read once, with no existence probe before."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import sys
 import threading
 import time
@@ -192,6 +193,34 @@ class TestHttpServer:
                 reply += chunk
         assert reply.startswith(b"HTTP/1.1 400")
         assert client.get("run/history.jsonl") == (before, etag)
+
+    def test_killed_client_prints_nothing(self, served, capfd):
+        # A writer killed mid-upload resets its connection (SO_LINGER 0
+        # makes close() send an RST); the server drops it silently and
+        # goes on serving.
+        closed = threading.Event()
+        shutdown_request = served.shutdown_request
+
+        def signalling(request):  # runs after the handler's error report
+            shutdown_request(request)
+            closed.set()
+
+        served.shutdown_request = signalling
+        host, port = served.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"PUT /bucket/run/history.jsonl HTTP/1.1\r\n"
+                b"Host: localhost\r\nContent-Length: 100\r\n\r\n"
+                b'{"generati'
+            )
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        assert closed.wait(10)
+        client = self._client(served)
+        client.put("k", b"after")
+        assert client.get("k")[0] == b"after"
+        assert capfd.readouterr().err == ""
 
     def test_write_atomic_is_one_request(self, served):
         transport = ObjectStoreTransport.from_url(served.url("bucket"))

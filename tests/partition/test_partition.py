@@ -39,14 +39,60 @@ class TestConstruction:
 
     def test_input_layer_rejected(self, chain_graph):
         with pytest.raises(PartitionError):
-            Partition(chain_graph, {"in": 0, "conv1": 0, "conv2": 0,
-                                    "conv3": 0, "conv4": 0})
+            Partition.from_assignment(
+                chain_graph, {"in": 0, "conv1": 0, "conv2": 0, "conv3": 0, "conv4": 0}
+            )
 
     def test_input_in_place_of_a_layer_rejected(self, fig5_graph):
         # The right size, dense and in order, but in_b is a model input
         # and node0 is missing.
         with pytest.raises(PartitionError):
-            Partition(fig5_graph, {"in_b": 0, "node1": 1, "node2": 2})
+            Partition.from_assignment(fig5_graph, {"in_b": 0, "node1": 1, "node2": 2})
+
+
+class TestLabelConstructor:
+    """``Partition(graph, labels, sets)`` checks the pair in full."""
+
+    def _parts(self, chain_graph):
+        p = Partition.from_groups(chain_graph, [{"conv1", "conv2"}, {"conv3", "conv4"}])
+        return list(p.labels), list(p.subgraph_sets)
+
+    def test_accepts_a_consistent_pair(self, chain_graph):
+        labels, sets = self._parts(chain_graph)
+        p = Partition(chain_graph, labels, sets)
+        assert p.assignment == {"conv1": 0, "conv2": 0, "conv3": 1, "conv4": 1}
+        assert list(p.assignment) == list(chain_graph.compute_names)
+
+    def test_sets_that_disagree_with_the_labels_rejected(self, chain_graph):
+        labels, sets = self._parts(chain_graph)
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, [sets[1], sets[0]])
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, [frozenset({"conv1"}), sets[1]])
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, [sets[0] | {"in"}, sets[1]])
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, [sets[0] | {"ghost"}, sets[1]])
+
+    @pytest.mark.parametrize("label", [0, 1, -2])
+    def test_labelled_input_rejected(self, chain_graph, label):
+        labels, sets = self._parts(chain_graph)
+        labels[chain_graph.topology().index["in"]] = label
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, sets)
+
+    def test_unlabelled_layer_rejected(self, chain_graph):
+        labels, sets = self._parts(chain_graph)
+        labels[chain_graph.topology().index["conv4"]] = -1
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, [sets[0], sets[1] - {"conv4"}])
+
+    def test_wrong_length_and_empty_sets_rejected(self, chain_graph):
+        labels, sets = self._parts(chain_graph)
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels[:-1], sets)
+        with pytest.raises(PartitionError):
+            Partition(chain_graph, labels, [*sets, frozenset()])
 
 
 class TestValidityRules:
@@ -102,12 +148,6 @@ class TestIdentity:
         assert p.members(0) == frozenset(chain_graph.compute_names)
         with pytest.raises(PartitionError):
             p.members(1)
-
-    def test_groups_are_copies(self, chain_graph):
-        p = Partition.whole_graph(chain_graph)
-        groups = p.groups()
-        groups[0].clear()
-        assert p.members(0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,25 +5,44 @@ normalize and validate partitions over the graph's integer topology;
 :mod:`repro.partition.reference` keeps the name-keyed implementation
 they replaced. On random groupings, assignments and member sets of
 random DAGs and of every zoo network, both must agree exactly: the same
-normalized partition (key and member sets), the same accept/reject
+normalized partition (labels and member sets), the same accept/reject
 verdict, the same component list.
+
+Normalization with ``parents`` carries the groups that equal a parent's
+member set without splitting them; the oracle always splits every
+group. Groupings bred from parents, and random sequences of the five
+operators that pass their parents (the three mutations, crossover and
+the capacity repair), must still normalize exactly like the oracle.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import MemoryConfig
 from repro.errors import GraphError, PartitionError
+from repro.ga import mutation
+from repro.ga.crossover import crossover
+from repro.ga.genome import Genome
 from repro.graphs.zoo import available_models, get_model
-from repro.partition import reference
+from repro.partition import reference, validity
+from repro.partition.partition import Partition
+from repro.partition.random_init import random_partition
 from repro.partition.subgraph import weakly_connected_components
-from repro.partition.validity import check_partition, normalize_groups
+from repro.partition.validity import check_partition, normalize_groups, split_infeasible
+from repro.units import kb
 
 from ..conftest import random_dags
+
+# ``repro.ga`` re-exports the ``crossover`` function under the module's name.
+crossover_module = importlib.import_module("repro.ga.crossover")
 
 STYLES = ("shuffled", "perturbed", "overlapping")
 
@@ -113,6 +132,44 @@ def random_assignment(graph, rng: random.Random) -> dict:
     return assignment
 
 
+def bred_grouping(graph, rng: random.Random) -> tuple[list, tuple[Partition, ...]]:
+    """A grouping bred from one or two valid parents, and those parents.
+
+    Most groups are a parent's own member sets, carried whole; the others
+    are a mutable copy of one, a set with a layer dropped or added (so it
+    may overlap a kept set), or a list with a model input and a ghost
+    layer mixed in. With two parents every layer is named twice, so the
+    second parent's sets often lose the claim to the first's. Some groups
+    are left out (their layers become singletons) and some groupings are
+    shuffled.
+    """
+    parents = tuple(
+        reference.normalize_groups(
+            graph, random_grouping(graph, rng, rng.choice(STYLES))
+        )
+        for _ in range(rng.randint(1, 2))
+    )
+    names = list(graph.compute_names)
+    groups: list = []
+    for parent in parents:
+        for members in parent.subgraph_sets:
+            roll = rng.random()
+            if roll < 0.55:
+                groups.append(members)
+            elif roll < 0.65:
+                groups.append(set(members))
+            elif roll < 0.75:
+                groups.append(members - {rng.choice(sorted(members))})
+            elif roll < 0.85:
+                groups.append(members | {rng.choice(names)})
+            elif roll < 0.95:
+                extra = [rng.choice(graph.input_names), f"ghost{rng.randrange(9)}"]
+                groups.append(sorted(members) + extra)
+    if rng.random() < 0.3:
+        rng.shuffle(groups)
+    return groups, parents
+
+
 def _rejects(check, graph, assignment) -> bool:
     try:
         check(graph, assignment)
@@ -121,10 +178,10 @@ def _rejects(check, graph, assignment) -> bool:
     return False
 
 
-def assert_normalize_matches(graph, groups) -> None:
-    fast = normalize_groups(graph, groups)
+def assert_normalize_matches(graph, groups, parents=()) -> None:
+    fast = normalize_groups(graph, groups, parents)
     oracle = reference.normalize_groups(graph, groups)
-    assert fast._key == oracle._key
+    assert fast.labels == oracle.labels
     assert fast.subgraph_sets == oracle.subgraph_sets
 
 
@@ -153,6 +210,130 @@ def test_normalize_matches_reference_on_every_zoo_network(model):
         assert_normalize_matches(graph, random_grouping(graph, rng, style))
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_dags(), seeds)
+def test_normalize_with_parents_matches_reference_on_random_dags(graph, seed):
+    groups, parents = bred_grouping(graph, random.Random(seed))
+    assert_normalize_matches(graph, groups, parents)
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_graphs, seeds)
+def test_normalize_with_parents_matches_reference_on_zoo(graph, seed):
+    groups, parents = bred_grouping(graph, random.Random(seed))
+    assert_normalize_matches(graph, groups, parents)
+
+
+@pytest.mark.parametrize("model", available_models())
+def test_normalize_with_parents_matches_reference_on_every_zoo_network(model):
+    graph = get_model(model)
+    rng = random.Random(model)
+    for _ in range(4):
+        groups, parents = bred_grouping(graph, rng)
+        assert_normalize_matches(graph, groups, parents)
+
+
+def test_parent_sets_are_carried_as_the_same_objects(chain_graph):
+    parent = Partition.from_groups(
+        chain_graph, [{"conv1", "conv2"}, {"conv3"}, {"conv4"}]
+    )
+    first, second, third = parent.subgraph_sets
+    child = normalize_groups(chain_graph, [first, {"conv3", "conv4"}], (parent,))
+    assert child.subgraph_sets[0] is first
+    # An equal set is carried too, as a frozenset of its own.
+    child = normalize_groups(chain_graph, [set(first), second, third], (parent,))
+    assert child == parent
+    assert child.subgraph_sets[1] is second and child.subgraph_sets[2] is third
+
+
+# ---------------------------------------------------------------------------
+# The operators that pass their parents
+# ---------------------------------------------------------------------------
+@contextmanager
+def checked_normalization():
+    """Check every ``normalize_groups`` call against the oracle.
+
+    Patches the name each operator calls; yields the per-call parent
+    counts, so a test can see that its operators passed parents at all.
+    """
+    original = validity.normalize_groups
+    parent_counts: list[int] = []
+
+    def checked(graph, groups, parents=()):
+        groups = list(groups)
+        parent_counts.append(len(parents))
+        fast = original(graph, groups, parents)
+        oracle = reference.normalize_groups(graph, groups)
+        assert fast.labels == oracle.labels
+        assert fast.subgraph_sets == oracle.subgraph_sets
+        return fast
+
+    with mock.patch.object(mutation, "normalize_groups", checked), \
+            mock.patch.object(crossover_module, "normalize_groups", checked), \
+            mock.patch.object(validity, "normalize_groups", checked):
+        yield parent_counts
+
+
+def run_operator_sequence(graph, rng: random.Random, steps: int) -> None:
+    """Breed a small population with random operator choices."""
+    memory = MemoryConfig.separate(kb(512), kb(576))
+    population = [
+        Genome(random_partition(graph, rng, rng.random()), memory)
+        for _ in range(3)
+    ]
+    with checked_normalization() as parent_counts:
+        for _ in range(steps):
+            move = rng.randrange(5)
+            genome = rng.choice(population)
+            if move == 0:
+                child = mutation.modify_node(genome, rng)
+            elif move == 1:
+                child = mutation.split_subgraph(genome, rng)
+            elif move == 2:
+                child = mutation.merge_subgraph(genome, rng)
+            elif move == 3:
+                child = crossover(genome, rng.choice(population), rng)
+            else:
+                limit = rng.randint(1, 6)
+                child = genome.with_partition(
+                    split_infeasible(genome.partition, lambda m: len(m) <= limit)
+                )
+            reference.check_partition(graph, child.partition.assignment)
+            population[rng.randrange(len(population))] = child
+    assert all(parent_counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_dags(), seeds)
+def test_operator_sequences_match_reference_on_random_dags(graph, seed):
+    run_operator_sequence(graph, random.Random(seed), steps=12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(zoo_graphs, seeds)
+def test_operator_sequences_match_reference_on_zoo(graph, seed):
+    run_operator_sequence(graph, random.Random(seed), steps=8)
+
+
+def test_modify_node_splits_at_most_two_groups():
+    """Only the layer's old and new subgraph are split into components."""
+    graph = get_model("resnet50")
+    rng = random.Random(0)
+    genome = Genome(random_partition(graph, rng, 0.3), MemoryConfig.shared(kb(512)))
+    assert sum(len(s) > 1 for s in genome.partition.subgraph_sets) >= 10
+    calls = []
+
+    def counting(graph, members):
+        calls.append(1)
+        return weakly_connected_components(graph, members)
+
+    with mock.patch.object(validity, "weakly_connected_components", counting):
+        for _ in range(40):
+            calls.clear()
+            mutation.modify_node(genome, rng)
+            assert len(calls) <= 2
+
+
 # ---------------------------------------------------------------------------
 # check_partition
 # ---------------------------------------------------------------------------
@@ -169,6 +350,36 @@ def test_check_rejects_exactly_like_reference_on_random_dags(graph, seed):
 def test_check_rejects_exactly_like_reference_on_zoo(graph, seed):
     assignment = random_assignment(graph, random.Random(seed))
     verdict = _rejects(check_partition, graph, assignment)
+    assert verdict == _rejects(reference.check_partition, graph, assignment)
+
+
+def _construct(graph, assignment) -> Partition:
+    """``assignment`` as raw labels and member sets, with no name checks."""
+    topo = graph.topology()
+    labels = [-1] * len(topo.names)
+    for name, index in assignment.items():
+        labels[topo.index[name]] = index
+    count = max(assignment.values(), default=-1) + 1
+    sets = [
+        frozenset(n for n, index in assignment.items() if index == k)
+        for k in range(count)
+    ]
+    return Partition(graph, labels, sets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_dags(), seeds)
+def test_constructor_rejects_exactly_like_reference_on_random_dags(graph, seed):
+    assignment = random_assignment(graph, random.Random(seed))
+    verdict = _rejects(_construct, graph, assignment)
+    assert verdict == _rejects(reference.check_partition, graph, assignment)
+
+
+@settings(max_examples=80, deadline=None)
+@given(zoo_graphs, seeds)
+def test_constructor_rejects_exactly_like_reference_on_zoo(graph, seed):
+    assignment = random_assignment(graph, random.Random(seed))
+    verdict = _rejects(_construct, graph, assignment)
     assert verdict == _rejects(reference.check_partition, graph, assignment)
 
 
