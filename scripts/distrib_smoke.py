@@ -31,13 +31,13 @@ Phase 2 (budgeted, islands+two-step matrix): the matrix holds an
 island-model cell and a two-step (rs) cell under a sample budget sized
 so the budget binds. A lone worker is SIGKILLed *mid-islands-cell*
 (after its composite checkpoint is durably streaming, before the cell
-can finish). The resume is then driven by the **elastic coordinator**
-(`repro suite --distributed --autoscale`): it reclaims the orphaned
-lease, spawns workers against the unclaimed-cell queue depth, and an
-elastically-spawned worker resumes the checkpoint mid-search and runs
-the campaign to its budget. Asserts the elastic resume happened (a
-``resumed`` ``lease.claim`` by an ``elastic-w*`` worker plus
-``fleet.scale`` spawn events), that the registry charged exactly the
+can finish). The resume is then driven by the **coordinator**
+(`repro suite --distributed --workers 2`): it spawns workers against
+the queue of claimable cells, and a spawned worker steals the orphaned
+lease, resumes the checkpoint mid-search and runs the campaign to its
+budget. Asserts the resume happened (a ``resumed`` ``lease.claim`` by an
+``elastic-w*`` worker, ``via: "stolen"``, plus ``fleet.scale`` spawn
+events and no ``died`` one), that the registry charged exactly the
 budget, and that the merged report is bit-identical to a clean budgeted
 single-process FsTransport run.
 
@@ -329,7 +329,7 @@ def main() -> int:
 
 
 def budgeted_phase(workdir: Path, env: dict, transport: str) -> int:
-    """Phase 2: budgeted islands+rs campaign, SIGKILL + elastic resume."""
+    """Phase 2: budgeted islands+rs campaign, SIGKILL + fleet resume."""
     clean = workdir / "budget-clean-registry"
     shared_root = make_registry_root(workdir, transport, "budget-shared")
     shared = RegistryProbe(shared_root)
@@ -394,14 +394,14 @@ def budgeted_phase(workdir: Path, env: dict, transport: str) -> int:
     if code != 0:
         return code
 
-    # 3. elastic resume: the autoscale coordinator reclaims the orphaned
-    # lease, spawns workers against the unclaimed-cell queue depth, and
-    # an elastically-spawned worker resumes the composite checkpoint
-    # mid-search and finishes the campaign at budget.
+    # 3. fleet resume: the coordinator spawns workers against the queue
+    # of claimable cells; a spawned worker steals the orphaned lease,
+    # resumes the composite checkpoint mid-search and finishes the
+    # campaign at budget.
     coordinator = subprocess.run(
         suite_command(
-            shared_root, "--distributed", "--autoscale",
-            "--max-workers", "2", "--ttl", "3", "--poll", "0.2",
+            shared_root, "--distributed", "--workers", "2",
+            "--ttl", "3", "--poll", "0.2",
             "--timeout", "300", "--status-interval", "9999",
             *budget, matrix=BUDGET_MATRIX_ARGS,
         ),
@@ -409,7 +409,7 @@ def budgeted_phase(workdir: Path, env: dict, transport: str) -> int:
     )
     # Exhausted-at-budget campaigns exit 1 by design.
     if coordinator.returncode not in (0, 1):
-        print(f"FAIL: elastic coordinator exited {coordinator.returncode}:\n"
+        print(f"FAIL: coordinator exited {coordinator.returncode}:\n"
               f"{coordinator.stdout}\n{coordinator.stderr}")
         return 1
     print(coordinator.stdout.strip().splitlines()[-1]
@@ -420,14 +420,20 @@ def budgeted_phase(workdir: Path, env: dict, transport: str) -> int:
         for record in shared.telemetry_records(islands_run)
         if record.get("kind") == "lease.claim"
     ]
-    elastic_resumes = [
+    resumes = [
         record for record in claims
         if record.get("resumed")
         and str(record.get("owner", "")).startswith("elastic-w")
     ]
-    if not elastic_resumes:
-        print(f"FAIL: no elastically-spawned worker resumed the victim's "
-              f"islands checkpoint; claims seen: {claims}")
+    if not resumes:
+        print(f"FAIL: no spawned worker resumed the victim's islands "
+              f"checkpoint; claims seen: {claims}")
+        return 1
+    # The coordinator reclaims nothing itself: the spawned worker's
+    # claim must be the steal of the victim's expired lease.
+    if resumes[0].get("via") != "stolen":
+        print(f"FAIL: the resuming claim did not steal the victim's "
+              f"lease: {resumes[0]}")
         return 1
     scale_events = [
         record
@@ -443,8 +449,13 @@ def budgeted_phase(workdir: Path, env: dict, transport: str) -> int:
         print(f"FAIL: coordinator emitted no fleet.scale spawn events: "
               f"{scale_events}")
         return 1
-    print(f"elastic resume confirmed: {elastic_resumes[0]['owner']} resumed "
-          f"the islands checkpoint; fleet.scale spawned {spawned} worker(s)")
+    died = [r for r in scale_events if r.get("action") == "died"]
+    if died:
+        print(f"FAIL: spawned workers died: {died}")
+        return 1
+    print(f"fleet resume confirmed: {resumes[0]['owner']} stole the "
+          f"victim's lease and resumed the islands checkpoint; "
+          f"fleet.scale spawned {spawned} worker(s), none died")
 
     # 4. exact charge + bit-identical merged report
     shared_charge = shared.charged_evaluations()

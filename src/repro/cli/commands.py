@@ -481,12 +481,12 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
     uninterrupted one at the same campaign seed. Exits non-zero when any
     cell failed or remains incomplete, so CI can gate on the campaign.
 
-    ``--distributed`` switches to coordinator mode (spawning
+    ``--distributed`` switches to coordinator mode (spawning up to
     ``--workers`` local ``repro worker`` processes against the shared
-    registry), ``--budget`` caps the campaign's total samples with
-    deterministic per-cell re-granting, ``--status`` prints the live
-    lease/checkpoint view, and ``--gc`` reclaims stale checkpoint/lease
-    files of completed runs.
+    registry's queue of claimable cells), ``--budget`` caps the
+    campaign's total samples with deterministic per-cell re-granting,
+    ``--status`` prints the live lease/checkpoint view, and ``--gc``
+    reclaims stale checkpoint/lease files of completed runs.
     """
     from ..runs.registry import RunRegistry
     from ..runs.suite import merged_report, run_suite
@@ -538,17 +538,13 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
         from ..distrib.coordinator import CoordinatorConfig, run_distributed
 
         config = CoordinatorConfig(
-            spawn_workers=args.workers if not args.autoscale else 0,
+            spawn_workers=args.workers,
             lease_ttl=args.ttl,
             poll_interval=args.poll,
             eval_workers=args.eval_workers,
             status_interval=args.status_interval,
             timeout=args.timeout,
             on_status=lambda text: print(text, flush=True),
-            autoscale=args.autoscale,
-            min_workers=args.min_workers,
-            max_workers=args.max_workers,
-            worker_max_idle=args.worker_max_idle,
         )
         outcome = run_distributed(
             matrix, args.registry, budget=args.budget, config=config

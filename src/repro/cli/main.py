@@ -158,7 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="campaign seed; every cell's seed derives "
                             "from it plus the cell's stable key")
     suite.add_argument("--workers", type=int, default=1,
-                       help="worker processes cells are sharded across")
+                       help="worker processes cells are sharded across; "
+                            "with --distributed, the most local `repro "
+                            "worker` processes live at once, spawned as "
+                            "cells wait unleased and retired when idle "
+                            "(0: external workers only)")
     suite.add_argument("--registry", default="runs-registry",
                        help="run registry: a directory (created if "
                             "missing) or an object-store URI "
@@ -177,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "converged cells to unconverged ones")
     suite.add_argument("--distributed", action="store_true",
                        help="coordinator mode: enqueue the campaign "
-                            "manifest, spawn --workers local `repro "
-                            "worker` processes, watch lease/checkpoint "
-                            "state, reclaim expired leases, and merge "
-                            "the final report")
+                            "manifest, spawn up to --workers local "
+                            "`repro worker` processes against the "
+                            "queue of claimable cells, watch lease/"
+                            "checkpoint state, and merge the final "
+                            "report")
     suite.add_argument("--ttl", type=float, default=30.0,
                        help="lease TTL in seconds (distributed mode): "
                             "a worker silent this long is presumed dead "
@@ -193,18 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--timeout", type=float, default=None,
                        help="abort the distributed campaign after this "
                             "many seconds (default: wait forever)")
-    suite.add_argument("--autoscale", action="store_true",
-                       help="elastic fleet (distributed mode): spawn "
-                            "workers toward the live unclaimed-cell "
-                            "queue depth instead of a fixed --workers "
-                            "count; idle workers retire on their own")
-    suite.add_argument("--min-workers", type=int, default=0,
-                       help="elastic fleet floor (with --autoscale)")
-    suite.add_argument("--max-workers", type=int, default=4,
-                       help="elastic fleet ceiling (with --autoscale)")
-    suite.add_argument("--worker-max-idle", type=float, default=None,
-                       help="idle seconds before an elastic worker "
-                            "retires (default: derived from --poll)")
     suite.add_argument("--eval-workers", type=int, default=None,
                        help="evaluation fan-out *inside* each cell "
                             "(bit-identical for any value)")

@@ -772,7 +772,10 @@ class Evaluator:
         return list(self._summaries.items())
 
     def stats(self) -> dict[str, float]:
-        """Cache/timing counters (mergeable across worker processes)."""
+        """Cache counters, plus the stage timings when collected.
+
+        Mergeable across worker processes (:meth:`absorb_stats`).
+        """
         out: dict[str, float] = {
             "profile_calls": self.num_profile_calls,
             "cost_calls": self.num_cost_calls,
@@ -782,7 +785,8 @@ class Evaluator:
             "batch_direct": self.num_batch_direct,
             "batch_hits": self.num_batch_hits,
         }
-        out.update(self.timings)
+        if self.collect_timings:
+            out.update(self.timings)
         return out
 
     def absorb_stats(self, delta: dict[str, float]) -> None:

@@ -15,8 +15,8 @@ horizontal work queue:
   streaming, renews its heartbeat, and resumes half-finished cells it
   inherits from dead workers.
 * :mod:`repro.distrib.coordinator` — ``repro suite --distributed``:
-  enqueues the campaign manifest, optionally spawns local workers,
-  watches lease/checkpoint state live, reclaims expired leases, and
+  enqueues the campaign manifest, sizes a fleet of local workers to the
+  queue of claimable cells, watches lease/checkpoint state live, and
   merges results exactly as the local path does.
 
 The design invariant: **correctness never depends on mutual

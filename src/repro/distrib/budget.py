@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from ..errors import ConfigError
 from ..runs.registry import RunHandle, RunRegistry
 from ..runs.suite import CAPPED_SCHEMES
 
@@ -80,10 +81,10 @@ def cell_progress(
         state = handle.load_checkpoint()
         if state is not None:
             evaluations = int(state.get("evaluations", 0))
-    except (ValueError, TypeError, AttributeError):
-        # Half-written by a dying writer, or not a checkpoint object
-        # at all: counts as no checkpoint. A failed read (an ``OSError``,
-        # such as an unavailable object store) propagates: taken for "no
+    except (ConfigError, ValueError, TypeError, AttributeError):
+        # Undecodable, or not a checkpoint object at all: counts as no
+        # checkpoint. A failed read (an ``OSError``, such as an
+        # unavailable object store) propagates: taken for "no
         # checkpoint", it would refund the samples the cell spent.
         pass
     if registry.has_error(config, seed):

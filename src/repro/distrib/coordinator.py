@@ -6,16 +6,19 @@ The coordinator owns the campaign's lifecycle but none of its work:
   bare ``repro worker --registry DIR`` processes (on this machine or
   any machine sharing the registry — a directory or an object-store
   URI) know the matrix, scale, seed, and budget without re-typing them;
-* it optionally spawns local worker processes (real OS processes via
-  the ``spawn`` context — each one is exactly a ``repro worker``),
-  either as a fixed fleet (``spawn_workers``) or an *elastic* one
-  (``autoscale``): the fleet grows toward the number of cells that are
-  actually claimable right now and shrinks as workers retire idle, with
-  every scaling decision emitted as a ``fleet.scale`` telemetry event
-  at the registry root;
+* it sizes a fleet of local worker processes (real OS processes via
+  the ``spawn`` context — each one is exactly a ``repro worker``) to
+  the queue: every poll it spawns toward the number of claimable cells
+  whose lease is absent or expired, up to ``spawn_workers``, and its
+  workers retire on their own once idle. Every spawn, retirement and
+  death is a ``fleet.scale`` telemetry event at the registry root;
+* it reclaims nothing itself: a worker claiming a cell steals its
+  expired lease, so every reclaim is that worker's ``lease.claim``;
+* it stops a crash loop: once ``spawn_workers`` spawned workers in a
+  row have died (a non-zero exit) with no cell completing or failing
+  in between, it terminates the fleet and raises;
 * it watches lease/checkpoint state live, re-rendering the campaign
-  status view, and sweeps expired leases so dead workers' cells free up
-  even when every survivor is busy;
+  status view;
 * when the campaign finishes and its spawned workers have exited, it
   merges every durable ``result.json`` into the final report **exactly
   as the local path does** — the merge is
@@ -49,7 +52,7 @@ from .budget import (
     compute_allocations,
 )
 from .clock import Clock
-from .lease import break_expired_lease, read_lease
+from .lease import read_lease
 from .worker import worker_entry
 
 MANIFEST = "campaign.json"
@@ -94,10 +97,10 @@ def read_manifest(registry_root: str | Path) -> tuple[SuiteMatrix, int | None]:
 class CoordinatorConfig:
     """Knobs of one coordinator run."""
 
-    #: Local worker processes to spawn (0: external workers only).
+    #: Ceiling on live spawned workers, and the run of consecutive
+    #: worker deaths that aborts the campaign (0: external workers only).
     spawn_workers: int = 0
-    #: Lease TTL handed to spawned workers, and the expiry threshold the
-    #: coordinator's own reclaim sweep applies.
+    #: Lease TTL handed to spawned workers.
     lease_ttl: float = 30.0
     poll_interval: float = 1.0
     #: Evaluation fan-out inside each spawned worker's leased cells.
@@ -108,24 +111,17 @@ class CoordinatorConfig:
     #: finished after this many seconds. None: wait forever.
     timeout: float | None = None
     on_status: Callable[[str], None] | None = None
-    #: Elastic fleet mode: instead of (or on top of) the fixed
-    #: ``spawn_workers`` fleet, spawn workers toward the live
-    #: unclaimed-cell queue depth, bounded by ``min_workers`` /
-    #: ``max_workers``. Elastic workers carry a ``max_idle`` so they
-    #: retire on their own once the queue drains; the coordinator then
-    #: respawns on the next depth spike. Every decision is a
-    #: ``fleet.scale`` telemetry event.
-    autoscale: bool = False
-    min_workers: int = 0
-    max_workers: int = 4
-    #: Idle self-retirement handed to elastic workers (None: derived
-    #: from the poll interval).
-    worker_max_idle: float | None = None
-    #: Injectable time source for timeout/status pacing and the expired-
-    #: lease sweep; tests drive it with a FakeClock instead of waiting.
+    #: Injectable time source for timeout/status pacing and the lease
+    #: expiry the fleet is sized by; tests drive it with a FakeClock
+    #: instead of waiting.
     clock: Clock = time.time
     #: Injectable poll wait, paired with ``clock``.
     sleep: Callable[[float], None] = time.sleep
+
+
+def _settled(progress: dict) -> int:
+    """Cells that completed or failed: the fleet's forward progress."""
+    return sum(1 for state in progress.values() if state.complete or state.failed)
 
 
 def run_distributed(
@@ -139,8 +135,10 @@ def run_distributed(
     Returns the :class:`SuiteOutcome` the local runner builds, from the
     same :func:`campaign_outcome` fold of a progress map probed after
     the spawned workers exit — a distributed campaign (including worker
-    deaths, elastic scale-ups, and lease reclaims along the way) merges
-    to exactly the report of a clean single-process run.
+    deaths, fleet growth, and lease steals along the way) merges to
+    exactly the report of a clean single-process run. Raises
+    :class:`ReproError` on a timeout, and once ``spawn_workers`` spawned
+    workers in a row died with no cell completing or failing between.
     """
     config = config or CoordinatorConfig()
     registry = RunRegistry(registry_root)
@@ -153,8 +151,11 @@ def run_distributed(
 
     ctx = multiprocessing.get_context("spawn")
     fleet_sink = TelemetrySink(registry.root_node(), clock=config.clock)
+    # Spawned workers retire once idle this long; the next depth spike
+    # respawns.
+    max_idle = max(5.0, 10.0 * config.poll_interval)
 
-    def spawn(worker_id: str, max_idle: float | None) -> object:
+    def spawn(worker_id: str) -> object:
         process = ctx.Process(
             target=worker_entry,
             kwargs={
@@ -172,73 +173,72 @@ def run_distributed(
         process.start()
         return process
 
-    workers = [
-        spawn(f"coord-w{index}", None)
-        for index in range(config.spawn_workers)
-    ]
-    elastic: list = []
-    elastic_spawned = 0
-    elastic_retired = 0
-    elastic_max_idle = (
-        config.worker_max_idle
-        if config.worker_max_idle is not None
-        else max(5.0, 10.0 * config.poll_interval)
-    )
+    fleet: list = []
+    spawned = retired = died = 0
 
-    reclaimed = 0
+    def reap() -> list[int]:
+        """Drop exited workers from the fleet; the death exit codes."""
+        nonlocal fleet, retired, died
+        gone = [p for p in fleet if not p.is_alive()]
+        fleet = [p for p in fleet if p not in gone]
+        # Idle retirement exits 0; any other exit is a death.
+        codes = [p.exitcode for p in gone if p.exitcode != 0]
+        retiring = len(gone) - len(codes)
+        if retiring:
+            retired += retiring
+            fleet_sink.emit(
+                "fleet.scale", action="retire", count=retiring, fleet=len(fleet)
+            )
+        if codes:
+            died += len(codes)
+            fleet_sink.emit(
+                "fleet.scale",
+                action="died",
+                count=len(codes),
+                exit_codes=codes,
+                fleet=len(fleet),
+            )
+        return codes
+
+    # Exit codes of the spawned workers that died since a cell last
+    # completed or failed.
+    deaths: list[int] = []
+    settled = _settled(progress)
     started = config.clock()
     last_status = started
     aborted = False
     try:
         while not campaign_finished(cells, budget, progress):
-            # Sweep expired leases so dead workers' cells free up even
-            # while every survivor is busy on other cells.
-            for cell in cells:
-                cfg = cell.config_dict()
-                seed = cell.seed(matrix.seed)
-                if progress[cell.key].complete or progress[cell.key].failed:
-                    continue
-                if break_expired_lease(
-                    registry.run_node(cfg, seed), clock=config.clock
-                ):
-                    reclaimed += 1
-            if config.autoscale:
-                # Reap retired elastic workers first, then grow toward
-                # the live queue depth.
-                gone = [p for p in elastic if not p.is_alive()]
-                if gone:
-                    elastic = [p for p in elastic if p.is_alive()]
-                    elastic_retired += len(gone)
-                    fleet_sink.emit(
-                        "fleet.scale",
-                        action="retire",
-                        count=len(gone),
-                        fleet=len(elastic),
-                    )
-                depth = 0
-                for cell, _cap in claimable_cells(cells, budget, progress):
-                    node = registry.run_node(
-                        cell.config_dict(), cell.seed(matrix.seed)
-                    )
-                    info = read_lease(node)
-                    if info is None or info.is_expired(config.clock()):
-                        depth += 1
-                target = max(config.min_workers, min(config.max_workers, depth))
-                if len(elastic) < target:
-                    grow = target - len(elastic)
-                    for _ in range(grow):
-                        worker_id = f"elastic-w{elastic_spawned}"
-                        elastic.append(spawn(worker_id, elastic_max_idle))
-                        elastic_spawned += 1
-                    fleet_sink.emit(
-                        "fleet.scale",
-                        action="spawn",
-                        count=grow,
-                        depth=depth,
-                        fleet=len(elastic),
-                        target=target,
-                    )
+            if len(deaths) >= max(1, config.spawn_workers):
+                aborted = True
+                raise ReproError(
+                    f"{len(deaths)} spawned worker(s) died in a row with "
+                    f"no cell completing or failing (exit codes {deaths}); "
+                    "inspect the registry for the cell that kills them"
+                )
             now = config.clock()
+            depth = 0
+            for cell, _cap in claimable_cells(cells, budget, progress):
+                node = registry.run_node(
+                    cell.config_dict(), cell.seed(matrix.seed)
+                )
+                info = read_lease(node)
+                if info is None or info.is_expired(now):
+                    depth += 1
+            target = min(config.spawn_workers, depth)
+            if len(fleet) < target:
+                grow = target - len(fleet)
+                for _ in range(grow):
+                    fleet.append(spawn(f"elastic-w{spawned}"))
+                    spawned += 1
+                fleet_sink.emit(
+                    "fleet.scale",
+                    action="spawn",
+                    count=grow,
+                    depth=depth,
+                    fleet=len(fleet),
+                    target=target,
+                )
             if (
                 config.on_status is not None
                 and config.status_interval is not None
@@ -260,55 +260,40 @@ def run_distributed(
                     )
                 )
                 last_status = now
-            if (
-                config.spawn_workers
-                and not config.autoscale
-                and not any(p.is_alive() for p in workers)
-            ):
-                # Every spawned worker exited but the campaign is not
-                # finished (external workers may still be coming in a
-                # mixed fleet, but with a purely-spawned fleet this
-                # means cells died past max retries). Re-probe once so
-                # the race "workers finished while we slept" reads as
-                # success, then stop. With autoscale on, an empty fleet
-                # just means the queue drained — the next depth spike
-                # respawns.
-                progress = campaign_progress(registry, cells, matrix.seed)
-                if campaign_finished(cells, budget, progress):
-                    break
-                aborted = True
-                raise ReproError(
-                    "all spawned workers exited before the campaign "
-                    "finished; inspect the registry for stuck cells"
-                )
             if config.timeout is not None and now - started > config.timeout:
                 aborted = True
                 raise ReproError(
                     f"campaign did not finish within {config.timeout:.0f}s"
                 )
             config.sleep(config.poll_interval)
+            # Reap before probing: a cell a worker settled before it
+            # died then counts as progress, not as part of a crash loop.
+            deaths.extend(reap())
             progress = campaign_progress(registry, cells, matrix.seed)
+            now_settled = _settled(progress)
+            if now_settled > settled:
+                settled = now_settled
+                deaths.clear()
     finally:
         if not aborted:
             # Normal completion: workers exit on their own once they
-            # observe the finished campaign (elastic ones possibly
-            # earlier, via their idle timeout).
-            for process in workers + elastic:
-                if process.is_alive():
-                    process.join(timeout=config.lease_ttl + 10.0)
-        for process in workers + elastic:
+            # observe the finished campaign.
+            for process in fleet:
+                process.join(timeout=config.lease_ttl + 10.0)
+        reap()
+        for process in fleet:
             # Abort path (or a worker that refuses to exit): terminate
             # immediately — waiting a lease TTL per worker would turn a
             # --timeout abort into a multi-minute hang.
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        if elastic_spawned:
+            process.terminate()
+            process.join(timeout=5.0)
+        if spawned:
             fleet_sink.emit(
                 "fleet.scale",
                 action="final",
-                spawned=elastic_spawned,
-                retired=elastic_retired,
+                spawned=spawned,
+                retired=retired,
+                died=died,
             )
 
     # Re-probe after the join: a worker may still have been finishing a
@@ -319,12 +304,8 @@ def run_distributed(
     outcome = campaign_outcome(
         matrix, budget, progress, rounds=1, skipped=skipped
     )
-    if reclaimed:
+    if spawned:
         outcome.report.notes.append(
-            f"coordinator reclaimed {reclaimed} expired lease(s)"
-        )
-    if elastic_spawned:
-        outcome.report.notes.append(
-            f"elastic fleet spawned {elastic_spawned} worker(s)"
+            f"elastic fleet spawned {spawned} worker(s)"
         )
     return outcome

@@ -16,16 +16,18 @@ shared POSIX directory and on an S3-compatible object store:
   after a steal fails the compare-and-swap and reports the lease lost.
 * **release** — ``delete_if_match`` with the same token; never touches
   a lease someone else re-acquired.
-* **steal** — reclaim an *expired* lease (heartbeat older than its
-  TTL): ``delete_if_match`` the observed version (on the filesystem a
+* **steal** — reclaim an *expired* (or unparsable) lease: the
+  claimant tears it down with :func:`break_expired_lease` — a
+  ``delete_if_match`` of the observed version (on the filesystem a
   rename-to-tombstone with restore-on-mismatch; remotely a conditional
-  ``DELETE``), then ``create_if_absent`` a fresh lease. Only one
+  ``DELETE``) — then ``create_if_absent`` a fresh lease. Only one
   stealer's delete can win. A peer's ``create_if_absent`` can land
   between that delete and the stealer's create: the peer then holds a
   ``"fresh"`` lease on the cell and the stealer walks away empty-handed.
   Either way the dead owner's cell is claimed exactly once; a claim
   counts as ``"stolen"`` only when its claimant also tore the expired
-  lease down.
+  lease down. Workers are the only reclaimers, so every reclaim shows
+  up as a ``lease.claim`` event in the cell's telemetry.
 
 Clocks: heartbeat ages compare a reader's clock against a writer's, so
 workers sharing a registry should have roughly synchronized clocks (NTP
@@ -170,52 +172,36 @@ def try_acquire_lease(
     ttl: float,
     clock: Clock = time.time,
 ) -> Lease | None:
-    """Claim a cell; ``None`` if it is validly held.
+    """Claim a cell; ``None`` if a peer holds it or wins the race.
 
     Ensures the cell's container exists (claiming often precedes the
-    first write to a cell). A free cell is claimed atomically; an
-    expired (or unparsably torn) lease is first torn down with a
-    conditional delete of the exact version we observed, so a lease
-    re-acquired in the window survives untouched. ``clock`` supplies
-    the acquisition/expiry timestamps (tests inject a logical clock so
-    TTL expiry needs no real sleeping).
+    first write to a cell). A free cell is claimed atomically; a held
+    one only after :func:`break_expired_lease` tore its expired (or
+    unparsably torn) lease down, and the claim then counts as
+    ``"stolen"``. A lease released between our create and the teardown's
+    read also yields ``None``; the caller's next pass claims the cell.
+    ``clock`` supplies the acquisition/expiry timestamps (tests inject a
+    logical clock so TTL expiry needs no real sleeping).
     """
     node.ensure()
-    now = clock()
     lease = Lease(
         node=node,
         owner=owner,
         nonce=uuid.uuid4().hex,
         ttl=float(ttl),
-        acquired_at=now,
+        acquired_at=clock(),
     )
     body = _encode(lease, heartbeat=lease.acquired_at)
     version = node.create_if_absent(LEASE_FILENAME, body)
-    if version is not None:
-        lease.version = version
-        return lease
-    current = node.read_with_version(LEASE_FILENAME)
-    if current is None:
-        # Released between our create and read: retry the atomic
-        # create once; give up to the other racers otherwise.
+    if version is None:
+        if not break_expired_lease(node, clock=clock):
+            return None
         version = node.create_if_absent(LEASE_FILENAME, body)
         if version is None:
             return None
-        lease.version = version
-        return lease
-    text, observed = current
-    info = _decode(text)
-    if info is not None and not info.is_expired(now):
-        return None
-    # Expired — or unparsable garbage that would block the cell forever.
-    if not node.delete_if_match(LEASE_FILENAME, observed):
-        return None
-    version = node.create_if_absent(LEASE_FILENAME, body)
-    if version is not None:
-        lease.version = version
         lease.via = "stolen"
-        return lease
-    return None
+    lease.version = version
+    return lease
 
 
 def renew_lease(
@@ -256,19 +242,20 @@ def release_lease(lease: Lease) -> bool:
 
 
 def break_expired_lease(node: RunNode, clock: Clock = time.time) -> bool:
-    """Coordinator-side reclaim: remove an expired lease outright.
+    """Tear down an expired lease; True when this call removed it.
 
-    Workers steal expired leases on their own; a coordinator sweeping
-    the registry calls this so cells of dead workers free up even when
-    every surviving worker is busy elsewhere. True when a lease was
-    broken.
+    The steal half of :func:`try_acquire_lease`. An unparsable lease
+    (garbage that would block its cell forever) counts as expired. The
+    delete is conditional on the exact version read, so a lease renewed
+    or re-acquired in the window survives untouched. False when the
+    cell has no lease, a live one, or a peer's write won the race.
     """
     current = node.read_with_version(LEASE_FILENAME)
     if current is None:
         return False
     text, observed = current
     info = _decode(text)
-    if info is None or not info.is_expired(clock()):
+    if info is not None and not info.is_expired(clock()):
         return False
     return node.delete_if_match(LEASE_FILENAME, observed)
 

@@ -126,11 +126,12 @@ class TelemetryTotals:
     cells_started: int = 0
     cells_finished: int = 0
     cells_errored: int = 0
-    #: Elastic-fleet scaling decisions (coordinator ``fleet.scale``
-    #: events at the registry root): workers spawned against queue
-    #: depth, and spawned workers observed retiring.
+    #: The coordinator's ``fleet.scale`` events at the registry root:
+    #: workers spawned against queue depth, and spawned workers seen
+    #: retiring idle (exit 0) or dying (any other exit).
     fleet_spawned: int = 0
     fleet_retired: int = 0
+    fleet_died: int = 0
     #: Summed ``Evaluator.stats()`` counters from finished cells.
     evaluator_stats: dict[str, float] = field(default_factory=dict)
 
@@ -177,6 +178,8 @@ class TelemetryTotals:
                 self.fleet_spawned += count
             elif action == "retire":
                 self.fleet_retired += count
+            elif action == "died":
+                self.fleet_died += count
         elif kind == "evaluator.stats":
             stats = record.get("stats")
             if isinstance(stats, dict):
@@ -307,7 +310,7 @@ def build_view(
         for record in iter_jsonl_text(node.read_text(TELEMETRY_FILENAME)):
             totals.fold(record)
     # Campaign-level stream at the registry root: the coordinator's
-    # elastic-fleet scaling decisions live here, not under any one cell.
+    # fleet events live here, not under any one cell.
     root_node = registry.root_node()
     for record in iter_jsonl_text(root_node.read_text(TELEMETRY_FILENAME)):
         totals.fold(record)

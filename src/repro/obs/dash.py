@@ -3,8 +3,9 @@
 Renders a :class:`~repro.obs.aggregate.CampaignView` as plain ANSI
 text: per-cell convergence sparklines (best cost over streamed
 progress), the live lease/status table the suite already prints, a
-fleet-health block (per-worker heartbeat age and eval throughput from
-the enriched lease renewals), budget spend/refund totals, and the
+fleet block (the coordinator's spawned, retired and died worker
+counts, and per-worker heartbeat age and eval throughput from the
+enriched lease renewals), budget spend/refund totals, and the
 campaign-wide telemetry counters.
 
 Because the view is a pure read of registry bytes, the dashboard works
@@ -116,9 +117,15 @@ def render_dashboard(view: CampaignView, width: int = 32) -> str:
     lines.append("")
     lines.append(render_campaign(list(view.statuses)))
 
-    if view.workers:
+    totals = view.telemetry
+    if view.workers or totals.fleet_spawned:
         lines.append("")
         lines.append("fleet:")
+        if totals.fleet_spawned:
+            lines.append(
+                f"  spawned {totals.fleet_spawned}, retired "
+                f"{totals.fleet_retired}, died {totals.fleet_died}"
+            )
         for worker in view.workers:
             beat = (
                 f"{worker.heartbeat_age:.0f}s"
@@ -137,7 +144,6 @@ def render_dashboard(view: CampaignView, width: int = 32) -> str:
                 f"cells: {', '.join(worker.cells)}"
             )
 
-    totals = view.telemetry
     if totals.events:
         hit = totals.batch_hit_rate
         lines.append("")

@@ -78,6 +78,9 @@ def campaign_metrics(view: CampaignView) -> dict[str, Any]:
             "cells_started": totals.cells_started,
             "cells_finished": totals.cells_finished,
             "cells_errored": totals.cells_errored,
+            "fleet_spawned": totals.fleet_spawned,
+            "fleet_retired": totals.fleet_retired,
+            "fleet_died": totals.fleet_died,
             "genomes_batched": totals.genomes_batched,
             "genomes_cold": totals.genomes_cold,
             "batch_hit_rate": totals.batch_hit_rate,

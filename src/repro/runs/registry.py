@@ -270,10 +270,20 @@ class RunHandle:
         self.node.write_atomic(_CHECKPOINT, json.dumps(state))
 
     def load_checkpoint(self) -> dict[str, Any] | None:
+        """The stored checkpoint's JSON; ``None`` when there is none.
+
+        Undecodable text raises :class:`ConfigError`, which fails the
+        cell like any other malformed checkpoint.
+        """
         text = self.node.read_text(_CHECKPOINT)
         if text is None:
             return None
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"malformed checkpoint: JSONDecodeError: {exc}"
+            ) from exc
 
     # -- completion -----------------------------------------------------
     def finish(self, result: dict[str, Any]) -> None:

@@ -183,9 +183,10 @@ class TestSummaryCacheLRU:
 
 
 class TestStatsPlumbing:
-    def test_batch_counters_merge(self):
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_batch_counters_merge(self, timed):
         graph = get_model("googlenet")
-        evaluator = Evaluator(graph, paper_accelerator())
+        evaluator = Evaluator(graph, paper_accelerator(), collect_timings=timed)
         pops, mems = _population(graph, seed=2, count=3)
         evaluator.summarize_population(pops, mems)
         stats = evaluator.stats()
@@ -195,14 +196,17 @@ class TestStatsPlumbing:
             "batch_direct",
             "batch_hits",
             "direct_probes",
-            "batch_s",
         ):
             assert key in stats
+        # Stage timings are reported only when collected.
+        timings = {key for key in stats if key.endswith("_s")}
+        assert timings == (set(evaluator.timings) if timed else set())
         assert stats["batch_priced"] > 0
-        other = Evaluator(graph, paper_accelerator())
+        other = Evaluator(graph, paper_accelerator(), collect_timings=timed)
         other.absorb_stats(stats)
         assert other.num_batch_priced == evaluator.num_batch_priced
         assert other.num_batch_direct == evaluator.num_batch_direct
+        assert other.timings == evaluator.timings
 
     def test_feasible_direct_probe_skips_profiling(self):
         graph = get_model("resnet50")

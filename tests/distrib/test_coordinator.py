@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from repro.distrib.coordinator import (
 from repro.distrib.lease import read_lease, try_acquire_lease
 from repro.errors import ConfigError, ReproError
 from repro.runs.registry import RunRegistry
-from repro.runs.suite import SuiteMatrix, run_suite
+from repro.runs.suite import FAULT_ENV, SuiteMatrix, run_suite
 
 
 MATRIX = SuiteMatrix(
@@ -28,6 +29,16 @@ MATRIX = SuiteMatrix(
     scale="tiny",
     seed=0,
 )
+
+
+def _records(node, kind: str) -> list[dict]:
+    """The ``kind`` events of a registry node's telemetry stream."""
+    text = node.read_text("telemetry.jsonl") or ""
+    return [
+        record
+        for record in map(json.loads, text.splitlines())
+        if record["kind"] == kind
+    ]
 
 
 class TestManifest:
@@ -101,42 +112,139 @@ class TestRunDistributed:
         )
         assert outcome.failed == 0
         assert read_lease(node) is None
+        # The coordinator reclaims nothing itself: a spawned worker's
+        # claim stole the dead worker's lease.
+        assert [
+            claim["via"] for claim in _records(node, "lease.claim")
+        ] == ["stolen"]
         clean = run_suite(MATRIX, tmp_path / "clean")
         assert outcome.report.rows == clean.report.rows
 
-    def test_autoscale_spawns_elastic_fleet(self, tmp_path):
-        # No fixed fleet at all: every worker that runs a cell must have
-        # been spawned by the autoscaler against live queue depth, and
-        # every scaling decision must land in the root telemetry stream.
+    def test_spawns_queue_sized_fleet(self, tmp_path):
+        # Every worker that runs a cell is spawned against live queue
+        # depth, and every spawn and retirement lands in the root
+        # telemetry stream.
         outcome = run_distributed(
             MATRIX,
             tmp_path / "reg",
             config=CoordinatorConfig(
-                spawn_workers=0,
-                autoscale=True,
-                max_workers=2,
-                lease_ttl=5,
-                poll_interval=0.05,
-                timeout=180,
+                spawn_workers=2, lease_ttl=5, poll_interval=0.05, timeout=180
             ),
         )
         assert outcome.failed == 0
         assert outcome.completed == 2
         assert any("elastic fleet spawned" in note for note in outcome.report.notes)
-        registry = RunRegistry(tmp_path / "reg")
-        text = registry.root_node().read_text("telemetry.jsonl")
-        scale = [
-            record
-            for record in map(json.loads, text.splitlines())
-            if record["kind"] == "fleet.scale"
-        ]
+        scale = _records(RunRegistry(tmp_path / "reg").root_node(), "fleet.scale")
         spawned = sum(
             record["count"] for record in scale if record["action"] == "spawn"
         )
-        assert spawned >= 1
-        assert any(record["action"] == "final" for record in scale)
+        assert 1 <= spawned <= 2
+        (final,) = [record for record in scale if record["action"] == "final"]
+        assert final["spawned"] == final["retired"] == spawned
+        assert final["died"] == 0
+        assert not [record for record in scale if record["action"] == "died"]
         clean = run_suite(MATRIX, tmp_path / "clean")
         assert outcome.report.rows == clean.report.rows
+
+    def test_crash_loop_aborts_after_spawn_workers_deaths(
+        self, tmp_path, monkeypatch
+    ):
+        # A cell that hard-exits every worker claiming it: the fault
+        # hook kills once per marker, and a thread keeps deleting the
+        # marker. Two deaths in a row with no cell settling end the
+        # campaign, long before its timeout.
+        matrix = SuiteMatrix(
+            networks=("vgg16",), schemes=("cocco",), scale="tiny", seed=0
+        )
+        (cell,) = matrix.cells()
+        monkeypatch.setenv(FAULT_ENV, cell.cell_id)
+        registry = RunRegistry(tmp_path / "reg")
+        node = registry.run_node(cell.config_dict(), cell.seed(matrix.seed))
+        stop = threading.Event()
+
+        def rearm() -> None:
+            while not stop.wait(0.01):
+                node.delete("fault-attempted")
+
+        thread = threading.Thread(target=rearm, daemon=True)
+        thread.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(ReproError, match=r"exit codes \[23, 23\]"):
+                run_distributed(
+                    matrix,
+                    tmp_path / "reg",
+                    config=CoordinatorConfig(
+                        spawn_workers=2,
+                        lease_ttl=0.5,
+                        poll_interval=0.05,
+                        timeout=120,
+                    ),
+                )
+        finally:
+            stop.set()
+            thread.join()
+        assert time.monotonic() - started < 60
+        scale = _records(registry.root_node(), "fleet.scale")
+        died = [record for record in scale if record["action"] == "died"]
+        assert [record["exit_codes"] for record in died] == [[23], [23]]
+        assert not [record for record in scale if record["action"] == "retire"]
+        assert not registry.is_complete(cell.config_dict(), cell.seed(matrix.seed))
+
+    def test_settled_cell_resets_the_death_count(self, tmp_path, monkeypatch):
+        # Scripted stand-ins for spawned workers: each exits 9 at once,
+        # and the second first completes the vgg16 cell. Its two deaths
+        # do not stop a two-worker fleet, because a cell settled in
+        # between; the next two in a row do.
+        registry = RunRegistry(tmp_path / "reg")
+        first = MATRIX.cells()[0]
+
+        def complete_first() -> None:
+            registry.open_run(
+                first.config_dict(), first.seed(MATRIX.seed)
+            ).finish({"status": "complete", "num_evaluations": 1})
+
+        scripts = [None, complete_first, None, None]
+
+        class ScriptedProcess:
+            def __init__(self, target, kwargs, daemon):
+                self.exitcode = None
+
+            def start(self) -> None:
+                script = scripts.pop(0)
+                if script is not None:
+                    script()
+                self.exitcode = 9
+
+            def is_alive(self) -> bool:
+                return self.exitcode is None
+
+            def join(self, timeout=None) -> None:
+                pass
+
+        class ScriptedContext:
+            Process = ScriptedProcess
+
+        monkeypatch.setattr(
+            "repro.distrib.coordinator.multiprocessing.get_context",
+            lambda method: ScriptedContext,
+        )
+        fake = FakeClock()
+        with pytest.raises(ReproError, match=r"exit codes \[9, 9\]"):
+            run_distributed(
+                MATRIX,
+                tmp_path / "reg",
+                config=CoordinatorConfig(
+                    spawn_workers=2,
+                    timeout=100.0,
+                    clock=fake,
+                    sleep=fake.sleep,
+                ),
+            )
+        assert scripts == []
+        scale = _records(registry.root_node(), "fleet.scale")
+        died = [record for record in scale if record["action"] == "died"]
+        assert [record["exit_codes"] for record in died] == [[9, 9], [9], [9]]
 
     def test_timeout_aborts(self, tmp_path):
         # no workers at all: the campaign can never finish. A FakeClock

@@ -143,6 +143,66 @@ class TestBreakExpired:
         assert not break_expired_lease(node)
 
 
+class _CountingTransport:
+    """Delegates to a transport, logging the conditional lease operations."""
+
+    def __init__(self, inner, held_once: bool = False):
+        self.inner = inner
+        self.ops: list[str] = []
+        #: Fail the first create as if a peer held the lease, and released
+        #: it before the claimant's read.
+        self.held_once = held_once
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def create_if_absent(self, key, text):
+        self.ops.append("create")
+        if self.held_once:
+            self.held_once = False
+            return None
+        return self.inner.create_if_absent(key, text)
+
+    def read_with_version(self, key):
+        self.ops.append("read")
+        return self.inner.read_with_version(key)
+
+    def delete_if_match(self, key, version):
+        self.ops.append("delete")
+        return self.inner.delete_if_match(key, version)
+
+
+class TestContestedClaimOps:
+    """What a claim of a held cell costs, lease state by lease state."""
+
+    @pytest.mark.parametrize(
+        "state, via, ops",
+        [
+            ("live", None, ["create", "read"]),
+            ("expired", "stolen", ["create", "read", "delete", "create"]),
+            ("garbage", "stolen", ["create", "read", "delete", "create"]),
+            # Released between the create and the read: the claimant
+            # walks away and claims the cell on its next pass.
+            ("released", None, ["create", "read"]),
+        ],
+    )
+    def test_claim(self, run_dir, clock, state, via, ops):
+        transport = _CountingTransport(
+            FsTransport(run_dir), held_once=state == "released"
+        )
+        node = RunNode(transport, "")
+        if state == "garbage":
+            node.write_atomic("lease.json", "not json{{{")
+        elif state != "released":
+            try_acquire_lease(node, "w1", ttl=5, clock=clock)
+            transport.ops.clear()
+            if state == "expired":
+                clock.advance(6)
+        lease = try_acquire_lease(node, "w2", ttl=30, clock=clock)
+        assert (None if lease is None else lease.via) == via
+        assert transport.ops == ops
+
+
 class TestHeartbeat:
     def test_thread_keeps_lease_fresh(self, node):
         lease = try_acquire_lease(node, "w1", ttl=0.4)

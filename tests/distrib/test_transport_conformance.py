@@ -28,7 +28,7 @@ from repro.distrib.lease import (
     renew_lease,
     try_acquire_lease,
 )
-from repro.runs.registry import RunRegistry
+from repro.runs.registry import LEASE_FILENAME, RunRegistry
 from repro.runs.transport import RunNode, is_litter_key
 
 # ``transport`` (tests/conftest.py) runs every test below once per
@@ -269,11 +269,17 @@ class TestLeaseProtocol:
     def test_break_expired_lease(self, transport):
         node = self._node(transport)
         clock = FakeClock(now=0.0)
+        assert not break_expired_lease(node, clock=clock)  # no lease
         assert try_acquire_lease(node, "w0", ttl=5.0, clock=clock)
         assert not break_expired_lease(node, clock=clock)  # still live
         clock.advance(60.0)
         assert break_expired_lease(node, clock=clock)
         assert read_lease(node) is None
+        # An unparsable lease would block its cell forever: it is torn
+        # down like an expired one.
+        node.write_atomic(LEASE_FILENAME, "not json{{{")
+        assert break_expired_lease(node, clock=clock)
+        assert not node.exists(LEASE_FILENAME)
 
 
 class TestRegistryGc:

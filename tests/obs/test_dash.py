@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.obs import TelemetrySink
 from repro.obs.aggregate import build_view
 from repro.obs.dash import render_dashboard, run_dash, sparkline
+from repro.obs.metrics import campaign_metrics
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix, run_suite
 
@@ -51,6 +53,7 @@ class TestRenderDashboard:
         assert "convergence" in text
         assert "vgg16/separate/energy/b1/cocco" in text
         assert "telemetry:" in text
+        assert "fleet:" not in text  # no lease held, no worker spawned
         assert "\x1b" not in text  # frames are plain text; the loop
         # owns the escape codes
 
@@ -61,6 +64,25 @@ class TestRenderDashboard:
         text = render_dashboard(view)
         assert "2 pending" in text
         assert "no cell has streamed history yet" in text
+
+    def test_fleet_counts(self, tmp_path):
+        # The coordinator's fleet events live in the root stream.
+        run_suite(MATRIX, tmp_path / "reg")
+        registry = RunRegistry(tmp_path / "reg")
+        fleet = TelemetrySink(registry.root_node())
+        fleet.emit("fleet.scale", action="spawn", count=3, depth=3)
+        fleet.emit("fleet.scale", action="died", count=2, exit_codes=[23, -9])
+        fleet.emit("fleet.scale", action="retire", count=1)
+        fleet.emit("fleet.scale", action="final", spawned=3, retired=1, died=2)
+        view = build_view(MATRIX, registry, clock=lambda: 0.0)
+        text = render_dashboard(view)
+        assert "fleet:\n  spawned 3, retired 1, died 2" in text
+        telemetry = campaign_metrics(view)["telemetry"]
+        assert (
+            telemetry["fleet_spawned"],
+            telemetry["fleet_retired"],
+            telemetry["fleet_died"],
+        ) == (3, 1, 2)
 
     def test_budget_line(self, tmp_path):
         run_suite(MATRIX, tmp_path / "reg", budget=40)

@@ -103,6 +103,21 @@ class TestTrajectoryIdentity:
             assert history, cell.cell_id
             assert progress == history, cell.cell_id
 
+    def test_evaluator_stats_report_no_unmeasured_timings(self, both):
+        # Stage timings are collected only for --profile-timings; a
+        # suite cell must not report them as 0.0 s.
+        (reg_on, _), _ = both
+        for cell in MATRIX.cells():
+            config, seed = cell.config_dict(), cell.seed(MATRIX.seed)
+            text = reg_on.run_node(config, seed).read_text(TELEMETRY_FILENAME)
+            (stats,) = [
+                event["stats"]
+                for event in map(json.loads, text.splitlines())
+                if event["kind"] == "evaluator.stats"
+            ]
+            assert "batch_priced" in stats, cell.cell_id
+            assert not [key for key in stats if key.endswith("_s")], cell.cell_id
+
 
 def imported_modules(path: Path, root: Path) -> set[str]:
     """Absolute dotted names a module imports, relative imports resolved."""

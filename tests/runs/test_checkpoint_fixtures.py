@@ -97,16 +97,33 @@ def test_resume_reproduces_the_committed_outcome(tmp_path):
             )
 
 
-def test_malformed_checkpoint_fails_only_its_cell(tmp_path):
+def _without_population(text: str) -> str:
+    state = json.loads(text)
+    del state["population"]
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        (_without_population, "malformed ga checkpoint: KeyError: 'population'"),
+        (
+            lambda text: "{not json",
+            "malformed checkpoint: JSONDecodeError: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+    ],
+    ids=["missing-field", "undecodable"],
+)
+def test_malformed_checkpoint_fails_only_its_cell(tmp_path, corrupt, error):
     root = _copy_registry(tmp_path)
     broken = root / _run_name("cocco")
-    state = json.loads((broken / "checkpoint.json").read_text())
-    del state["population"]
-    (broken / "checkpoint.json").write_text(json.dumps(state))
+    checkpoint = broken / "checkpoint.json"
+    checkpoint.write_text(corrupt(checkpoint.read_text()))
     outcome = run_suite(MATRIX, root)
     assert (outcome.completed, outcome.failed) == (len(SCHEMES) - 1, 1)
     (message,) = outcome.errors.values()
-    assert message == "malformed ga checkpoint: KeyError: 'population'"
+    assert message == error
     assert json.loads((broken / "error.json").read_text())["error"] == message
     assert not (broken / "result.json").exists()
     for scheme in SCHEMES:
