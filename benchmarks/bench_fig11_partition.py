@@ -11,8 +11,7 @@ from repro.experiments.common import QUICK_SCALE
 # The large irregular models run the greedy/enumeration baselines for
 # many minutes (the paper's scalability point); the bench covers the
 # plain and multi-branch structures where every method completes, and the
-# full eight-model comparison is `python -m repro.experiments.runner
-# fig11`.
+# full eight-model comparison is `repro experiment fig11`.
 BENCH_MODELS = ("vgg16", "resnet50")
 
 

@@ -402,16 +402,36 @@ def cmd_pareto(args: argparse.Namespace) -> str:
 
 
 def cmd_experiment(args: argparse.Namespace) -> str:
-    """``repro experiment <id>`` — regenerate a paper table/figure."""
+    """``repro experiment <id>|all`` — regenerate paper tables/figures.
+
+    ``all`` runs every experiment in table order, each table followed
+    by the time it took.
+    """
+    import time as _time
+
     from ..experiments.runner import EXPERIMENTS, experiment_result
 
+    scale = SCALES[args.scale]
+    workers = getattr(args, "workers", 1)
+    if args.id == "all":
+        if args.export:
+            raise ConfigError(
+                "--export writes one result; name one experiment, not 'all'"
+            )
+        blocks = []
+        for name in EXPERIMENTS:
+            started = _time.perf_counter()
+            table = experiment_result(name, scale, workers=workers).to_text()
+            elapsed = _time.perf_counter() - started
+            blocks.append(f"{table}\n[{name} finished in {elapsed:.1f}s]")
+        return "\n\n".join(blocks)
     if args.id not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {args.id!r}; choose from "
-            f"{', '.join(EXPERIMENTS)}"
+            f"{', '.join(EXPERIMENTS)} or all"
         )
     result: ExperimentResult = experiment_result(
-        args.id, SCALES[args.scale], workers=getattr(args, "workers", 1)
+        args.id, scale, workers=workers
     )
     text = result.to_text()
     if args.export:
@@ -541,7 +561,6 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
             spawn_workers=args.workers,
             lease_ttl=args.ttl,
             poll_interval=args.poll,
-            eval_workers=args.eval_workers,
             status_interval=args.status_interval,
             timeout=args.timeout,
             on_status=lambda text: print(text, flush=True),
@@ -551,9 +570,7 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
         )
     else:
         outcome = run_suite(
-            matrix, args.registry, workers=args.workers,
-            max_rounds=args.max_rounds, budget=args.budget,
-            eval_workers=args.eval_workers,
+            matrix, args.registry, workers=args.workers, budget=args.budget
         )
     # The merged report is one more registry file, written atomically
     # through the root node; --export keeps a local copy.
@@ -562,8 +579,8 @@ def cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
     )
     lines = [outcome.report.to_text(), "", outcome.summary(),
              f"merged report: {registry.location}/report.json"]
-    for cell_id, error in outcome.errors.items():
-        lines.append(f"  failed {cell_id}: {error}")
+    for cell_id, (state, message) in outcome.errors.items():
+        lines.append(f"  {state} {cell_id}: {message}")
     if args.export:
         path = write_result(outcome.report, args.export)
         lines.append(f"exported to {path}")
@@ -597,7 +614,6 @@ def cmd_worker(args: argparse.Namespace) -> str:
         worker_id=args.worker_id or default_worker_id(),
         lease_ttl=args.ttl,
         poll_interval=args.poll,
-        eval_workers=args.eval_workers,
         max_idle=args.max_idle,
     )
     summary = run_worker(matrix, args.registry, config, budget=budget)

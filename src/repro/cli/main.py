@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate a paper table or figure"
     )
-    experiment.add_argument("id", help="fig3, fig11..fig14, table1..table3")
+    experiment.add_argument("id", help="fig1..fig3, fig11..fig14, "
+                                       "table1..table3, stability, or all")
     experiment.add_argument("--scale", choices=sorted(SCALES), default="quick")
     experiment.add_argument("--workers", type=int, default=1,
                             help="evaluation worker processes for the "
@@ -167,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run registry: a directory (created if "
                             "missing) or an object-store URI "
                             "s3://host:port/bucket")
-    suite.add_argument("--max-rounds", type=int, default=3,
-                       help="retry rounds after worker-process deaths")
     suite.add_argument("--report-only", action="store_true",
                        help="merge and print the registry's current "
                             "results without running anything")
@@ -198,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--timeout", type=float, default=None,
                        help="abort the distributed campaign after this "
                             "many seconds (default: wait forever)")
-    suite.add_argument("--eval-workers", type=int, default=None,
-                       help="evaluation fan-out *inside* each cell "
-                            "(bit-identical for any value)")
     suite.add_argument("--status", action="store_true",
                        help="print the live campaign status table and "
                             "exit (no work is run)")
@@ -235,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lease TTL in seconds")
     worker.add_argument("--poll", type=float, default=1.0,
                         help="idle poll interval (s)")
-    worker.add_argument("--eval-workers", type=int, default=None,
-                        help="evaluation fan-out inside a leased cell")
     worker.add_argument("--max-idle", type=float, default=None,
                         help="exit after this many consecutive idle "
                              "seconds (default: wait for peers forever)")

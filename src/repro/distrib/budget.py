@@ -113,6 +113,17 @@ def campaign_progress(
     }
 
 
+def settled_cells(progress: dict[tuple, CellProgress]) -> int:
+    """Cells that completed or failed: a campaign's forward progress.
+
+    Both runners bound worker deaths by it: ``run_suite`` stops after
+    ``workers`` broken rounds in a row, and the coordinator after
+    ``spawn_workers`` dead workers in a row, with no cell settling in
+    between.
+    """
+    return sum(1 for state in progress.values() if state.complete or state.failed)
+
+
 def _split(pool: int, count: int) -> list[int]:
     """Even integer split; the remainder goes to the earliest cells."""
     base, extra = divmod(pool, count)

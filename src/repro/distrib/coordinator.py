@@ -11,7 +11,8 @@ The coordinator owns the campaign's lifecycle but none of its work:
   the queue: every poll it spawns toward the number of claimable cells
   whose lease is absent or expired, up to ``spawn_workers``, and its
   workers retire on their own once idle. Every spawn, retirement and
-  death is a ``fleet.scale`` telemetry event at the registry root;
+  death is a ``fleet.scale`` telemetry event at the registry root, and
+  a death names its workers' ids (each process is named by its id);
 * it reclaims nothing itself: a worker claiming a cell steals its
   expired lease, so every reclaim is that worker's ``lease.claim``;
 * it stops a crash loop: once ``spawn_workers`` spawned workers in a
@@ -50,6 +51,7 @@ from .budget import (
     campaign_progress,
     claimable_cells,
     compute_allocations,
+    settled_cells,
 )
 from .clock import Clock
 from .lease import read_lease
@@ -95,7 +97,12 @@ def read_manifest(registry_root: str | Path) -> tuple[SuiteMatrix, int | None]:
 
 @dataclass
 class CoordinatorConfig:
-    """Knobs of one coordinator run."""
+    """Knobs of one coordinator run.
+
+    Each spawned worker runs one cell at a time, its search on the
+    serial backend, so ``spawn_workers`` bounds the campaign's local
+    processes.
+    """
 
     #: Ceiling on live spawned workers, and the run of consecutive
     #: worker deaths that aborts the campaign (0: external workers only).
@@ -103,8 +110,6 @@ class CoordinatorConfig:
     #: Lease TTL handed to spawned workers.
     lease_ttl: float = 30.0
     poll_interval: float = 1.0
-    #: Evaluation fan-out inside each spawned worker's leased cells.
-    eval_workers: int | None = None
     #: Seconds between status-view renders (None: no live status).
     status_interval: float | None = None
     #: Abort (terminating spawned workers) if the campaign has not
@@ -117,11 +122,6 @@ class CoordinatorConfig:
     clock: Clock = time.time
     #: Injectable poll wait, paired with ``clock``.
     sleep: Callable[[float], None] = time.sleep
-
-
-def _settled(progress: dict) -> int:
-    """Cells that completed or failed: the fleet's forward progress."""
-    return sum(1 for state in progress.values() if state.complete or state.failed)
 
 
 def run_distributed(
@@ -158,13 +158,13 @@ def run_distributed(
     def spawn(worker_id: str) -> object:
         process = ctx.Process(
             target=worker_entry,
+            name=worker_id,
             kwargs={
                 "matrix_args": matrix_to_dict(matrix),
                 "registry_root": str(registry_root),
                 "worker_id": worker_id,
                 "lease_ttl": config.lease_ttl,
                 "poll_interval": config.poll_interval,
-                "eval_workers": config.eval_workers,
                 "budget": budget,
                 "max_idle": max_idle,
             },
@@ -182,7 +182,8 @@ def run_distributed(
         gone = [p for p in fleet if not p.is_alive()]
         fleet = [p for p in fleet if p not in gone]
         # Idle retirement exits 0; any other exit is a death.
-        codes = [p.exitcode for p in gone if p.exitcode != 0]
+        dead = [p for p in gone if p.exitcode != 0]
+        codes = [p.exitcode for p in dead]
         retiring = len(gone) - len(codes)
         if retiring:
             retired += retiring
@@ -196,6 +197,7 @@ def run_distributed(
                 action="died",
                 count=len(codes),
                 exit_codes=codes,
+                workers=[p.name for p in dead],
                 fleet=len(fleet),
             )
         return codes
@@ -203,7 +205,7 @@ def run_distributed(
     # Exit codes of the spawned workers that died since a cell last
     # completed or failed.
     deaths: list[int] = []
-    settled = _settled(progress)
+    settled = settled_cells(progress)
     started = config.clock()
     last_status = started
     aborted = False
@@ -270,7 +272,7 @@ def run_distributed(
             # died then counts as progress, not as part of a crash loop.
             deaths.extend(reap())
             progress = campaign_progress(registry, cells, matrix.seed)
-            now_settled = _settled(progress)
+            now_settled = settled_cells(progress)
             if now_settled > settled:
                 settled = now_settled
                 deaths.clear()

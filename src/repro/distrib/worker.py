@@ -57,17 +57,17 @@ def default_worker_id() -> str:
 
 @dataclass
 class WorkerConfig:
-    """Knobs of one worker daemon."""
+    """Knobs of one worker daemon.
+
+    A worker runs one leased cell at a time, its search on the serial
+    backend; a campaign scales by running more workers.
+    """
 
     worker_id: str = field(default_factory=default_worker_id)
     #: Seconds without a heartbeat before peers may reclaim our cells.
     lease_ttl: float = 30.0
     #: Idle sleep between probes when nothing is claimable.
     poll_interval: float = 1.0
-    #: Local evaluation fan-out *inside* a leased cell (the cell's
-    #: population evaluations shard across this many processes; results
-    #: are bit-identical for any value).
-    eval_workers: int | None = None
     #: Give up after this many consecutive idle seconds (None: wait
     #: forever for peers — the normal daemon mode).
     max_idle: float | None = None
@@ -122,7 +122,7 @@ def run_worker(
     config = config or WorkerConfig()
     registry = RunRegistry(registry_root)
     cells = matrix.cells()
-    task = SuiteCellTask(matrix, registry_root, eval_workers=config.eval_workers)
+    task = SuiteCellTask(matrix, registry_root)
     summary = WorkerSummary(worker_id=config.worker_id)
     idle_since: float | None = None
     started_at = config.clock()
@@ -251,7 +251,6 @@ def worker_entry(
     worker_id: str,
     lease_ttl: float = 30.0,
     poll_interval: float = 1.0,
-    eval_workers: int | None = None,
     budget: int | None = None,
     max_idle: float | None = None,
 ) -> None:
@@ -266,7 +265,6 @@ def worker_entry(
         worker_id=worker_id,
         lease_ttl=lease_ttl,
         poll_interval=poll_interval,
-        eval_workers=eval_workers,
         max_idle=max_idle,
     )
     run_worker(matrix, registry_root, config, budget=budget)

@@ -109,20 +109,14 @@ class Scale:
         )
         return replace(config, **overrides) if overrides else config
 
-    def islands_config(self, seed: int = 0, **base_overrides) -> IslandConfig:
-        """An :class:`IslandConfig` at this scale.
-
-        ``base_overrides`` land on the per-island :class:`GAConfig`
-        (e.g. ``workers=N``); the island shape comes from the scale.
-        """
+    def islands_config(self, seed: int = 0) -> IslandConfig:
+        """An :class:`IslandConfig` at this scale."""
         base = GAConfig(
             population_size=self.ga_population,
             generations=self.island_epoch_generations,
             seed=seed,
             workers=self.workers,
         )
-        if base_overrides:
-            base = replace(base, **base_overrides)
         return IslandConfig(
             base=base,
             num_islands=self.island_count,

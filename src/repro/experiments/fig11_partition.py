@@ -115,10 +115,3 @@ def run(
     )
     return result
 
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

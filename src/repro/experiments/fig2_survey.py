@@ -105,10 +105,3 @@ def run() -> ExperimentResult:
     result.extra["marginal_tflops_per_mb"] = marginal_performance(SURVEY)
     return result
 
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

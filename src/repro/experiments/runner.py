@@ -1,19 +1,12 @@
-"""Command-line runner for the experiment suite.
+"""The experiment table: every paper table and figure by its id.
 
-Usage::
-
-    python -m repro.experiments.runner fig3 [--scale quick|default|full]
-    python -m repro.experiments.runner all --scale quick
-
-Each experiment prints the table it reproduces; ``all`` runs the full
-evaluation section in order.
+``repro experiment ID`` runs one experiment and prints the table it
+reproduces; ``repro experiment all`` runs the whole evaluation section
+in :data:`EXPERIMENTS` order.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
 from dataclasses import replace
 
 from . import (
@@ -29,7 +22,6 @@ from . import (
     table2_shared,
     table3_multicore,
 )
-from .common import DEFAULT_SCALE, SCALES
 
 EXPERIMENTS = {
     "fig1": fig1_extremes,
@@ -65,41 +57,3 @@ def experiment_result(name: str, scale, workers: int | None = None):
         return module.run(scale=scale)
     return module.run()
 
-
-def run_experiment(name: str, scale_name: str, workers: int | None = None) -> str:
-    """Run one experiment and return its rendered table."""
-    scale = SCALES.get(scale_name, DEFAULT_SCALE)
-    return experiment_result(name, scale, workers=workers).to_text()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "experiment",
-        choices=[*EXPERIMENTS, "all"],
-        help="which table/figure to regenerate",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=sorted(SCALES),
-        default="default",
-        help="search budget profile",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="evaluation worker processes inside the search loops "
-             "(1 = serial; results are identical for any value)",
-    )
-    args = parser.parse_args(argv)
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        started = time.time()
-        print(run_experiment(name, args.scale, workers=args.workers))
-        print(f"[{name} finished in {time.time() - started:.1f}s]\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

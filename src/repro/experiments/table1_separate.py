@@ -158,10 +158,3 @@ def run(
     )
     return result
 
-
-def main() -> None:
-    print(run().to_text())
-
-
-if __name__ == "__main__":
-    main()

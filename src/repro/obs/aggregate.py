@@ -100,6 +100,9 @@ class WorkerHealth:
     #: True when every lease the owner holds has expired — the worker is
     #: presumed dead and its cells are steal candidates.
     stalled: bool
+    #: True when the coordinator reaped this owner with a non-zero exit:
+    #: dead for certain, whatever its leases still say.
+    dead: bool
     #: Cumulative evaluations the worker has reported via its heartbeat.
     evals_done: int | None
     #: Evaluations per second since the worker started, when derivable.
@@ -132,6 +135,8 @@ class TelemetryTotals:
     fleet_spawned: int = 0
     fleet_retired: int = 0
     fleet_died: int = 0
+    #: Ids of the spawned workers the ``died`` events name.
+    dead_workers: set[str] = field(default_factory=set)
     #: Summed ``Evaluator.stats()`` counters from finished cells.
     evaluator_stats: dict[str, float] = field(default_factory=dict)
 
@@ -180,6 +185,11 @@ class TelemetryTotals:
                 self.fleet_retired += count
             elif action == "died":
                 self.fleet_died += count
+                workers = record.get("workers")
+                if isinstance(workers, list):
+                    self.dead_workers.update(
+                        w for w in workers if isinstance(w, str)
+                    )
         elif kind == "evaluator.stats":
             stats = record.get("stats")
             if isinstance(stats, dict):
@@ -226,7 +236,7 @@ class CampaignView:
 
 
 def _worker_health(
-    statuses: list[CellStatus], clock: Clock
+    statuses: list[CellStatus], clock: Clock, dead: set[str]
 ) -> tuple[WorkerHealth, ...]:
     by_owner: dict[str, list[CellStatus]] = {}
     for status in statuses:
@@ -257,6 +267,7 @@ def _worker_health(
                 cells=tuple(s.cell_id for s in held),
                 heartbeat_age=min(ages) if ages else None,
                 stalled=all(s.state == "stalled" for s in held),
+                dead=owner in dead,
                 evals_done=evals_done,
                 rate=rate,
             )
@@ -318,7 +329,7 @@ def build_view(
     return CampaignView(
         statuses=tuple(statuses),
         series=series,
-        workers=_worker_health(statuses, clock),
+        workers=_worker_health(statuses, clock, totals.dead_workers),
         telemetry=totals,
         budget=budget,
         spent=spent,

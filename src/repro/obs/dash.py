@@ -137,7 +137,11 @@ def render_dashboard(view: CampaignView, width: int = 32) -> str:
                 if worker.evals_done is not None
                 else "-"
             )
-            state = "STALLED" if worker.stalled else "live"
+            state = (
+                "DEAD" if worker.dead
+                else "STALLED" if worker.stalled
+                else "live"
+            )
             lines.append(
                 f"  {worker.owner:<24} {state:<8} beat {beat:<6} "
                 f"evals {evals:<8} rate {_fmt_rate(worker.rate)}  "

@@ -42,6 +42,7 @@ def campaign_metrics(view: CampaignView) -> dict[str, Any]:
             "owner": worker.owner,
             "cells": list(worker.cells),
             "stalled": worker.stalled,
+            "dead": worker.dead,
             "heartbeat_age_s": worker.heartbeat_age,
             "evals_done": worker.evals_done,
             "evals_per_s": worker.rate,

@@ -31,9 +31,12 @@ RunRegistry`:
   (:func:`~repro.distrib.budget.campaign_progress`) and maps the cells
   the budget scheduler calls claimable — with no budget, every cell
   that is neither complete nor failed;
+* campaigns have one level of parallelism: cells fan out across
+  processes, and each cell runs its search on the serial backend;
 * a worker killed mid-cell (OOM, segfault) breaks its pool: the runner
   rebuilds the backend and retries the cells that have no durable
-  result — a killed cell is never recorded as complete.
+  result — a killed cell is never recorded as complete — until
+  ``workers`` rounds in a row have broken with no cell settling.
 
 The merged campaign report is an ordinary
 :class:`~repro.experiments.reporting.ExperimentResult`, consumable by
@@ -293,7 +296,7 @@ class _Scheme:
 
     def __init__(
         self, cell: SuiteCell, seed: int, evaluator: Evaluator, scale: Scale,
-        sample_cap: int | None, eval_workers: int | None,
+        sample_cap: int | None,
     ):
         self.cell = cell
         self.seed = seed
@@ -302,9 +305,6 @@ class _Scheme:
         self.metric = _metric(cell.metric)
         self.space = _space(cell.mode)
         self.sample_cap = sample_cap if self.capped else None
-        self.worker_kwargs = (
-            {} if eval_workers is None else {"workers": eval_workers}
-        )
         self.config = self.configure()
 
     def tick(self, checkpoint) -> int:
@@ -350,10 +350,11 @@ class _Cocco(_CoOpt):
     """
 
     def configure(self):
-        overrides = dict(self.worker_kwargs)
-        if self.sample_cap is not None:
-            overrides["max_samples"] = self.sample_cap
-        return self.scale.co_opt_ga_config(seed=self.seed, **overrides)
+        if self.sample_cap is None:
+            return self.scale.co_opt_ga_config(seed=self.seed)
+        return self.scale.co_opt_ga_config(
+            seed=self.seed, max_samples=self.sample_cap
+        )
 
     def encode(self, checkpoint):
         return ga_checkpoint_to_dict(checkpoint)
@@ -406,7 +407,7 @@ class _Islands(_CoOpt):
     tick_key = "tick"
 
     def configure(self):
-        return self.scale.islands_config(seed=self.seed, **self.worker_kwargs)
+        return self.scale.islands_config(seed=self.seed)
 
     def tick(self, checkpoint):
         return islands_mod.checkpoint_tick(checkpoint, self.config)
@@ -452,7 +453,6 @@ class _NSGA(_Scheme):
             population_size=max(4, self.scale.ga_population),
             generations=self.scale.ga_generations,
             seed=self.seed,
-            **self.worker_kwargs,
         )
 
     def entry(self, checkpoint):
@@ -493,7 +493,7 @@ class _TwoStep(_Scheme):
     tick_key = "tick"
 
     def configure(self):
-        return self.scale.ga_config(seed=self.seed, **self.worker_kwargs)
+        return self.scale.ga_config(seed=self.seed)
 
     def tick(self, checkpoint):
         return two_step_mod.checkpoint_tick(checkpoint, self.config)
@@ -630,7 +630,6 @@ def run_cell(
     registry: RunRegistry,
     evaluator: Evaluator | None = None,
     sample_cap: int | None = None,
-    eval_workers: int | None = None,
     telemetry: bool = True,
 ) -> dict[str, Any]:
     """Execute one cell durably; returns its result row.
@@ -645,10 +644,10 @@ def run_cell(
     cell stopped at its cap returns a ``status="exhausted"`` row
     *without* writing ``result.json`` — it stays resumable and continues
     when a later call raises the cap. The other schemes (``nsga``) run
-    whole; the scheduler charges their exact evaluation count.
-    ``eval_workers`` fans the cell's *evaluations* out across local
-    worker processes (results are bit-identical for any value — only
-    wall-clock changes).
+    whole; the scheduler charges their exact evaluation count. The
+    search runs on the serial backend: a campaign's parallelism is its
+    cells, spread across processes by the runners, and the cell's
+    telemetry sink stays in the one process that owns its stream.
 
     ``telemetry`` (default on) streams structured events — cell
     lifecycle, one ``progress`` event per history line, evaluator
@@ -678,7 +677,6 @@ def run_cell(
             row = _execute_cell(
                 cell, config, seed, registry, run,
                 evaluator=evaluator, sample_cap=sample_cap,
-                eval_workers=eval_workers,
             )
         except ReproError as exc:
             emit("cell.error", cell=cell.cell_id, error=str(exc))
@@ -703,7 +701,6 @@ def _execute_cell(
     run,
     evaluator: Evaluator | None = None,
     sample_cap: int | None = None,
-    eval_workers: int | None = None,
 ) -> dict[str, Any]:
     """The scheme run and result persistence of :func:`run_cell`."""
     if evaluator is None:
@@ -717,7 +714,7 @@ def _execute_cell(
     if warm:
         evaluator.absorb_summaries(warm)
     scheme = _SCHEME_TABLE[cell.scheme](
-        cell, seed, evaluator, SCALES[cell.scale], sample_cap, eval_workers
+        cell, seed, evaluator, SCALES[cell.scale], sample_cap
     )
     outcome, evaluations = _drive(scheme, run)
     registry.save_warm_summaries(
@@ -766,15 +763,9 @@ class SuiteCellTask:
     new to the file.
     """
 
-    def __init__(
-        self,
-        matrix: SuiteMatrix,
-        registry_root: str | Path,
-        eval_workers: int | None = None,
-    ):
+    def __init__(self, matrix: SuiteMatrix, registry_root: str | Path):
         self.matrix = matrix
         self.registry_root = str(registry_root)
-        self.eval_workers = eval_workers
         self._registry: RunRegistry | None = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -795,8 +786,7 @@ class SuiteCellTask:
         registry = self._registry
         try:
             return run_cell(
-                cell, self.matrix.seed, registry, sample_cap=sample_cap,
-                eval_workers=self.eval_workers,
+                cell, self.matrix.seed, registry, sample_cap=sample_cap
             )
         except ReproError as exc:
             config = cell.config_dict()
@@ -841,7 +831,9 @@ class SuiteOutcome:
     skipped: int
     failed: int
     rounds: int
-    errors: dict[str, str] = field(default_factory=dict)
+    #: ``cell_id -> (state, message)`` for every unfinished cell; the
+    #: state is ``failed``, ``exhausted`` or ``incomplete``.
+    errors: dict[str, tuple[str, str]] = field(default_factory=dict)
     #: Cells stopped at the campaign sample budget: resumable (their
     #: checkpoints are durable) but out of samples. Always 0 for
     #: unbudgeted campaigns.
@@ -947,19 +939,22 @@ class CampaignTally:
     #: Unfinished cells *below* their cap: killed mid-run or never run.
     incomplete: list[SuiteCell]
 
-    def errors(self) -> dict[str, str]:
-        messages = dict(self.failed)
+    def errors(self) -> dict[str, tuple[str, str]]:
+        """``cell_id -> (state, message)`` for every unfinished cell."""
+        messages = {
+            cell_id: ("failed", error) for cell_id, error in self.failed.items()
+        }
         for cell in self.exhausted:
-            messages.setdefault(
-                cell.cell_id,
+            messages[cell.cell_id] = (
+                "exhausted",
                 "sample budget exhausted; checkpoint retained — re-run "
                 "with a larger --budget to continue",
             )
         for cell in self.incomplete:
-            messages.setdefault(
-                cell.cell_id,
-                "no durable result (worker died or rounds exhausted); "
-                "re-run to resume",
+            messages[cell.cell_id] = (
+                "incomplete",
+                "no durable result (its worker died, or the runner "
+                "stopped after workers kept dying); re-run to resume",
             )
         return messages
 
@@ -1033,23 +1028,27 @@ def run_suite(
     matrix: SuiteMatrix,
     registry_root: str | Path,
     workers: int = 1,
-    max_rounds: int = 3,
     budget: int | None = None,
-    eval_workers: int | None = None,
 ) -> SuiteOutcome:
     """Run (or resume) a campaign, sharding cells across ``workers``.
 
     One loop serves every campaign. Each round probes the registry once
     (:func:`~repro.distrib.budget.campaign_progress`) and maps the
     ``(cell, cap)`` pairs :func:`~repro.distrib.budget.claimable_cells`
-    returns; the loop ends when nothing is claimable. Complete cells are
-    skipped, and so are cells with a durable ``error.json``: a
-    deterministic failure is terminal here as in every other runner
-    (delete the file to retry the cell). Incomplete cells run, resuming
-    from their checkpoints. If a worker process dies mid-cell the
-    backend's pool breaks: the next round rebuilds it and retries every
-    claimable cell, giving up after ``max_rounds`` consecutive broken
-    rounds — so a killed cell is retried, never recorded as complete.
+    returns across ``workers`` processes; each cell runs its search
+    serially in the process that claimed it. The loop ends when nothing
+    is claimable. Complete cells are skipped, and so are cells with a
+    durable ``error.json``: a deterministic failure is terminal here as
+    in every other runner (delete the file to retry the cell).
+    Incomplete cells run, resuming from their checkpoints.
+
+    If a worker process dies mid-cell the backend's pool breaks, and
+    the next round rebuilds it and retries every claimable cell, so a
+    killed cell is retried, never recorded as complete. The runner
+    stops once ``workers`` rounds in a row have broken with no cell
+    completing or failing since the previous broken round — the crash
+    bound the distributed coordinator applies to worker deaths — and
+    returns its outcome with the unfinished cells incomplete.
 
     Without a ``budget`` every unfinished cell is claimable with no cap,
     and one clean round finishes the campaign. ``budget`` caps the
@@ -1062,7 +1061,11 @@ def run_suite(
     across machines — always produces the same merged report for the
     same inputs.
     """
-    from ..distrib.budget import campaign_progress, claimable_cells
+    from ..distrib.budget import (
+        campaign_progress,
+        claimable_cells,
+        settled_cells,
+    )
 
     registry = RunRegistry(registry_root)
     cells = matrix.cells()
@@ -1070,16 +1073,18 @@ def run_suite(
         raise ConfigError("suite matrix expands to duplicate cells")
     progress = campaign_progress(registry, cells, matrix.seed)
     skipped = sum(1 for state in progress.values() if state.complete)
-    task = SuiteCellTask(matrix, registry_root, eval_workers=eval_workers)
+    task = SuiteCellTask(matrix, registry_root)
     backend: EvaluationBackend = resolve_backend(workers)
     rounds = 0
+    # Broken rounds in a row with no cell settling since the previous one.
     broken = 0
     try:
-        while broken < max_rounds:
+        while broken < max(1, workers):
             runnable = claimable_cells(cells, budget, progress)
             if not runnable:
                 break
             rounds += 1
+            settled = settled_cells(progress)
             try:
                 backend.map(task, runnable)
                 broken = 0
@@ -1090,6 +1095,10 @@ def run_suite(
                 # down).
                 broken += 1
             progress = campaign_progress(registry, cells, matrix.seed)
+            if settled_cells(progress) > settled:
+                # A cell completed or failed since the previous round:
+                # a run of broken rounds starts over at this one.
+                broken = min(broken, 1)
     finally:
         backend.close()
     return campaign_outcome(

@@ -25,6 +25,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("suite", "--networks", "vgg16", "--eval-workers", "2"),
+            ("suite", "--networks", "vgg16", "--max-rounds", "2"),
+            ("worker", "--registry", "reg", "--eval-workers", "2"),
+        ],
+    )
+    def test_in_cell_pool_and_round_flags_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestModels:
     def test_lists_paper_models(self, capsys):
@@ -186,6 +200,39 @@ class TestExperiment:
         assert payload["headers"][0] == "model"
         assert payload["rows"]
 
+    def test_all_prints_every_table_in_order(self, capsys, monkeypatch):
+        from repro.experiments import runner
+        from repro.experiments.common import SCALES
+
+        cheap = ("fig2", "fig3")
+        monkeypatch.setattr(
+            runner, "EXPERIMENTS",
+            {name: runner.EXPERIMENTS[name] for name in cheap},
+        )
+        tables = [
+            runner.experiment_result(name, SCALES["quick"]).to_text()
+            for name in cheap
+        ]
+        code, out = run_cli(capsys, "experiment", "all")
+        assert code == 0
+        blocks = out.rstrip("\n").split("\n\n")
+        assert len(blocks) == 2
+        for block, name, table in zip(blocks, cheap, tables):
+            assert block.startswith(table + "\n")
+            assert re.fullmatch(
+                rf"\[{name} finished in \d+\.\ds\]",
+                block[len(table) + 1:],
+            )
+
+    def test_all_refuses_export(self, capsys, tmp_path):
+        target = tmp_path / "all.json"
+        code, out = run_cli(
+            capsys, "experiment", "all", "--export", str(target)
+        )
+        assert code == 1
+        assert "error: --export writes one result" in out
+        assert not target.exists()
+
 
 class TestSuite:
     def test_campaign_runs_resumes_and_exports(self, capsys, tmp_path):
@@ -294,6 +341,18 @@ class TestSuiteBudgetAndGc:
         )
         assert code == 1
         assert "out of sample budget" in out
+
+    def test_cells_print_under_their_own_state(self, capsys, tmp_path):
+        code, out = run_cli(
+            capsys, "suite", "--networks", "vgg16",
+            "--schemes", "cocco,sa,rs", "--scale", "tiny", "--seed", "3",
+            "--budget", "60", "--registry", str(tmp_path / "registry"),
+        )
+        assert code == 1
+        assert "3 out of sample budget" in out
+        cells = [line.split()[0] for line in out.splitlines()
+                 if line.startswith("  ")]
+        assert cells == ["exhausted"] * 3
 
     def test_gc_reports_reclaimed_bytes(self, capsys, tmp_path):
         registry = tmp_path / "registry"

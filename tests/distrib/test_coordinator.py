@@ -188,6 +188,9 @@ class TestRunDistributed:
         scale = _records(registry.root_node(), "fleet.scale")
         died = [record for record in scale if record["action"] == "died"]
         assert [record["exit_codes"] for record in died] == [[23], [23]]
+        assert [record["workers"] for record in died] == [
+            ["elastic-w0"], ["elastic-w1"]
+        ]
         assert not [record for record in scale if record["action"] == "retire"]
         assert not registry.is_complete(cell.config_dict(), cell.seed(matrix.seed))
 
@@ -207,7 +210,8 @@ class TestRunDistributed:
         scripts = [None, complete_first, None, None]
 
         class ScriptedProcess:
-            def __init__(self, target, kwargs, daemon):
+            def __init__(self, target, name, kwargs, daemon):
+                self.name = name
                 self.exitcode = None
 
             def start(self) -> None:
@@ -245,6 +249,9 @@ class TestRunDistributed:
         scale = _records(registry.root_node(), "fleet.scale")
         died = [record for record in scale if record["action"] == "died"]
         assert [record["exit_codes"] for record in died] == [[9, 9], [9], [9]]
+        assert [record["workers"] for record in died] == [
+            ["elastic-w0", "elastic-w1"], ["elastic-w2"], ["elastic-w3"]
+        ]
 
     def test_timeout_aborts(self, tmp_path):
         # no workers at all: the campaign can never finish. A FakeClock

@@ -18,7 +18,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import QUICK_SCALE, Scale
 from repro.experiments.fig3_fusion import chain_fusion_partition
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import EXPERIMENTS, experiment_result
 from repro.graphs.zoo import get_model
 from repro.partition.validity import check_partition
 
@@ -164,5 +164,5 @@ class TestRunner:
         }
 
     def test_run_experiment_returns_table(self):
-        text = run_experiment("fig3", "quick")
+        text = experiment_result("fig3", QUICK_SCALE).to_text()
         assert "Figure 3" in text

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.distrib.clock import FakeClock
+from repro.distrib.lease import try_acquire_lease
 from repro.obs import TelemetrySink
 from repro.obs.aggregate import build_view
 from repro.obs.dash import render_dashboard, run_dash, sparkline
@@ -83,6 +85,30 @@ class TestRenderDashboard:
             telemetry["fleet_retired"],
             telemetry["fleet_died"],
         ) == (3, 1, 2)
+
+    def test_reaped_worker_renders_dead(self, tmp_path):
+        # The coordinator reaped elastic-w0 with a non-zero exit before
+        # its lease expired: its fleet row reads dead, not live.
+        registry = RunRegistry(tmp_path / "reg")
+        clock = FakeClock()
+        for cell, owner in zip(MATRIX.cells(), ("elastic-w0", "elastic-w1")):
+            node = registry.run_node(cell.config_dict(), cell.seed(MATRIX.seed))
+            assert try_acquire_lease(node, owner, ttl=30, clock=clock)
+        TelemetrySink(registry.root_node()).emit(
+            "fleet.scale", action="died", count=1, exit_codes=[23],
+            workers=["elastic-w0"],
+        )
+        view = build_view(MATRIX, registry, clock=clock)
+        rows = [
+            line.split()[:2]
+            for line in render_dashboard(view).splitlines()
+            if line.startswith("  elastic-w")
+        ]
+        assert rows == [["elastic-w0", "DEAD"], ["elastic-w1", "live"]]
+        workers = campaign_metrics(view)["workers"]
+        assert [(w["owner"], w["dead"]) for w in workers] == [
+            ("elastic-w0", True), ("elastic-w1", False)
+        ]
 
     def test_budget_line(self, tmp_path):
         run_suite(MATRIX, tmp_path / "reg", budget=40)

@@ -68,7 +68,7 @@ def test_checkpoint_decodes_and_reencodes_to_itself(scheme):
     entry = _SCHEME_TABLE[scheme](
         cell, cell.seed(MATRIX.seed),
         Evaluator(get_model(cell.network), cell_accelerator(cell)),
-        SCALES[cell.scale], None, None,
+        SCALES[cell.scale], None,
     )
     text = (FIXTURES / "registry" / _run_name(scheme) / "checkpoint.json").read_text()
     state = json.loads(text)
@@ -122,7 +122,8 @@ def test_malformed_checkpoint_fails_only_its_cell(tmp_path, corrupt, error):
     checkpoint.write_text(corrupt(checkpoint.read_text()))
     outcome = run_suite(MATRIX, root)
     assert (outcome.completed, outcome.failed) == (len(SCHEMES) - 1, 1)
-    (message,) = outcome.errors.values()
+    ((state, message),) = outcome.errors.values()
+    assert state == "failed"
     assert message == error
     assert json.loads((broken / "error.json").read_text())["error"] == message
     assert not (broken / "result.json").exists()

@@ -57,8 +57,7 @@ def _entry(scheme: str):
     cell = _cell(scheme)
     evaluator = Evaluator(get_model(cell.network), cell_accelerator(cell))
     return _SCHEME_TABLE[scheme](
-        cell, cell.seed(CAMPAIGN_SEED), evaluator, SCALES[cell.scale],
-        None, None,
+        cell, cell.seed(CAMPAIGN_SEED), evaluator, SCALES[cell.scale], None
     )
 
 

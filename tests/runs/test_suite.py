@@ -12,16 +12,20 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.cost.evaluator import Evaluator
 from repro.cost.objective import Metric
+from repro.distrib.budget import campaign_progress, settled_cells
 from repro.errors import ConfigError
 from repro.experiments.common import SCALES
 from repro.ga.engine import GeneticEngine
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.zoo import get_model
+from repro.parallel.backend import ProcessPoolBackend
 from repro.runs.checkpoint import ga_checkpoint_to_dict
 from repro.obs import TELEMETRY_FILENAME
 from repro.runs.registry import RunRegistry, iter_jsonl_text
@@ -259,23 +263,128 @@ class TestWorkerDeath:
         assert report_rows(outcome) == clean
 
     def test_killed_cell_never_recorded_complete(self, tmp_path, monkeypatch):
+        # The victim kills its worker on every attempt: the fault hook
+        # fires once per marker, and a thread keeps deleting the marker.
         clean = self.clean_rows(tmp_path)
         monkeypatch.setenv(FAULT_ENV, "googlenet")
-        outcome = run_suite(
-            self.FAULTY, tmp_path / "reg", workers=2, max_rounds=1
-        )
         registry = RunRegistry(tmp_path / "reg")
-        victim = next(
-            c for c in self.FAULTY.cells() if c.network == "googlenet"
+        cells = self.FAULTY.cells()
+        victim = next(c for c in cells if c.network == "googlenet")
+        node = registry.run_node(
+            victim.config_dict(), victim.seed(self.FAULTY.seed)
         )
+        # One (broke, settled cells after it) pair per round.
+        rounds: list[tuple[bool, int]] = []
+        pool_map = ProcessPoolBackend.map
+
+        def counting_map(backend, task, items):
+            broke = False
+            try:
+                return pool_map(backend, task, items)
+            except BrokenProcessPool:
+                broke = True
+                raise
+            finally:
+                progress = campaign_progress(registry, cells, self.FAULTY.seed)
+                rounds.append((broke, settled_cells(progress)))
+
+        monkeypatch.setattr(ProcessPoolBackend, "map", counting_map)
+        stop = threading.Event()
+
+        def rearm() -> None:
+            while not stop.wait(0.01):
+                node.delete("fault-attempted")
+
+        thread = threading.Thread(target=rearm, daemon=True)
+        thread.start()
+        try:
+            outcome = run_suite(self.FAULTY, tmp_path / "reg", workers=2)
+        finally:
+            stop.set()
+            thread.join()
         assert outcome.failed >= 1
         assert not registry.is_complete(
             victim.config_dict(), victim.seed(self.FAULTY.seed)
         )
+        assert outcome.errors[victim.cell_id][0] == "incomplete"
+        # It stopped at the first two broken rounds in a row with no
+        # cell settling between them.
+        assert outcome.rounds == len(rounds) >= 2
+        settled = [0] + [count for _, count in rounds]
+        stops = [
+            k for k in range(1, len(rounds))
+            if rounds[k - 1][0] and rounds[k][0]
+            and settled[k + 1] == settled[k]
+        ]
+        assert stops and stops[0] == len(rounds) - 1
         # resuming the campaign completes it (the fault fires only once)
         resumed = run_suite(self.FAULTY, tmp_path / "reg", workers=2)
         assert resumed.failed == 0
         assert report_rows(resumed) == clean
+
+
+# ---------------------------------------------------------------------------
+class TestCrashBound:
+    """The pool runner stops once ``workers`` rounds in a row have broken
+    with no cell completing or failing since the previous broken round.
+
+    A stand-in backend breaks on scripted rounds: ``script[i]`` is the
+    number of cells round ``i`` runs before its pool breaks, or ``None``
+    for a clean round.
+    """
+
+    MATRIX = SuiteMatrix(
+        networks=("vgg16",), schemes=("cocco", "sa", "rs"), scale="tiny",
+        seed=0,
+    )
+
+    def scripted(self, tmp_path, monkeypatch, script, workers):
+        rounds = []
+
+        class ScriptedBackend:
+            def map(self, task, items):
+                settle = script[len(rounds)]
+                rounds.append(len(items))
+                if settle is None:
+                    return [task(item) for item in items]
+                for item in items[:settle]:
+                    task(item)
+                raise BrokenProcessPool("scripted worker death")
+
+            def close(self) -> None:
+                pass
+
+        monkeypatch.setattr(
+            "repro.runs.suite.resolve_backend",
+            lambda count: ScriptedBackend(),
+        )
+        return run_suite(self.MATRIX, tmp_path / "reg", workers=workers), rounds
+
+    def test_broken_rounds_separated_by_a_settled_cell_go_on(
+        self, tmp_path, monkeypatch
+    ):
+        clean = run_suite(self.MATRIX, tmp_path / "clean")
+        outcome, rounds = self.scripted(
+            tmp_path, monkeypatch, [0, 1, 1, None], workers=2
+        )
+        assert rounds == [3, 3, 2, 1]
+        assert (outcome.rounds, outcome.completed, outcome.failed) == (4, 3, 0)
+        assert report_rows(outcome) == report_rows(clean)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_broken_rounds_in_a_row_stop(
+        self, tmp_path, monkeypatch, workers
+    ):
+        script = [0, 1] + [0] * (workers - 1)
+        outcome, rounds = self.scripted(
+            tmp_path, monkeypatch, script, workers
+        )
+        assert rounds == [3, 3] + [2] * (workers - 1)
+        assert outcome.rounds == workers + 1
+        assert (outcome.completed, outcome.failed) == (1, 2)
+        assert [state for state, _ in outcome.errors.values()] == [
+            "incomplete", "incomplete"
+        ]
 
 
 # ---------------------------------------------------------------------------
