@@ -16,8 +16,8 @@ Public API tour:
 * :mod:`repro.partition` — partition representation plus the greedy, DP,
   enumeration, and random baselines.
 * :mod:`repro.ga` — Cocco's genetic algorithm and the SA baseline.
-* :mod:`repro.parallel` — population-evaluation backends (serial and
-  process-pool) shared by every search loop.
+* :mod:`repro.parallel` — the cell runner (serial or a process pool)
+  that ``repro suite`` shards a campaign's cells with.
 * :mod:`repro.dse` — fixed-hardware, two-step, and co-optimization
   exploration schemes, plus the NSGA-II multi-objective extension.
 * :mod:`repro.multicore` — crossbar and weight-sharding models of the
@@ -72,12 +72,6 @@ from .dse import (
     random_search_ga,
     sa_co_optimize,
 )
-from .parallel import (
-    EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
 from .mapper import GraphMapping, calibrated_accelerator, map_graph, map_layer
 from .memory import SubgraphTrace, trace_subgraph, validate_trace
 from .runs import RunRegistry, derive_seed
@@ -131,10 +125,6 @@ __all__ = [
     "NSGAConfig",
     "NSGAResult",
     "nsga2_co_optimize",
-    "EvaluationBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "resolve_backend",
     "GraphMapping",
     "map_layer",
     "map_graph",

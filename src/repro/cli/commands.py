@@ -40,11 +40,10 @@ def _metric(name: str) -> Metric:
 def _timing_breakdown(evaluator: Evaluator, wall_seconds: float) -> list[str]:
     """Per-stage timing lines for ``--profile-timings``.
 
-    The three instrumented stages are subgraph profiling, memory-dependent
-    pricing, and partition aggregation; the remainder of the wall clock is
-    search machinery (breeding, selection, repair bookkeeping) plus any
-    parallel-backend overhead. Stage times include work done in worker
-    processes (their counters are merged back after every batch).
+    The instrumented stages are subgraph profiling, memory-dependent
+    pricing, batch pricing and partition aggregation; the remainder of
+    the wall clock is search machinery (breeding, selection, repair
+    bookkeeping).
     """
     timings = evaluator.timings
     staged = sum(timings.values())
@@ -57,7 +56,7 @@ def _timing_breakdown(evaluator: Evaluator, wall_seconds: float) -> list[str]:
         ("aggregate", "aggregate_s"),
     ):
         lines.append(f"    {label:<10}: {timings.get(key, 0.0):8.3f}s")
-    lines.append(f"    {'other':<10}: {other:8.3f}s (search + backend overhead)")
+    lines.append(f"    {'other':<10}: {other:8.3f}s (search)")
     lines.append(f"    {'total':<10}: {wall_seconds:8.3f}s wall")
     lines.append(
         f"    profiles   : {evaluator.num_profile_calls} derived, "
@@ -298,7 +297,6 @@ def cmd_dse(args: argparse.Namespace) -> str:
         graph, paper_accelerator(), collect_timings=profile_timings
     )
     scale = SCALES[args.scale]
-    workers = getattr(args, "workers", 1)
     started = _time.perf_counter()
     space = (
         CapacitySpace.paper_shared()
@@ -309,10 +307,9 @@ def cmd_dse(args: argparse.Namespace) -> str:
     if args.method == "cocco":
         result = cocco_co_optimize(
             evaluator, space, metric=metric, alpha=args.alpha,
-            ga_config=scale.co_opt_ga_config(seed=args.seed, workers=workers),
+            ga_config=scale.co_opt_ga_config(seed=args.seed),
         )
     elif args.method == "sa":
-        # the SA chain is sequential; --workers has nothing to fan out
         result = sa_co_optimize(
             evaluator, space, metric=metric, alpha=args.alpha,
             sa_config=scale.co_opt_sa_config(seed=args.seed),
@@ -321,14 +318,14 @@ def cmd_dse(args: argparse.Namespace) -> str:
         result = random_search_ga(
             evaluator, space, metric=metric, alpha=args.alpha,
             num_candidates=scale.rs_candidates,
-            ga_config=scale.ga_config(seed=args.seed, workers=workers),
+            ga_config=scale.ga_config(seed=args.seed),
             seed=args.seed,
         )
     else:
         result = grid_search_ga(
             evaluator, space, metric=metric, alpha=args.alpha,
             stride=scale.gs_stride, max_candidates=scale.gs_max_candidates,
-            ga_config=scale.ga_config(seed=args.seed, workers=workers),
+            ga_config=scale.ga_config(seed=args.seed),
         )
     cost = result.partition_cost
     lines = [
@@ -372,7 +369,6 @@ def cmd_pareto(args: argparse.Namespace) -> str:
             population_size=scale.ga_population,
             generations=scale.ga_generations,
             seed=args.seed,
-            workers=getattr(args, "workers", 1),
         ),
     )
     headers = ("capacity", "metric_cost", "formula2@0.002")
@@ -412,7 +408,6 @@ def cmd_experiment(args: argparse.Namespace) -> str:
     from ..experiments.runner import EXPERIMENTS, experiment_result
 
     scale = SCALES[args.scale]
-    workers = getattr(args, "workers", 1)
     if args.id == "all":
         if args.export:
             raise ConfigError(
@@ -421,7 +416,7 @@ def cmd_experiment(args: argparse.Namespace) -> str:
         blocks = []
         for name in EXPERIMENTS:
             started = _time.perf_counter()
-            table = experiment_result(name, scale, workers=workers).to_text()
+            table = experiment_result(name, scale).to_text()
             elapsed = _time.perf_counter() - started
             blocks.append(f"{table}\n[{name} finished in {elapsed:.1f}s]")
         return "\n\n".join(blocks)
@@ -430,9 +425,7 @@ def cmd_experiment(args: argparse.Namespace) -> str:
             f"unknown experiment {args.id!r}; choose from "
             f"{', '.join(EXPERIMENTS)} or all"
         )
-    result: ExperimentResult = experiment_result(
-        args.id, scale, workers=workers
-    )
+    result: ExperimentResult = experiment_result(args.id, scale)
     text = result.to_text()
     if args.export:
         path = write_result(result, args.export)

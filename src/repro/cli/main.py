@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--alpha", type=float, default=0.002)
     dse.add_argument("--scale", choices=sorted(SCALES), default="quick")
     dse.add_argument("--seed", type=int, default=0)
-    dse.add_argument("--workers", type=int, default=1,
-                     help="evaluation worker processes (1 = serial; "
-                          "results are identical for any value)")
     dse.add_argument("--profile-timings", action="store_true",
                      help="print a per-stage evaluation timing breakdown "
                           "(profile / price / aggregate / other) after the run")
@@ -116,9 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="energy")
     pareto.add_argument("--scale", choices=sorted(SCALES), default="quick")
     pareto.add_argument("--seed", type=int, default=0)
-    pareto.add_argument("--workers", type=int, default=1,
-                        help="evaluation worker processes (1 = serial; "
-                             "results are identical for any value)")
     pareto.add_argument("--profile-timings", action="store_true",
                         help="print a per-stage evaluation timing breakdown "
                              "(profile / price / aggregate / other) after the run")
@@ -131,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("id", help="fig1..fig3, fig11..fig14, "
                                        "table1..table3, stability, or all")
     experiment.add_argument("--scale", choices=sorted(SCALES), default="quick")
-    experiment.add_argument("--workers", type=int, default=1,
-                            help="evaluation worker processes for the "
-                                 "search loops (1 = serial)")
     experiment.add_argument("--export", help="write the result to CSV/JSON")
 
     suite = sub.add_parser(

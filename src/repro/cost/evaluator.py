@@ -207,7 +207,7 @@ class Evaluator:
         self._cost_cache_size = cost_cache_size
         self.num_profile_calls = 0
         self.num_cost_calls = 0
-        # Batch-pricing telemetry (mergeable via stats/absorb_stats).
+        # Batch-pricing telemetry (reported through stats).
         self.num_batch_calls = 0
         self.num_batch_priced = 0
         self.num_batch_direct = 0
@@ -219,11 +219,8 @@ class Evaluator:
         # probes (same semantics as SubgraphProfile.min_activation_bytes).
         self._min_acts: OrderedDict[frozenset[str], int] = OrderedDict()
         # Per-subgraph scalar aggregates for the incremental summarize
-        # path (a true LRU: hits refresh recency), plus the log that
-        # ships warm entries to parallel workers.
+        # path (a true LRU: hits refresh recency).
         self._summaries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._summary_log: list[tuple[tuple, tuple]] = []
-        self._record_summaries = False
         self.collect_timings = collect_timings
         self.timings: dict[str, float] = {
             "profile_s": 0.0,
@@ -575,12 +572,6 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Incremental (delta) evaluation: per-subgraph scalar aggregates.
     # ------------------------------------------------------------------
-    def _store_summary(self, key: tuple, summary: tuple) -> None:
-        """Install one summary under LRU discipline (and log it)."""
-        _lru_put(self._summaries, key, summary, self._cost_cache_size)
-        if self._record_summaries:
-            self._summary_log.append((key, summary))
-
     def _subgraph_summary(
         self, members: frozenset[str], memory: MemoryConfig, mem_key: tuple
     ) -> tuple:
@@ -589,7 +580,7 @@ class Evaluator:
         if hit is not None:
             return hit
         summary = self.subgraph_cost(members, memory).summary
-        self._store_summary(key, summary)
+        _lru_put(self._summaries, key, summary, self._cost_cache_size)
         return summary
 
     def summarize(
@@ -711,7 +702,9 @@ class Evaluator:
             for key in order:
                 summary = priced.get(key)
                 if summary is not None:
-                    self._store_summary(key, summary)
+                    _lru_put(
+                        self._summaries, key, summary, self._cost_cache_size
+                    )
                 else:
                     self._subgraph_summary(key[0], mem_of[key[1]], key[1])
         if timed:
@@ -743,24 +736,13 @@ class Evaluator:
         ]
 
     # ------------------------------------------------------------------
-    # Warm-state plumbing for parallel population evaluation.
+    # Summary persistence (the registry's warm files).
     # ------------------------------------------------------------------
-    def enable_summary_log(self) -> None:
-        """Start recording fresh subgraph summaries for export."""
-        self._record_summaries = True
-
-    def drain_summary_log(self) -> list[tuple[tuple, tuple]]:
-        """Return and clear the summaries recorded since the last drain."""
-        out = self._summary_log
-        self._summary_log = []
-        return out
-
     def absorb_summaries(self, entries: Iterable[tuple[tuple, tuple]]) -> None:
         """Install subgraph summaries computed elsewhere (idempotent).
 
         Evaluation is pure, so an imported summary is exactly what this
         evaluator would have computed; absorbing skips the re-pricing.
-        Absorbed entries are not re-logged.
         """
         summaries = self._summaries
         for key, summary in entries:
@@ -772,10 +754,7 @@ class Evaluator:
         return list(self._summaries.items())
 
     def stats(self) -> dict[str, float]:
-        """Cache counters, plus the stage timings when collected.
-
-        Mergeable across worker processes (:meth:`absorb_stats`).
-        """
+        """Cache counters, plus the stage timings when collected."""
         out: dict[str, float] = {
             "profile_calls": self.num_profile_calls,
             "cost_calls": self.num_cost_calls,
@@ -788,15 +767,3 @@ class Evaluator:
         if self.collect_timings:
             out.update(self.timings)
         return out
-
-    def absorb_stats(self, delta: dict[str, float]) -> None:
-        """Fold worker counter deltas back into this evaluator."""
-        self.num_profile_calls += int(delta.get("profile_calls", 0))
-        self.num_cost_calls += int(delta.get("cost_calls", 0))
-        self.num_direct_probes += int(delta.get("direct_probes", 0))
-        self.num_batch_calls += int(delta.get("batch_calls", 0))
-        self.num_batch_priced += int(delta.get("batch_priced", 0))
-        self.num_batch_direct += int(delta.get("batch_direct", 0))
-        self.num_batch_hits += int(delta.get("batch_hits", 0))
-        for key in self.timings:
-            self.timings[key] += delta.get(key, 0.0)

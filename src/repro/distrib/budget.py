@@ -172,7 +172,7 @@ def compute_allocations(
     nothing yet: only a zero allocation leaves it waiting.
     """
     if budget < 0:
-        raise ValueError("budget must be non-negative")
+        raise ConfigError("budget must be non-negative")
     checkpointable = {
         cell.key: cell.scheme in CAPPED_SCHEMES for cell in cells
     }

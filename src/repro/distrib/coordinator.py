@@ -99,9 +99,8 @@ def read_manifest(registry_root: str | Path) -> tuple[SuiteMatrix, int | None]:
 class CoordinatorConfig:
     """Knobs of one coordinator run.
 
-    Each spawned worker runs one cell at a time, its search on the
-    serial backend, so ``spawn_workers`` bounds the campaign's local
-    processes.
+    Each spawned worker runs one cell at a time, its search in its own
+    process, so ``spawn_workers`` bounds the campaign's local processes.
     """
 
     #: Ceiling on live spawned workers, and the run of consecutive
@@ -122,6 +121,12 @@ class CoordinatorConfig:
     clock: Clock = time.time
     #: Injectable poll wait, paired with ``clock``.
     sleep: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        # A negative ceiling would never spawn, and the campaign would
+        # wait on an empty fleet forever.
+        if self.spawn_workers < 0:
+            raise ConfigError("worker count must be non-negative")
 
 
 def run_distributed(
@@ -145,6 +150,8 @@ def run_distributed(
     cells = matrix.cells()
     if len({cell.key for cell in cells}) != len(cells):
         raise ConfigError("suite matrix expands to duplicate cells")
+    if budget is not None and budget < 0:
+        raise ConfigError("budget must be non-negative")
     progress = campaign_progress(registry, cells, matrix.seed)
     skipped = sum(1 for state in progress.values() if state.complete)
     write_manifest(matrix, registry_root, budget=budget)

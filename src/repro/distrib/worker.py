@@ -59,8 +59,8 @@ def default_worker_id() -> str:
 class WorkerConfig:
     """Knobs of one worker daemon.
 
-    A worker runs one leased cell at a time, its search on the serial
-    backend; a campaign scales by running more workers.
+    A worker runs one leased cell at a time, its search in the worker's
+    own process; a campaign scales by running more workers.
     """
 
     worker_id: str = field(default_factory=default_worker_id)

@@ -66,8 +66,8 @@ def cocco_co_optimize(
     """Joint partition + capacity search under Formula 2.
 
     With ``refine`` the partition-only refinement runs at the
-    recommended capacity under the same ``ga_config`` (each engine
-    builds its own evaluation fan-out from ``ga_config.workers``).
+    recommended capacity under the same ``ga_config``. Both searches
+    run in the calling process.
     """
     problem = OptimizationProblem(
         evaluator=evaluator, metric=metric, alpha=alpha, space=space

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..cost.objective import Metric
+from ..cost.objective import Metric, partition_objective
 from ..cost.evaluator import Evaluator
 from ..errors import SearchError
 from ..ga.crossover import crossover
@@ -27,9 +27,7 @@ from ..ga.engine import RngState
 from ..ga.genome import Genome
 from ..ga.mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
 from ..ga.population import initialize_population
-from ..ga.problem import OptimizationProblem
-from ..parallel.backend import EvaluationBackend, cached_map, resolve_backend
-from ..parallel.tasks import ParetoCostTask
+from ..ga.problem import OptimizationProblem, cached_map
 from ..search_space import CapacitySpace
 from .pareto import ParetoPoint
 
@@ -66,17 +64,12 @@ class NSGAConfig:
     mutation_rate: float = 0.9
     dse_mutation_rate: float = 0.5
     seed: int = 0
-    #: Evaluation fan-out: 0/1 evaluates serially, N>1 uses a
-    #: :class:`~repro.parallel.backend.ProcessPoolBackend` with N workers.
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
             raise SearchError("NSGA-II needs a population of at least four")
         if self.generations < 1:
             raise SearchError("need at least one generation")
-        if self.workers < 0:
-            raise SearchError("workers must be non-negative")
 
 
 @dataclass
@@ -216,21 +209,28 @@ class _Archive:
         self.metric = metric
         self.evaluations = 0
         self._cache: dict[tuple, MultiObjectivePoint] = {}
-        # One task object per run keeps a process pool warm (the backend
-        # keys its worker pool to task identity).
-        self._task = ParetoCostTask(problem, metric)
+
+    def metric_cost(self, genome: Genome) -> float:
+        """The metric axis of one genome, priced under its own memory.
+
+        The capacity axis is a pure attribute of the genome's memory
+        configuration, so only this one is evaluated.
+        """
+        cost = self.problem.evaluator.summarize(
+            genome.partition.subgraph_sets, genome.memory
+        )
+        if not cost.feasible:
+            return float("inf")
+        return partition_objective(cost, self.metric)
 
     def evaluate_batch(
-        self,
-        genomes: Sequence[Genome],
-        backend: EvaluationBackend,
+        self, genomes: Sequence[Genome]
     ) -> list[MultiObjectivePoint]:
         """Batch evaluation preserving order, dedup, and evaluation count.
 
-        Only the *unique* cache misses fan out, so ``evaluations`` counts
-        exactly what a serial in-order sweep would have computed, and the
-        metric costs are bit-identical for any backend (evaluation is
-        pure per genome).
+        Only the *unique* cache misses are batch-priced and scored, so
+        ``evaluations`` counts exactly what a genome-by-genome sweep in
+        order would have computed.
         """
 
         def store(
@@ -246,12 +246,7 @@ class _Archive:
             return point
 
         return cached_map(
-            self._task,
-            genomes,
-            backend,
-            key=Genome.key,
-            lookup=self._cache.get,
-            store=store,
+            self.problem, genomes, self.metric_cost, self._cache.get, store
         )
 
     def export(self) -> list[MultiObjectivePoint]:
@@ -284,7 +279,6 @@ def nsga2_co_optimize(
     space: CapacitySpace,
     metric: Metric = Metric.ENERGY,
     config: NSGAConfig | None = None,
-    backend: EvaluationBackend | None = None,
     on_generation: NSGAGenerationHook | None = None,
     resume_from: NSGACheckpoint | None = None,
 ) -> NSGAResult:
@@ -295,10 +289,8 @@ def nsga2_co_optimize(
     per generation against the fixed corner of the initial population,
     so convergence is observable.
 
-    Each generation's offspring are bred first and evaluated as one batch
-    through ``backend`` (built from ``config.workers`` when not given);
-    selection never interleaves with evaluation, so the frontier is
-    bit-identical to serial execution for a fixed seed.
+    Each generation's offspring are bred first and evaluated as one
+    batch; selection never interleaves with evaluation.
 
     ``on_generation`` receives an :class:`NSGACheckpoint` after the
     initial evaluation (generation 0) and after every generation;
@@ -306,27 +298,6 @@ def nsga2_co_optimize(
     that was never interrupted (same ``config`` required).
     """
     config = config or NSGAConfig()
-    owns_backend = backend is None
-    if backend is None:
-        backend = resolve_backend(config.workers)
-    try:
-        return _nsga2(
-            evaluator, space, metric, config, backend, on_generation, resume_from
-        )
-    finally:
-        if owns_backend:
-            backend.close()
-
-
-def _nsga2(
-    evaluator: Evaluator,
-    space: CapacitySpace,
-    metric: Metric,
-    config: NSGAConfig,
-    backend: EvaluationBackend,
-    on_generation: NSGAGenerationHook | None = None,
-    resume_from: NSGACheckpoint | None = None,
-) -> NSGAResult:
     rng = random.Random(config.seed)
     # alpha is irrelevant here (selection is Pareto-based), but the shared
     # problem object provides sampling and in-situ capacity repair.
@@ -363,7 +334,7 @@ def _nsga2(
         start_generation = resume_from.generation + 1
     else:
         genomes = initialize_population(problem, config.population_size, rng)
-        points = archive.evaluate_batch(genomes, backend)
+        points = archive.evaluate_batch(genomes)
         feasible = [p for p in points if p.metric_cost != float("inf")]
         if feasible:
             reference = (
@@ -387,9 +358,9 @@ def _nsga2(
                 rank[index] = level
                 crowd[index] = distances[index]
 
-        # Breed the full generation first (RNG consumption is unchanged:
-        # evaluation never touched the RNG), then evaluate it as one batch
-        # so the backend can fan the children out to its workers.
+        # Breed the full generation first (evaluation never touches the
+        # RNG), then evaluate it as one batch so its unseen subgraphs are
+        # priced together.
         children: list[Genome] = []
         while len(children) < config.population_size:
             parent_a = _crowded_pick(rng, points, rank, crowd)
@@ -404,7 +375,7 @@ def _nsga2(
             if rng.random() < config.dse_mutation_rate:
                 child = mutate_dse(child, rng, space)
             children.append(problem.repair(child))
-        offspring = archive.evaluate_batch(children, backend)
+        offspring = archive.evaluate_batch(children)
 
         combined = points + offspring
         fronts = fast_non_dominated_sort(combined)

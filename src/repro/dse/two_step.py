@@ -33,7 +33,6 @@ from ..errors import SearchError
 from ..ga.engine import EngineCheckpoint, GAConfig, GeneticEngine, SampleRecord
 from ..ga.genome import Genome
 from ..ga.problem import OptimizationProblem
-from ..parallel.backend import EvaluationBackend, resolve_backend
 from ..search_space import CapacitySpace
 from .results import DSEResult
 
@@ -118,40 +117,6 @@ def _partition_problem(
     )
 
 
-def _two_step(
-    evaluator: Evaluator,
-    candidates: list[MemoryConfig],
-    metric: Metric,
-    alpha: float,
-    ga_config: GAConfig,
-    method_name: str,
-    backend: EvaluationBackend | None = None,
-    on_checkpoint: TwoStepHook | None = None,
-    resume_from: TwoStepCheckpoint | None = None,
-    max_evaluations: int | None = None,
-) -> DSEResult:
-    if not candidates:
-        raise SearchError(f"{method_name}: no capacity candidates to try")
-    if max_evaluations is not None and max_evaluations < 1:
-        raise SearchError("max_evaluations must be positive when set")
-    owns_backend = backend is None
-    if backend is None:
-        # One backend object for every per-candidate GA run. A process
-        # pool is still rebuilt at candidate boundaries (each candidate
-        # is a fresh problem, and the pool is keyed to the problem's
-        # task — a cheap fork, amortized over a whole GA run), but the
-        # single object gives callers one lifecycle and one stats sink.
-        backend = resolve_backend(ga_config.workers)
-    try:
-        return _two_step_inner(
-            evaluator, candidates, metric, alpha, ga_config, method_name,
-            backend, on_checkpoint, resume_from, max_evaluations,
-        )
-    finally:
-        if owns_backend:
-            backend.close()
-
-
 def _memory_key(memory: MemoryConfig) -> tuple:
     return (memory.mode, memory.total_bytes, memory.activation_capacity)
 
@@ -181,18 +146,21 @@ def _validate_resume(
         )
 
 
-def _two_step_inner(
+def _two_step(
     evaluator: Evaluator,
     candidates: list[MemoryConfig],
     metric: Metric,
     alpha: float,
     ga_config: GAConfig,
     method_name: str,
-    backend: EvaluationBackend,
-    on_checkpoint: TwoStepHook | None,
-    resume_from: TwoStepCheckpoint | None,
-    max_evaluations: int | None,
+    on_checkpoint: TwoStepHook | None = None,
+    resume_from: TwoStepCheckpoint | None = None,
+    max_evaluations: int | None = None,
 ) -> DSEResult:
+    if not candidates:
+        raise SearchError(f"{method_name}: no capacity candidates to try")
+    if max_evaluations is not None and max_evaluations < 1:
+        raise SearchError("max_evaluations must be positive when set")
     if resume_from is not None:
         _validate_resume(resume_from, candidates, method_name)
         start = resume_from.candidate
@@ -229,7 +197,7 @@ def _two_step_inner(
             overrides["max_samples"] = max_evaluations - cumulative
         per_candidate = replace(ga_config, **overrides)
         problem = _partition_problem(evaluator, memory, metric)
-        engine = GeneticEngine(problem, per_candidate, backend=backend)
+        engine = GeneticEngine(problem, per_candidate)
 
         def hook(state: EngineCheckpoint, index: int = index) -> None:
             nonlocal last_generation
@@ -355,7 +323,6 @@ def random_search_ga(
     alpha: float = 0.002,
     ga_config: GAConfig | None = None,
     seed: int = 0,
-    backend: EvaluationBackend | None = None,
     on_checkpoint: TwoStepHook | None = None,
     resume_from: TwoStepCheckpoint | None = None,
     max_evaluations: int | None = None,
@@ -364,8 +331,8 @@ def random_search_ga(
     return _two_step(
         evaluator, random_candidates(space, num_candidates, seed), metric,
         alpha, ga_config or GAConfig(), "RS+GA",
-        backend=backend, on_checkpoint=on_checkpoint,
-        resume_from=resume_from, max_evaluations=max_evaluations,
+        on_checkpoint=on_checkpoint, resume_from=resume_from,
+        max_evaluations=max_evaluations,
     )
 
 
@@ -377,7 +344,6 @@ def grid_search_ga(
     metric: Metric = Metric.ENERGY,
     alpha: float = 0.002,
     ga_config: GAConfig | None = None,
-    backend: EvaluationBackend | None = None,
     on_checkpoint: TwoStepHook | None = None,
     resume_from: TwoStepCheckpoint | None = None,
     max_evaluations: int | None = None,
@@ -386,6 +352,6 @@ def grid_search_ga(
     return _two_step(
         evaluator, grid_candidates(space, stride, max_candidates), metric,
         alpha, ga_config or GAConfig(), "GS+GA",
-        backend=backend, on_checkpoint=on_checkpoint,
-        resume_from=resume_from, max_evaluations=max_evaluations,
+        on_checkpoint=on_checkpoint, resume_from=resume_from,
+        max_evaluations=max_evaluations,
     )

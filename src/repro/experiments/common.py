@@ -66,11 +66,6 @@ class Scale:
     gs_max_candidates: int
     enum_max_states: int
     enum_max_subgraph: int
-    #: Evaluation worker processes for population-based searches (1 =
-    #: serial). Results are identical for any value; only wall-clock
-    #: changes. Override per run with ``replace(scale, workers=N)`` or
-    #: the ``--workers`` CLI flag.
-    workers: int = 1
     #: Island-model shape: sub-population count, migration epochs, and
     #: generations per island per epoch. The total sample budget
     #: (``islands * epochs * epoch_generations * ga_population``) stays
@@ -85,7 +80,6 @@ class Scale:
             population_size=self.ga_population,
             generations=self.ga_generations,
             seed=seed,
-            workers=self.workers,
         )
         return replace(config, **overrides) if overrides else config
 
@@ -105,7 +99,6 @@ class Scale:
             population_size=self.ga_population,
             generations=self.ga_generations * self.rs_candidates,
             seed=seed,
-            workers=self.workers,
         )
         return replace(config, **overrides) if overrides else config
 
@@ -115,7 +108,6 @@ class Scale:
             population_size=self.ga_population,
             generations=self.island_epoch_generations,
             seed=seed,
-            workers=self.workers,
         )
         return IslandConfig(
             base=base,

@@ -7,8 +7,6 @@ in :data:`EXPERIMENTS` order.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import (
     fig1_extremes,
     fig2_survey,
@@ -42,17 +40,9 @@ _SCALED = ("fig1", "fig11", "table1", "table2", "fig12", "fig13",
            "fig14", "table3", "stability")
 
 
-def experiment_result(name: str, scale, workers: int | None = None):
-    """Run one experiment and return its :class:`ExperimentResult`.
-
-    ``workers`` (when given) fans population evaluation out to that many
-    worker processes inside every search loop the experiment runs; the
-    tables are identical for any value (evaluation is pure per genome).
-    When ``None``, ``scale.workers`` is respected as-is.
-    """
+def experiment_result(name: str, scale):
+    """Run one experiment and return its :class:`ExperimentResult`."""
     module = EXPERIMENTS[name]
-    if workers is not None:
-        scale = replace(scale, workers=workers)
     if name in _SCALED:
         return module.run(scale=scale)
     return module.run()

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..errors import SearchError
-from ..parallel.backend import EvaluationBackend, resolve_backend
 from .crossover import crossover
 from .genome import Genome
 from .mutation import merge_subgraph, modify_node, mutate_dse, split_subgraph
@@ -50,9 +49,6 @@ class GAConfig:
     seed: int = 0
     max_samples: int | None = None
     record_samples: bool = False
-    #: Evaluation fan-out: 0/1 evaluates serially, N>1 uses a
-    #: :class:`~repro.parallel.backend.ProcessPoolBackend` with N workers.
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -61,8 +57,6 @@ class GAConfig:
             raise SearchError("need at least one generation")
         if self.max_samples is not None and self.max_samples < 1:
             raise SearchError("max_samples must be positive when set")
-        if self.workers < 0:
-            raise SearchError("workers must be non-negative")
 
 
 @dataclass
@@ -109,24 +103,17 @@ GenerationHook = Callable[[EngineCheckpoint], None]
 class GeneticEngine:
     """Runs the Cocco GA on one :class:`OptimizationProblem`.
 
-    Population evaluation goes through an :class:`~repro.parallel.backend.
-    EvaluationBackend`: pass one explicitly (it is shared, and the caller
-    owns its lifecycle — the island model and the two-step schemes do this
-    to keep one worker pool warm across many engine runs), or leave it
-    ``None`` and the engine builds one from ``config.workers`` and closes
-    it when :meth:`run` returns. Genome evaluation is pure, so every
-    backend produces bit-identical results for a fixed seed.
+    Each generation is bred whole and then scored as one batch through
+    :meth:`OptimizationProblem.cost_batch`, in the calling process.
     """
 
     def __init__(
         self,
         problem: OptimizationProblem,
         config: GAConfig | None = None,
-        backend: EvaluationBackend | None = None,
     ):
         self.problem = problem
         self.config = config or GAConfig()
-        self._external_backend = backend
         self._rng = random.Random(self.config.seed)
         self._evaluations = 0
         self._best: Genome | None = None
@@ -136,17 +123,14 @@ class GeneticEngine:
         self._generation = 0
 
     # ------------------------------------------------------------------
-    def _score_batch(
-        self, genomes: list[Genome], backend: EvaluationBackend
-    ) -> list[float]:
+    def _score_batch(self, genomes: list[Genome]) -> list[float]:
         """Evaluate a batch, then book-keep each genome in input order.
 
-        The costs land first (serially or fanned out — results are
-        identical either way), then telemetry replays them in order, so
-        ``num_evaluations``, the Fig 12 history, and the Fig 13 sample
-        records match serial evaluation exactly.
+        The costs land first (batch-priced), then telemetry replays them
+        in order, so ``num_evaluations``, the Fig 12 history, and the
+        Fig 13 sample records match a genome-by-genome sweep exactly.
         """
-        costs = self.problem.cost_batch(genomes, backend)
+        costs = self.problem.cost_batch(genomes)
         for genome, cost in zip(genomes, costs):
             self._evaluations += 1
             if cost < self._best_cost:
@@ -224,15 +208,19 @@ class GeneticEngine:
         streamed telemetry and durable generation-level checkpoints.
         """
         cfg = self.config
-        backend = self._external_backend
-        owns_backend = backend is None
-        if backend is None:
-            backend = resolve_backend(cfg.workers)
-        try:
-            return self._run(backend, seeds, on_generation)
-        finally:
-            if owns_backend:
-                backend.close()
+        # A reused engine (the island model runs one engine per epoch)
+        # starts each run at generation 0 again; without the reset its
+        # initial snapshot would claim the previous run's final
+        # generation and a resume would skip the whole new run.
+        self._generation = 0
+        population = initialize_population(
+            self.problem, cfg.population_size, self._rng, seeds
+        )
+        population = self._fit_to_budget(population)
+        costs = self._score_batch(population)
+        if on_generation is not None:
+            on_generation(self._snapshot(population, costs))
+        return self._loop(population, costs, 1, on_generation)
 
     def restore(self, checkpoint: EngineCheckpoint) -> None:
         """Reinstall a snapshotted engine state without running anything.
@@ -271,46 +259,15 @@ class GeneticEngine:
                 f"only runs {self.config.generations}"
             )
         self.restore(checkpoint)
-        backend = self._external_backend
-        owns_backend = backend is None
-        if backend is None:
-            backend = resolve_backend(self.config.workers)
-        try:
-            return self._loop(
-                backend,
-                list(checkpoint.population),
-                list(checkpoint.costs),
-                checkpoint.generation + 1,
-                on_generation,
-            )
-        finally:
-            if owns_backend:
-                backend.close()
-
-    def _run(
-        self,
-        backend: EvaluationBackend,
-        seeds: Sequence[Genome],
-        on_generation: GenerationHook | None = None,
-    ) -> GAResult:
-        cfg = self.config
-        # A reused engine (the island model runs one engine per epoch)
-        # starts each run at generation 0 again; without the reset its
-        # initial snapshot would claim the previous run's final
-        # generation and a resume would skip the whole new run.
-        self._generation = 0
-        population = initialize_population(
-            self.problem, cfg.population_size, self._rng, seeds
+        return self._loop(
+            list(checkpoint.population),
+            list(checkpoint.costs),
+            checkpoint.generation + 1,
+            on_generation,
         )
-        population = self._fit_to_budget(population)
-        costs = self._score_batch(population, backend)
-        if on_generation is not None:
-            on_generation(self._snapshot(population, costs))
-        return self._loop(backend, population, costs, 1, on_generation)
 
     def _loop(
         self,
-        backend: EvaluationBackend,
         population: list[Genome],
         costs: list[float],
         start_generation: int,
@@ -331,7 +288,7 @@ class GeneticEngine:
                 for _ in range(cfg.population_size)
             ]
             offspring = self._fit_to_budget(offspring)
-            offspring_costs = self._score_batch(offspring, backend)
+            offspring_costs = self._score_batch(offspring)
 
             pool = population + offspring
             pool_costs = costs + offspring_costs

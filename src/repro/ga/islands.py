@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..errors import SearchError
-from ..parallel.backend import EvaluationBackend, resolve_backend
 from .engine import EngineCheckpoint, GAConfig, GAResult, GeneticEngine, RngState
 from .genome import Genome
 from .problem import OptimizationProblem
@@ -139,9 +138,7 @@ def checkpoint_finished(
 
 
 def _island_engines(
-    problem: OptimizationProblem,
-    config: IslandConfig,
-    backend: EvaluationBackend,
+    problem: OptimizationProblem, config: IslandConfig
 ) -> list[GeneticEngine]:
     engines = []
     for index in range(config.num_islands):
@@ -150,53 +147,8 @@ def _island_engines(
             generations=config.epoch_generations,
             seed=config.seed * 1009 + index,
         )
-        engines.append(GeneticEngine(problem, island_cfg, backend=backend))
+        engines.append(GeneticEngine(problem, island_cfg))
     return engines
-
-
-def island_search(
-    problem: OptimizationProblem,
-    config: IslandConfig | None = None,
-    seeds: Sequence[Genome] = (),
-    backend: EvaluationBackend | None = None,
-    on_generation: IslandsHook | None = None,
-    resume_from: IslandsCheckpoint | None = None,
-    max_samples: int | None = None,
-) -> GAResult:
-    """Run the island-model GA and return the globally best genome.
-
-    ``seeds`` warm-start island 0 (the flexible-initialization property
-    carries over); migration then distributes anything useful they
-    contain. The returned :class:`GAResult` aggregates evaluations and
-    concatenates a global best-cost history across islands and epochs.
-
-    All islands share one evaluation ``backend`` (built from
-    ``config.base.workers`` when not supplied), so a process pool stays
-    warm across every epoch of every island instead of restarting per
-    engine run.
-
-    ``on_generation`` receives an :class:`IslandsCheckpoint` after every
-    scored island generation; ``resume_from`` continues a checkpointed
-    run bit-identically to one that was never interrupted (same
-    ``config`` required); ``max_samples`` caps the cumulative evaluation
-    count across all islands exactly — a capped run stops mid-island
-    with its checkpoint pointing at the spot, and a later resume with a
-    higher cap continues the same trajectory.
-    """
-    config = config or IslandConfig()
-    if max_samples is not None and max_samples < 1:
-        raise SearchError("max_samples must be positive when set")
-    owns_backend = backend is None
-    if backend is None:
-        backend = resolve_backend(config.base.workers)
-    try:
-        return _island_search(
-            problem, config, seeds, backend,
-            on_generation, resume_from, max_samples,
-        )
-    finally:
-        if owns_backend:
-            backend.close()
 
 
 def _validate_resume(
@@ -214,16 +166,33 @@ def _validate_resume(
         )
 
 
-def _island_search(
+def island_search(
     problem: OptimizationProblem,
-    config: IslandConfig,
-    seeds: Sequence[Genome],
-    backend: EvaluationBackend,
-    on_generation: IslandsHook | None,
-    resume_from: IslandsCheckpoint | None,
-    max_samples: int | None,
+    config: IslandConfig | None = None,
+    seeds: Sequence[Genome] = (),
+    on_generation: IslandsHook | None = None,
+    resume_from: IslandsCheckpoint | None = None,
+    max_samples: int | None = None,
 ) -> GAResult:
-    engines = _island_engines(problem, config, backend)
+    """Run the island-model GA and return the globally best genome.
+
+    ``seeds`` warm-start island 0 (the flexible-initialization property
+    carries over); migration then distributes anything useful they
+    contain. The returned :class:`GAResult` aggregates evaluations and
+    concatenates a global best-cost history across islands and epochs.
+
+    ``on_generation`` receives an :class:`IslandsCheckpoint` after every
+    scored island generation; ``resume_from`` continues a checkpointed
+    run bit-identically to one that was never interrupted (same
+    ``config`` required); ``max_samples`` caps the cumulative evaluation
+    count across all islands exactly — a capped run stops mid-island
+    with its checkpoint pointing at the spot, and a later resume with a
+    higher cap continues the same trajectory.
+    """
+    config = config or IslandConfig()
+    if max_samples is not None and max_samples < 1:
+        raise SearchError("max_samples must be positive when set")
+    engines = _island_engines(problem, config)
     rng = random.Random(config.seed)
     population_size = config.base.population_size
 

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..config import MemoryConfig
 from ..cost.evaluator import Evaluator, PartitionCost
 from ..cost.objective import Metric, co_opt_objective, partition_objective
 from ..errors import ConfigError
 from ..graphs.graph import ComputationGraph
-from ..parallel.backend import EvaluationBackend, cached_map
-from ..parallel.tasks import CostTask
 from ..partition.random_init import random_partition
 from ..partition.validity import split_infeasible
 from ..search_space import CapacitySpace
@@ -48,7 +46,6 @@ class OptimizationProblem:
     space: CapacitySpace | None = None
     fixed_memory: MemoryConfig | None = None
     _fitness_cache: dict = field(default_factory=dict, repr=False)
-    _cost_task: CostTask | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.space is None and self.fixed_memory is None:
@@ -138,44 +135,54 @@ class OptimizationProblem:
         self._fitness_cache[key] = value
         return value
 
-    # ------------------------------------------------------------------
-    def cost_task(self) -> CostTask:
-        """The stable, picklable task a backend ships to its workers.
-
-        One task object per problem keeps a :class:`~repro.parallel.
-        backend.ProcessPoolBackend`'s pool warm across generations (the
-        pool is keyed to task identity).
-        """
-        if self._cost_task is None:
-            self._cost_task = CostTask(self)
-        return self._cost_task
-
-    def cost_batch(
-        self,
-        genomes: Sequence[Genome],
-        backend: EvaluationBackend | None = None,
-    ) -> list[float]:
+    def cost_batch(self, genomes: Sequence[Genome]) -> list[float]:
         """Objective values for a batch, preserving order and memoization.
 
-        Genomes whose fitness is already memoized are answered from the
-        cache; the remaining *unique* genomes fan out through ``backend``
-        (deduplicated first, so a batch with repeats costs one evaluation
-        per distinct genome — exactly like serial evaluation in order).
-        Evaluation is pure per genome, so the returned costs are
-        bit-identical to serial evaluation regardless of the backend.
+        Memoized genomes are answered from the fitness cache; the batch's
+        *unique* misses are batch-priced once and scored in first-seen
+        order (see :func:`cached_map`), so a batch with repeats costs one
+        evaluation per distinct genome and every value is bit-identical
+        to :meth:`cost`.
         """
-        if backend is None:
-            return [self.cost(g) for g in genomes]
-
-        def store(key: tuple, genome: Genome, value: float) -> float:
-            self._fitness_cache[key] = value
-            return value
-
         return cached_map(
-            self.cost_task(),
-            genomes,
-            backend,
-            key=Genome.key,
-            lookup=self._fitness_cache.get,
-            store=store,
+            self, genomes, self.cost, self._fitness_cache.get,
+            store=lambda key, genome, value: value,
         )
+
+
+def cached_map(
+    problem: OptimizationProblem,
+    genomes: Sequence[Genome],
+    evaluate: Callable[[Genome], Any],
+    lookup: Callable[[tuple], Any],
+    store: Callable[[tuple, Genome, Any], Any],
+) -> list[Any]:
+    """Score a genome batch, serving repeats and known genomes from a cache.
+
+    The caller provides the cache through two callables: ``lookup(key)``
+    returns an earlier result or ``None``, and ``store(key, genome,
+    value)`` records a fresh ``evaluate(genome)`` and returns the object
+    to place in the output (so a caller can wrap the raw value, e.g.
+    into an objective-space point). Only the *unique* misses are
+    evaluated, in first-seen order, after one :meth:`OptimizationProblem.
+    prime` of exactly those genomes, so evaluation counts match a serial
+    in-order sweep. The GA fitness cache and the NSGA-II archive both
+    batch through here.
+    """
+    results: list[Any] = []
+    misses: dict[tuple, tuple[Genome, list[int]]] = {}
+    for index, genome in enumerate(genomes):
+        key = genome.key()
+        hit = lookup(key)
+        results.append(hit)
+        if hit is None:
+            misses.setdefault(key, (genome, []))[1].append(index)
+    if misses:
+        unique = [genome for genome, _ in misses.values()]
+        problem.prime(unique)
+        values = [evaluate(genome) for genome in unique]
+        for (key, (genome, indices)), value in zip(misses.items(), values):
+            final = store(key, genome, value)
+            for index in indices:
+                results[index] = final
+    return results

@@ -58,7 +58,7 @@ DURABLE_PACKAGES = (
 
 #: Module trees where *iteration order* leaks into results: everything
 #: deterministic, plus the graph/partition models feeding it and the
-#: parallel backend that fans evaluation out.
+#: cell runner that fans a campaign's cells out.
 ORDER_SENSITIVE_PACKAGES = DETERMINISTIC_PACKAGES + (
     "repro.graphs",
     "repro.partition",

@@ -3,9 +3,9 @@
 The observability subsystem is a *write-only side channel* over the run
 registry. The suite's cell driver emits a cell's lifecycle and one
 ``progress`` event per checkpoint (beside the ``history.jsonl`` line it
-writes for the same checkpoint); the evaluation backends and the
-evaluator add timing spans, and the distributed worker and coordinator
-add lease, budget and fleet events. All of it goes through a
+writes for the same checkpoint); the evaluator adds timing spans, and
+the distributed worker and coordinator add lease, budget and fleet
+events. All of it goes through a
 context-local :class:`~repro.obs.events.TelemetrySink`; each cell's
 stream appends crash-safely to ``telemetry.jsonl`` beside its
 ``history.jsonl``. The search packages (:mod:`repro.ga`,

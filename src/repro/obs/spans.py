@@ -4,9 +4,10 @@ A span wraps a region of work and emits one ``span`` event when the
 region exits, carrying the span's name, its parent (the enclosing
 span's name), its nesting depth, its duration, and whether the region
 raised. Nesting is tracked through a :mod:`contextvars` stack, so spans
-compose across call boundaries without threading parameters — the
-evaluator's batch-pricing span nests under the backend's map span
-nests under whatever the search loop opened.
+compose across call boundaries without threading parameters: a span
+opened inside another records it as its parent. A cell's stream holds
+only the evaluator's batch-pricing spans, at depth 0, because the
+search loops open none.
 
 Durations come from ``time.perf_counter`` — the monotonic *interval*
 clock, exempt from the injectable-clock rule because it can never leak

@@ -1,24 +1,14 @@
-"""Evaluation backends: serial and process-pool population evaluation.
+"""The cell runner of ``repro suite``: serial, or a process pool.
 
-See :mod:`repro.parallel.backend` for the design discussion. The search
-loops (:mod:`repro.ga`, :mod:`repro.dse`) accept any object satisfying
-the :class:`EvaluationBackend` protocol; ``resolve_backend(workers)``
-turns a CLI/config worker count into the right implementation.
+See :mod:`repro.parallel.backend`. ``resolve_backend(workers)`` turns
+the campaign's worker count into the right runner; search loops run in
+the process that owns them and never import this package.
 """
 
-from .backend import (
-    EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from .tasks import CostTask, ParetoCostTask
+from .backend import ProcessPoolBackend, SerialBackend, resolve_backend
 
 __all__ = [
-    "EvaluationBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "resolve_backend",
-    "CostTask",
-    "ParetoCostTask",
 ]

@@ -8,8 +8,8 @@
   search checkpoint class (GA engine, island model, two-step, simulated
   annealing, NSGA-II).
 * :mod:`repro.runs.suite` — the ``repro suite`` campaign runner:
-  expands a workload matrix into cells, shards them across evaluation
-  backends, skips completed cells on restart, and merges the results.
+  expands a workload matrix into cells, shards them across processes,
+  skips completed cells on restart, and merges the results.
 
 ``suite`` is intentionally *not* imported here: it depends on
 :mod:`repro.experiments.common`, which itself uses :func:`derive_seed`,

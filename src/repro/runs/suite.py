@@ -9,7 +9,7 @@ RunRegistry`:
 * every cell's seed derives from (campaign seed, stable cell key) — see
   :mod:`repro.runs.seeds` — so matrix edits never shift another cell's
   random stream;
-* cells shard across the existing evaluation backends
+* cells shard across processes through the cell runner
   (:func:`~repro.parallel.backend.resolve_backend`); each cell
   warm-starts from the per-graph evaluator summaries earlier cells
   saved to the registry's ``warm/`` files, and saves its own there —
@@ -32,9 +32,10 @@ RunRegistry`:
   the budget scheduler calls claimable — with no budget, every cell
   that is neither complete nor failed;
 * campaigns have one level of parallelism: cells fan out across
-  processes, and each cell runs its search on the serial backend;
+  processes, and each cell runs its search in the process that claimed
+  it;
 * a worker killed mid-cell (OOM, segfault) breaks its pool: the runner
-  rebuilds the backend and retries the cells that have no durable
+  rebuilds the pool and retries the cells that have no durable
   result — a killed cell is never recorded as complete — until
   ``workers`` rounds in a row have broken with no cell settling.
 
@@ -69,7 +70,7 @@ from ..ga.islands import island_search
 from ..ga.problem import OptimizationProblem
 from ..graphs.zoo import get_model
 from ..obs import TelemetrySink, activate, emit
-from ..parallel.backend import EvaluationBackend, resolve_backend
+from ..parallel.backend import resolve_backend
 from ..search_space import CapacitySpace
 from ..units import to_kb, to_mb
 from .checkpoint import (
@@ -185,8 +186,8 @@ class SuiteMatrix:
     def cells(self) -> list[SuiteCell]:
         """Expand the matrix, network-major.
 
-        Network-major order keeps same-graph cells adjacent, so backend
-        chunking tends to hand them to the same worker, whose registry
+        Network-major order keeps same-graph cells adjacent, so the cell
+        runner's chunking tends to hand them to the same worker, whose registry
         already holds that graph's warm evaluator summaries.
         """
         return [
@@ -645,7 +646,7 @@ def run_cell(
     *without* writing ``result.json`` — it stays resumable and continues
     when a later call raises the cap. The other schemes (``nsga``) run
     whole; the scheduler charges their exact evaluation count. The
-    search runs on the serial backend: a campaign's parallelism is its
+    search runs in the calling process: a campaign's parallelism is its
     cells, spread across processes by the runners, and the cell's
     telemetry sink stays in the one process that owns its stream.
 
@@ -1074,7 +1075,7 @@ def run_suite(
     progress = campaign_progress(registry, cells, matrix.seed)
     skipped = sum(1 for state in progress.values() if state.complete)
     task = SuiteCellTask(matrix, registry_root)
-    backend: EvaluationBackend = resolve_backend(workers)
+    backend = resolve_backend(workers)
     rounds = 0
     # Broken rounds in a row with no cell settling since the previous one.
     broken = 0

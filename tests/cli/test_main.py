@@ -31,6 +31,9 @@ class TestParser:
             ("suite", "--networks", "vgg16", "--eval-workers", "2"),
             ("suite", "--networks", "vgg16", "--max-rounds", "2"),
             ("worker", "--registry", "reg", "--eval-workers", "2"),
+            ("dse", "vgg16", "--workers", "2"),
+            ("pareto", "vgg16", "--workers", "2"),
+            ("experiment", "fig3", "--workers", "2"),
         ],
     )
     def test_in_cell_pool_and_round_flags_are_gone(self, capsys, argv):
@@ -163,10 +166,9 @@ class TestPareto:
 
 class TestProfileTimings:
     @pytest.mark.parametrize("command", ["dse", "pareto"])
-    def test_pool_breakdown_includes_worker_stats(self, capsys, command):
+    def test_breakdown_lists_stages_and_batch_line(self, capsys, command):
         code, out = run_cli(
-            capsys, command, "vgg16", "--scale", "tiny", "--workers", "2",
-            "--profile-timings",
+            capsys, command, "vgg16", "--scale", "tiny", "--profile-timings",
         )
         assert code == 0
         lines = out.splitlines()
@@ -176,8 +178,6 @@ class TestProfileTimings:
             "profile", "price", "batch", "aggregate", "other", "total",
             "profiles", "batch",
         ]
-        # Every batch-pricing call ran in a pool worker, so the batch
-        # line counts only what the workers' merged stats carried back.
         keys, batches = re.search(
             r"(\d+) keys in (\d+) batches", lines[-1]
         ).groups()
@@ -328,6 +328,35 @@ class TestSuite:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestSuiteRejectsBadInput:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--workers", "-1"), "worker count must be non-negative"),
+            (
+                ("--distributed", "--workers", "-1", "--timeout", "20"),
+                "worker count must be non-negative",
+            ),
+            (("--budget", "-5"), "budget must be non-negative"),
+            (
+                ("--distributed", "--budget", "-5", "--timeout", "20"),
+                "budget must be non-negative",
+            ),
+        ],
+    )
+    def test_rejected_before_anything_runs(
+        self, capsys, tmp_path, flags, message
+    ):
+        registry = tmp_path / "registry"
+        code, out = run_cli(
+            capsys, "suite", "--networks", "vgg16", "--scale", "tiny",
+            "--registry", str(registry), *flags,
+        )
+        assert code == 1
+        assert out.splitlines() == [f"error: {message}"]
+        assert not (registry / "campaign.json").exists()
 
 
 class TestSuiteBudgetAndGc:

@@ -184,7 +184,7 @@ class TestSummaryCacheLRU:
 
 class TestStatsPlumbing:
     @pytest.mark.parametrize("timed", [False, True])
-    def test_batch_counters_merge(self, timed):
+    def test_batch_counters_reported(self, timed):
         graph = get_model("googlenet")
         evaluator = Evaluator(graph, paper_accelerator(), collect_timings=timed)
         pops, mems = _population(graph, seed=2, count=3)
@@ -201,12 +201,8 @@ class TestStatsPlumbing:
         # Stage timings are reported only when collected.
         timings = {key for key in stats if key.endswith("_s")}
         assert timings == (set(evaluator.timings) if timed else set())
-        assert stats["batch_priced"] > 0
-        other = Evaluator(graph, paper_accelerator(), collect_timings=timed)
-        other.absorb_stats(stats)
-        assert other.num_batch_priced == evaluator.num_batch_priced
-        assert other.num_batch_direct == evaluator.num_batch_direct
-        assert other.timings == evaluator.timings
+        assert stats["batch_priced"] == evaluator.num_batch_priced > 0
+        assert stats["batch_direct"] == evaluator.num_batch_direct
 
     def test_feasible_direct_probe_skips_profiling(self):
         graph = get_model("resnet50")
@@ -225,14 +221,13 @@ class TestStatsPlumbing:
 
 class TestWarmStateInterop:
     def test_batch_priced_summaries_ship_like_serial(self):
-        """Drained warm entries from a batch run absorb bit-identically."""
+        """Exported warm entries from a batch run absorb bit-identically."""
         graph = get_model("googlenet")
         accel = paper_accelerator()
         producer = Evaluator(graph, accel)
-        producer.enable_summary_log()
         pops, mems = _population(graph, seed=6, count=4)
         expected = producer.summarize_population(pops, mems)
-        entries = producer.drain_summary_log()
+        entries = producer.export_summaries()
         assert entries
         consumer = Evaluator(graph, accel)
         consumer.absorb_summaries(entries)

@@ -16,6 +16,7 @@ from repro.distrib.budget import (
     compute_allocations,
 )
 from repro.distrib.objectstore import _Handler
+from repro.errors import ConfigError
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import CAPPED_SCHEMES
 from repro.runs.transport import FsTransport
@@ -62,7 +63,7 @@ class TestInitialGrants:
         assert view.exhausted == frozenset()
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             compute_allocations([FakeCell("a")], -1, {})
 
 

@@ -1,4 +1,4 @@
-"""Batch pricing is invisible to every search loop, for any backend.
+"""Batch pricing is invisible to every search loop.
 
 Batch pricing only changes *when* subgraphs are priced (all at once,
 per batch, through the tensorized fast path) — never what any genome
@@ -6,8 +6,6 @@ costs. These tests run each searcher twice with identical seeds, on the
 :class:`Evaluator` and on the :class:`ReferenceEvaluator` (which prices
 nothing in batch and every genome in full), and demand identical
 trajectories: best cost, best genome, evaluation counts, and history.
-The process-pool cases additionally pin that chunk-level priming
-composes with warm-summary shipping.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.ga.engine import GAConfig, GeneticEngine
 from repro.ga.islands import IslandConfig, island_search
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.zoo import get_model
-from repro.parallel.backend import ProcessPoolBackend
 from repro.search_space import CapacitySpace
 from repro.units import kb, mb
 
@@ -42,10 +39,10 @@ def _problem(
     )
 
 
-def _ga_trace(evaluator_cls, seed: int, backend=None):
+def _ga_trace(evaluator_cls, seed: int):
     problem = _problem(evaluator_cls=evaluator_cls)
     config = GAConfig(population_size=14, generations=3, seed=seed)
-    result = GeneticEngine(problem, config, backend=backend).run()
+    result = GeneticEngine(problem, config).run()
     return (
         result.best_cost,
         result.best_genome.key(),
@@ -63,12 +60,6 @@ class TestGAIdentity:
         assert fast[:4] == reference[:4]
         assert fast[4] > 0  # the batch path actually ran
         assert reference[4] == 0
-
-    def test_process_pool_identical(self):
-        serial = _ga_trace(Evaluator, seed=2)
-        with ProcessPoolBackend(workers=2, chunk_size=4) as backend:
-            pooled = _ga_trace(Evaluator, seed=2, backend=backend)
-        assert pooled[:4] == serial[:4]
 
 
 class TestIslandsIdentity:
@@ -120,28 +111,6 @@ class TestNSGAIdentity:
         assert fast[:3] == reference[:3]
         assert fast[3] > 0
         assert reference[3] == 0
-
-    def test_nsga_process_pool_identical(self):
-        def run(backend):
-            evaluator = Evaluator(get_model("googlenet"), paper_accelerator())
-            config = NSGAConfig(population_size=10, generations=2, seed=1)
-            result = nsga2_co_optimize(
-                evaluator,
-                CapacitySpace.paper_separate(),
-                Metric.EMA,
-                config,
-                backend=backend,
-            )
-            return (
-                [(p.capacity_bytes, p.metric_cost) for p in result.front],
-                result.num_evaluations,
-                result.history,
-            )
-
-        serial = run(None)
-        with ProcessPoolBackend(workers=2, chunk_size=3) as backend:
-            pooled = run(backend)
-        assert pooled == serial
 
 
 class TestTwoStepIdentity:

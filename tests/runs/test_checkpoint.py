@@ -4,8 +4,7 @@ The contract: a run interrupted after any generation and resumed from
 its checkpoint — in the same process, or after a JSON round trip in a
 fresh process with cold evaluator caches — finishes with exactly the
 result of a run that was never interrupted: same best cost, same best
-genome, same evaluation counter, same history, same telemetry. Both
-serial and :class:`ProcessPoolBackend` evaluation are covered.
+genome, same evaluation counter, same history, same telemetry.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from repro.dse.nsga import NSGAConfig, nsga2_co_optimize
 from repro.errors import SearchError
 from repro.ga.engine import EngineCheckpoint, GAConfig, GeneticEngine
 from repro.ga.problem import OptimizationProblem
+from repro.parallel import ProcessPoolBackend
 from repro.runs.checkpoint import (
     ga_checkpoint_from_dict,
     ga_checkpoint_to_dict,
@@ -56,21 +56,32 @@ GA_CONFIG = GAConfig(
 )
 
 
-def ga_results_equal(a, b) -> bool:
+def ga_fingerprint(result) -> tuple:
     return (
-        a.best_cost == b.best_cost
-        and a.best_genome.key() == b.best_genome.key()
-        and a.num_evaluations == b.num_evaluations
-        and a.history == b.history
-        and [
+        result.best_cost,
+        result.best_genome.key(),
+        result.num_evaluations,
+        result.history,
+        [
             (s.index, s.cost, s.total_buffer_bytes, s.generation)
-            for s in a.samples
-        ]
-        == [
-            (s.index, s.cost, s.total_buffer_bytes, s.generation)
-            for s in b.samples
-        ]
+            for s in result.samples
+        ],
     )
+
+
+def ga_results_equal(a, b) -> bool:
+    return ga_fingerprint(a) == ga_fingerprint(b)
+
+
+class ResumeFromJson:
+    """Resumes a JSON checkpoint on a fresh graph, in whichever process
+    runs it (module level, so a pool worker can unpickle it)."""
+
+    def __call__(self, blob: str) -> tuple:
+        graph = build_chain(depth=6)
+        checkpoint = ga_checkpoint_from_dict(json.loads(blob), graph)
+        result = GeneticEngine(co_problem(graph), GA_CONFIG).resume(checkpoint)
+        return ga_fingerprint(result)
 
 
 def capture_checkpoints(graph, config=GA_CONFIG) -> dict[int, EngineCheckpoint]:
@@ -125,38 +136,27 @@ class TestEngineResume:
         resumed = GeneticEngine(co_problem(graph), GA_CONFIG).resume(restored)
         assert ga_results_equal(resumed, full)
 
+    def test_resume_with_process_pool_backend(self, graph):
+        """A suite cell may resume in another process than the one that
+        checkpointed it: here, in the workers of the cell runner."""
+        full = GeneticEngine(co_problem(graph), GA_CONFIG).run()
+        checkpoints = capture_checkpoints(graph)
+        blobs = [
+            json.dumps(ga_checkpoint_to_dict(checkpoints[generation]))
+            for generation in (0, 2, 4)
+        ]
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            resumed = backend.map(ResumeFromJson(), blobs)
+        finally:
+            backend.close()
+        assert resumed == [ga_fingerprint(full)] * len(blobs)
+
     def test_resume_from_final_generation_returns_result(self, graph):
         full = GeneticEngine(co_problem(graph), GA_CONFIG).run()
         checkpoint = capture_checkpoints(graph)[GA_CONFIG.generations]
         resumed = GeneticEngine(co_problem(graph), GA_CONFIG).resume(checkpoint)
         assert ga_results_equal(resumed, full)
-
-    def test_resume_with_process_pool_backend(self, graph):
-        parallel = GAConfig(
-            population_size=10, generations=5, seed=11,
-            record_samples=True, workers=2,
-        )
-        full = GeneticEngine(co_problem(graph), parallel).run()
-        checkpoints: dict[int, EngineCheckpoint] = {}
-        GeneticEngine(co_problem(graph), parallel).run(
-            on_generation=lambda ck: checkpoints.__setitem__(ck.generation, ck)
-        )
-        blob = json.dumps(ga_checkpoint_to_dict(checkpoints[2]))
-        restored = ga_checkpoint_from_dict(json.loads(blob), graph)
-        resumed = GeneticEngine(co_problem(graph), parallel).resume(restored)
-        assert ga_results_equal(resumed, full)
-
-    def test_serial_and_parallel_resume_agree(self, graph):
-        checkpoint = capture_checkpoints(graph)[2]
-        serial = GeneticEngine(co_problem(graph), GA_CONFIG).resume(checkpoint)
-        parallel_config = GAConfig(
-            population_size=10, generations=6, seed=11,
-            record_samples=True, workers=2,
-        )
-        parallel = GeneticEngine(co_problem(graph), parallel_config).resume(
-            capture_checkpoints(graph)[2]
-        )
-        assert ga_results_equal(serial, parallel)
 
     def test_checkpoint_beyond_config_rejected(self, graph):
         checkpoint = capture_checkpoints(graph)[4]
