@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.cost.ema import profile_subgraph
 from repro.cost.evaluator import Evaluator
 from repro.execution.tiling import derive_tiling
 from repro.ga.crossover import crossover
@@ -36,13 +37,9 @@ def test_derive_tiling_block(benchmark, resnet, resnet_block):
 
 
 def test_profile_subgraph_uncached(benchmark, resnet, resnet_block):
-    accel = paper_accelerator()
-
-    def profile_fresh():
-        evaluator = Evaluator(resnet, accel)
-        return evaluator.profile(resnet_block)
-
-    benchmark(profile_fresh)
+    # What an evaluator runs on a profile miss. A new Evaluator per round
+    # would time a hit: evaluators of one graph share its subgraph store.
+    benchmark(profile_subgraph, resnet, resnet_block)
 
 
 def test_subgraph_cost_cached(benchmark, resnet, resnet_block):

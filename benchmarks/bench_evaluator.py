@@ -55,6 +55,7 @@ from repro.experiments.common import paper_accelerator, paper_memory
 from repro.ga.engine import GAConfig, GeneticEngine
 from repro.ga.genome import Genome
 from repro.ga.problem import OptimizationProblem
+from repro.graphs import zoo
 from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
 from repro.units import kb, mb
@@ -95,6 +96,20 @@ def _sample_subgraphs(graph, count: int, seed: int) -> list[frozenset[str]]:
 
 def _best_of(reps: int, fn) -> float:
     return min(fn() for _ in range(max(1, reps)))
+
+
+def _cold(graph):
+    """A newly built copy of zoo network ``graph``, its store empty.
+
+    Every evaluator of one graph shares the graph's subgraph store, so a
+    rep timed on ``graph`` itself would read what the correctness check
+    and earlier reps derived, while the reference keeps private caches.
+    Timed fast-path reps evaluate a copy instead; its topology is built
+    here, outside the timed window, as it is on ``graph``.
+    """
+    fresh = getattr(zoo, graph.name)()
+    fresh.topology()
+    return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +202,9 @@ def stage_population(graph, accel, population: int, seed: int, reps: int) -> dic
         for _ in range(population)
     ]
 
-    def build(cls):
+    def build(cls, on=graph):
         return OptimizationProblem(
-            evaluator=cls(graph, accel),
+            evaluator=cls(on, accel),
             metric=Metric.EMA,
             alpha=None,
             fixed_memory=memory,
@@ -218,7 +233,7 @@ def stage_population(graph, accel, population: int, seed: int, reps: int) -> dic
             raise AssertionError("PartitionCost not bit-identical")
 
     def timed(cls) -> float:
-        problem = build(cls)
+        problem = build(cls, _cold(graph))
         t0 = time.perf_counter()
         evaluate(problem)
         return time.perf_counter() - t0
@@ -239,7 +254,8 @@ def stage_population_batch(
     """Tensorized population pricing vs per-genome incremental pricing.
 
     Summarizes one fresh population of random partitions on a *cold*
-    evaluator three ways — ``summarize_population`` (shape-class batched
+    evaluator (each fast rep on a graph whose store is empty) three
+    ways — ``summarize_population`` (shape-class batched
     tensor pricing + GOMA-style direct solves), a per-genome
     ``summarize`` loop (the incremental path), and the pre-optimization
     reference — asserting all three bit-identical. ``speedup`` is
@@ -254,7 +270,7 @@ def stage_population_batch(
         random_partition(graph, rng).subgraph_sets for _ in range(population)
     ]
 
-    batch_ev = Evaluator(graph, accel)
+    batch_ev = Evaluator(_cold(graph), accel)
     batched = batch_ev.summarize_population(pops, memory)
     incremental = [Evaluator(graph, accel).summarize(p, memory) for p in pops]
     reference = [
@@ -266,13 +282,13 @@ def stage_population_batch(
         raise AssertionError("batch path did not run")
 
     def timed_batch() -> float:
-        ev = Evaluator(graph, accel)
+        ev = Evaluator(_cold(graph), accel)
         t0 = time.perf_counter()
         ev.summarize_population(pops, memory)
         return time.perf_counter() - t0
 
     def timed_incremental() -> float:
-        ev = Evaluator(graph, accel)
+        ev = Evaluator(_cold(graph), accel)
         t0 = time.perf_counter()
         for p in pops:
             ev.summarize(p, memory)
@@ -308,7 +324,7 @@ def stage_generations(
 
     def run(cls):
         problem = OptimizationProblem(
-            evaluator=cls(graph, accel),
+            evaluator=cls(_cold(graph), accel),
             metric=Metric.EMA,
             alpha=None,
             fixed_memory=paper_memory(),
@@ -367,7 +383,7 @@ def stage_telemetry(graph, accel, population: int, generations: int, seed: int) 
 
     def run(sink):
         problem = OptimizationProblem(
-            evaluator=Evaluator(graph, accel),
+            evaluator=Evaluator(_cold(graph), accel),
             metric=Metric.EMA,
             alpha=None,
             fixed_memory=paper_memory(),

@@ -42,8 +42,9 @@ from ..config import BufferMode, MemoryConfig
 from ..errors import TilingError
 from ..execution.tiling import TilingStructure
 from ..execution.tiling_batch import LinearTileModel, member_max_height, scan_table
-from .ema import SubgraphProfile, _select_options
-from .evaluator import Evaluator, _lru_get, _lru_put, weight_budget
+from .ema import SubgraphProfile, _heaviest_first, _select_options
+from .evaluator import Evaluator, weight_budget
+from .store import _lru_get, _lru_put
 
 #: Summary scalars of a subgraph no tile option fits (mirrors the
 #: infeasible ``SubgraphCost`` through ``ema_bytes``/``energy_pj``/
@@ -110,7 +111,7 @@ def price_population(
     for every key the batch machinery handled; absent keys fall back to
     the caller's serial path. Side effects mirror serial pricing:
     derived structures and (for scan classes) full profiles land in the
-    evaluator's LRU caches — the direct-solve path's speedup is exactly
+    graph's shared store — the direct-solve path's speedup is exactly
     that it never builds a per-subgraph option table.
     """
     if not cold_keys or not evaluator.tile_candidates:
@@ -119,8 +120,10 @@ def price_population(
     graph = evaluator.graph
     accel = evaluator.accel
     arrays = graph.arrays(accel.bytes_per_element)
-    index = arrays.index
-    succ_map = graph.successor_map()
+    succs = graph.topology().succs
+    facts = evaluator._facts
+    store = facts.store
+    pairs = arrays.layer_weights
     tile_candidates = evaluator.tile_candidates
     cores = accel.num_cores
 
@@ -135,7 +138,7 @@ def price_population(
     structures: dict[frozenset[str], TilingStructure] = {}
     classes: dict[tuple, list[frozenset[str]]] = {}
     for members in wanted:
-        structure = _lru_get(evaluator._structures, members)
+        structure = _lru_get(store.structures, members)
         if structure is None:
             try:
                 structure = TilingStructure(graph, members, solve_base=False)
@@ -159,12 +162,7 @@ def price_population(
         for members in group[1:]:
             structures[members].adopt_base(rep)
         for members in group:
-            _lru_put(
-                evaluator._structures,
-                members,
-                structures[members],
-                evaluator._profile_cache_size,
-            )
+            store.add_structure(members, structures[members])
         valid.append((rep, group, evaluator._linear_model(rep)))
 
     # Global per-subgraph index lists -> one batched exact reduction per
@@ -188,22 +186,21 @@ def price_population(
     for _, group, model in valid:
         for members in group:
             structure = structures[members]
-            all_idx: list[int] = []
+            all_idx = list(structure.ids)
             mem_idx: list[int] = []
             inp_idx: list[int] = []
-            for name, is_member in zip(structure.names, structure.is_member):
-                i = index[name]
-                all_idx.append(i)
+            for i, is_member in zip(all_idx, structure.is_member):
                 (mem_idx if is_member else inp_idx).append(i)
+            inside = set(mem_idx)
             names_rows[members] = all_idx
             slot[members] = len(member_lists)
             member_lists.append(mem_idx)
             input_lists.append(inp_idx)
             output_lists.append(
                 [
-                    index[n]
-                    for n in sorted(members)
-                    if not succ_map[n] or any(s not in members for s in succ_map[n])
+                    i
+                    for i in mem_idx
+                    if not succs[i] or any(s not in inside for s in succs[i])
                 ]
             )
             if model is not None:
@@ -331,21 +328,13 @@ def price_population(
                         member_activation_bytes=act_totals[s],
                         layer_weights=tuple(
                             sorted(
-                                (
-                                    (n, int(arrays.weight_bytes[index[n]]))
-                                    for n in members
-                                ),
-                                key=lambda item: (-item[1], item[0]),
+                                (pairs[i] for i in member_lists[s]),
+                                key=_heaviest_first,
                             )
                         ),
                         tile_options=tuple(options),
                     )
                     profiles[members] = profile
-                    _lru_put(
-                        evaluator._profiles,
-                        members,
-                        profile,
-                        evaluator._profile_cache_size,
-                    )
+                    facts.add_profile(members, profile)
                 results[(members, mem_key)] = evaluator._price(profile, memory).summary
     return results

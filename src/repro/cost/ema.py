@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from ..errors import TilingError
 from ..execution.footprint import activation_footprint
 from ..execution.tiling import TilingStructure, derive_tiling
+from ..execution.tiling_batch import member_max_height
 from ..graphs.graph import ComputationGraph
 
 #: Output-row tile sizes stage 1 may choose from (powers of two, as the
@@ -40,7 +41,7 @@ from ..graphs.graph import ComputationGraph
 DEFAULT_TILE_CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TileOption:
     """One candidate output tile size and its memory behaviour."""
 
@@ -49,7 +50,7 @@ class TileOption:
     num_elementary_ops: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgraphProfile:
     """Everything about a subgraph that does not depend on buffer sizes."""
 
@@ -77,6 +78,11 @@ class SubgraphProfile:
     def io_bytes(self) -> int:
         """Activation bytes exchanged with DRAM (inputs plus outputs)."""
         return self.input_bytes + self.output_bytes
+
+
+def _heaviest_first(item: tuple[str, int]) -> tuple[int, str]:
+    """Sort key of ``layer_weights``: heaviest first, then by name."""
+    return -item[1], item[0]
 
 
 def _interface_inputs(graph: ComputationGraph, members: frozenset[str]) -> tuple[str, ...]:
@@ -162,36 +168,24 @@ def profile_subgraph(
     if structure is None:
         structure = TilingStructure(graph, members)
     arrays = graph.arrays(bytes_per_element)
-    index = arrays.index
-
-    member_indices = arrays.indices(members)
-    succ_map = graph.successor_map()
-    inputs = sorted(
-        name
-        for name, is_member in zip(structure.names, structure.is_member)
-        if not is_member
-    )
-    outputs = [
-        name
-        for name in sorted(members)
-        if not succ_map[name] or any(s not in members for s in succ_map[name])
+    succs = graph.topology().succs
+    ids = structure.ids
+    member_ids = [u for u, inside in zip(ids, structure.is_member) if inside]
+    input_ids = [u for u, inside in zip(ids, structure.is_member) if not inside]
+    inside = set(member_ids)
+    output_ids = [
+        u for u in member_ids if not succs[u] or any(v not in inside for v in succs[u])
     ]
-    input_bytes = arrays.total(arrays.output_bytes, [index[n] for n in inputs])
-    output_bytes = arrays.total(arrays.output_bytes, [index[n] for n in outputs])
-    weight_bytes = arrays.total(arrays.weight_bytes, member_indices)
-    macs = arrays.total(arrays.macs, member_indices)
-    member_activation_bytes = arrays.total(arrays.output_bytes, member_indices)
-    layer_weights = tuple(
-        sorted(
-            ((n, int(arrays.weight_bytes[index[n]])) for n in sorted(members)),
-            key=lambda item: (-item[1], item[0]),
-        )
-    )
-    max_height = max(
-        int(arrays.heights[i]) for i in member_indices
-    )
+    input_bytes = arrays.total(arrays.output_bytes, input_ids)
+    output_bytes = arrays.total(arrays.output_bytes, output_ids)
+    weight_bytes = arrays.total(arrays.weight_bytes, member_ids)
+    macs = arrays.total(arrays.macs, member_ids)
+    member_activation_bytes = arrays.total(arrays.output_bytes, member_ids)
+    pairs = arrays.layer_weights
+    layer_weights = tuple(sorted((pairs[u] for u in member_ids), key=_heaviest_first))
+    max_height = member_max_height(structure)
 
-    local_row_bytes = [int(arrays.row_bytes[index[n]]) for n in structure.names]
+    local_row_bytes = arrays.local_row_bytes(ids)
     options = _select_options(
         lambda tile_rows: structure.option(tile_rows, local_row_bytes),
         tile_candidates,

@@ -8,7 +8,11 @@ layered, throughput-oriented pipeline:
    (tilings, footprints, MAC/weight/IO byte counts), produced by the
    single-pass :func:`~repro.cost.ema.profile_subgraph` (one
    :class:`~repro.execution.tiling.TilingStructure` derivation prices all
-   tile candidates) over the graph's precomputed constant arrays.
+   tile candidates) over the graph's precomputed constant arrays. These
+   facts live *per graph*, in ``graph.subgraph_store()``
+   (:mod:`repro.cost.store`): every evaluator of the graph in the
+   process shares its tiling structures, and its profiles and minimum
+   footprints at the same element width and tile candidates.
 2. :meth:`Evaluator.subgraph_cost` — memory-*dependent* pricing of one
    profile: the tile options are ranked on EMA alone (weight caching
    included, the greedy selection run once per distinct budget), and
@@ -20,12 +24,17 @@ layered, throughput-oriented pipeline:
    child genome that shares most cut points with its parents re-prices
    only the subgraphs that differ, and the partition total is a running
    sum over cached scalars. :meth:`Evaluator.feasible` answers the
-   in-situ repair probe from the profile's materialized minimum
-   footprint without pricing at all.
+   in-situ repair probe from the stored minimum footprint without
+   pricing at all.
 
-All caches are bounded LRUs so long searches stay within memory, and
-every fast path is bit-identical to the retained reference pipeline in
-:mod:`repro.cost.reference` (enforced by ``tests/cost/``).
+What depends on memory, cores or batch lives *per evaluator*: the
+subgraph costs, the summary scalars and the energy rates, in bounded
+LRUs. Every fast path is bit-identical to the retained reference
+pipeline in :mod:`repro.cost.reference` (enforced by ``tests/cost/``),
+whose evaluator keeps private caches and never reads the store.
+:meth:`Evaluator.stats` counts this evaluator's own work, so its
+``profile_calls`` and ``direct_probes`` are lower when another evaluator
+of the graph already derived what it asks for.
 
 Every path prices ``accel.num_cores`` cores running ``batch`` samples
 (Sec 5.4.2-5.4.3; one core and one sample by default) through one fit
@@ -69,6 +78,7 @@ from .ema import (
 )
 from .energy import EnergyBreakdown, EnergyRates
 from .latency import dram_bytes_per_cycle, effective_macs_per_cycle
+from .store import _lru_get, _lru_put
 
 
 @dataclass(frozen=True)
@@ -127,22 +137,6 @@ class PartitionSummary:
     latency_cycles: float
 
 
-def _lru_get(cache: OrderedDict, key):
-    try:
-        value = cache[key]
-    except KeyError:
-        return None
-    cache.move_to_end(key)
-    return value
-
-
-def _lru_put(cache: OrderedDict, key, value, maxsize: int) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > maxsize:
-        cache.popitem(last=False)
-
-
 #: Process-wide direct-solve models keyed by (shape signature, tile
 #: candidates). The signature fully determines the model, so the cache
 #: is shared by every evaluator in the process; entries are 1-tuples so
@@ -189,7 +183,6 @@ class Evaluator:
         accel: AcceleratorConfig | None = None,
         batch: int = 1,
         tile_candidates: tuple[int, ...] = DEFAULT_TILE_CANDIDATES,
-        profile_cache_size: int = 100_000,
         cost_cache_size: int = 200_000,
         collect_timings: bool = False,
     ) -> None:
@@ -199,12 +192,15 @@ class Evaluator:
         self.accel = accel or AcceleratorConfig()
         self.batch = batch
         self.tile_candidates = tile_candidates
-        self._profiles: OrderedDict[frozenset[str], SubgraphProfile] = OrderedDict()
-        self._min_footprints: OrderedDict[frozenset[str], int] = OrderedDict()
-        self._structures: OrderedDict[frozenset[str], object] = OrderedDict()
+        # Memory-independent facts (structures, profiles, minimum
+        # footprints) live in the graph's store, shared with every other
+        # evaluator of the graph at this element width and candidates.
+        self._facts = graph.subgraph_store().facts(
+            self.accel.bytes_per_element, tile_candidates
+        )
         self._costs: OrderedDict[tuple, SubgraphCost] = OrderedDict()
-        self._profile_cache_size = profile_cache_size
         self._cost_cache_size = cost_cache_size
+        # This evaluator's own work: a warm store lowers these counts.
         self.num_profile_calls = 0
         self.num_cost_calls = 0
         # Batch-pricing telemetry (reported through stats).
@@ -215,9 +211,6 @@ class Evaluator:
         self.num_direct_probes = 0
         # Per-(memory, accel) energy rates, hoisted out of _tile_cost.
         self._rates: dict[tuple, EnergyRates] = {}
-        # Direct-solve minimum footprints for profile-less feasibility
-        # probes (same semantics as SubgraphProfile.min_activation_bytes).
-        self._min_acts: OrderedDict[frozenset[str], int] = OrderedDict()
         # Per-subgraph scalar aggregates for the incremental summarize
         # path (a true LRU: hits refresh recency).
         self._summaries: OrderedDict[tuple, tuple] = OrderedDict()
@@ -230,26 +223,11 @@ class Evaluator:
         }
 
     # ------------------------------------------------------------------
-    def _structure(self, key: frozenset[str]):
-        """Cached tile-size-independent tiling structure of a subgraph.
-
-        Shared between feasibility probes, min-footprint pruning, and
-        full profiling, so each member set pays for exactly one
-        adjacency/ratio derivation no matter which path asks first.
-        """
-        hit = _lru_get(self._structures, key)
-        if hit is not None:
-            return hit
-        from ..execution.tiling import TilingStructure
-
-        structure = TilingStructure(self.graph, key)
-        _lru_put(self._structures, key, structure, self._profile_cache_size)
-        return structure
-
     def profile(self, members: Iterable[str]) -> SubgraphProfile:
-        """Memory-independent profile of a subgraph (cached)."""
+        """Memory-independent profile of a subgraph (cached per graph)."""
         key = frozenset(members)
-        hit = _lru_get(self._profiles, key)
+        facts = self._facts
+        hit = _lru_get(facts.profiles, key)
         if hit is not None:
             return hit
         self.num_profile_calls += 1
@@ -259,11 +237,11 @@ class Evaluator:
             key,
             bytes_per_element=self.accel.bytes_per_element,
             tile_candidates=self.tile_candidates,
-            structure=self._structure(key),
+            structure=facts.store.structure(key),
         )
         if self.collect_timings:
             self.timings["profile_s"] += time.perf_counter() - started
-        _lru_put(self._profiles, key, profile, self._profile_cache_size)
+        facts.add_profile(key, profile)
         return profile
 
     def min_footprint(self, members: Iterable[str]) -> int:
@@ -274,20 +252,16 @@ class Evaluator:
         tile-option profile.
         """
         key = frozenset(members)
-        hit = _lru_get(self._min_footprints, key)
-        if hit is not None:
-            return hit
-        full = _lru_get(self._profiles, key)
-        if full is not None:
-            value = full.min_activation_bytes
-        else:
-            structure = self._structure(key)
+        facts = self._facts
+        profile = _lru_get(facts.profiles, key)
+        if profile is not None:
+            return profile.min_activation_bytes
+        value = _lru_get(facts.min_footprints, key)
+        if value is None:
+            structure = facts.store.structure(key)
             arrays = self.graph.arrays(self.accel.bytes_per_element)
-            row_bytes = [
-                int(arrays.row_bytes[arrays.index[n]]) for n in structure.names
-            ]
-            value, _ = structure.option(1, row_bytes)
-        _lru_put(self._min_footprints, key, value, self._profile_cache_size)
+            value, _ = structure.option(1, arrays.local_row_bytes(structure.ids))
+            facts.add_min_footprint(key, value)
         return value
 
     def _linear_model(self, structure):
@@ -320,7 +294,7 @@ class Evaluator:
         per-core activation share fits the activation capacity — but
         answered without pricing. In-situ capacity repair probes far more
         candidate sets than ever get priced, so this is its dedicated
-        fast path: a cached profile answers directly; otherwise, for
+        fast path: a stored profile answers directly; otherwise, for
         shape classes with a closed-form direct solve, the minimum
         footprint is one dot product (no option table at all — the
         population batch pricer later prices such subgraphs without one
@@ -328,23 +302,23 @@ class Evaluator:
         """
         memory = memory or self.accel.memory
         key = frozenset(members)
-        profile = _lru_get(self._profiles, key)
+        facts = self._facts
+        profile = _lru_get(facts.profiles, key)
         if profile is not None:
             min_act = profile.min_activation_bytes
         else:
-            min_act = _lru_get(self._min_acts, key)
+            min_act = _lru_get(facts.min_acts, key)
             if min_act is None:
-                structure = self._structure(key)
+                structure = facts.store.structure(key)
                 model = self._linear_model(structure)
                 if model is None:
                     min_act = self.profile(key).min_activation_bytes
                 else:
                     arrays = self.graph.arrays(self.accel.bytes_per_element)
-                    index = arrays.index
                     min_act = model.min_activation_bytes(
-                        [int(arrays.row_bytes[index[n]]) for n in structure.names]
+                        arrays.local_row_bytes(structure.ids)
                     )
-                    _lru_put(self._min_acts, key, min_act, self._profile_cache_size)
+                    facts.add_min_act(key, min_act)
                     self.num_direct_probes += 1
         return weight_budget(memory, self.accel.num_cores, min_act) is not None
 
@@ -695,7 +669,8 @@ class Evaluator:
             nested_before = self.timings["profile_s"] + self.timings["price_s"]
         from .batch import price_population
 
-        cold = [key for key in order if key[0] not in self._profiles]
+        profiles = self._facts.profiles
+        cold = [key for key in order if key[0] not in profiles]
         with span("evaluator.batch", keys=len(order), cold=len(cold)):
             priced = price_population(self, cold, mem_of)
             self.num_batch_priced += len(priced)
@@ -754,7 +729,9 @@ class Evaluator:
         return list(self._summaries.items())
 
     def stats(self) -> dict[str, float]:
-        """Cache counters, plus the stage timings when collected."""
+        """This evaluator's own work counters, plus the stage timings
+        when collected. Derivations another evaluator of the graph left
+        in the shared store are not counted again."""
         out: dict[str, float] = {
             "profile_calls": self.num_profile_calls,
             "cost_calls": self.num_cost_calls,

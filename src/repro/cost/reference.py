@@ -21,6 +21,7 @@ This module keeps that implementation alive in two forms:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -41,10 +42,9 @@ from .evaluator import (
     PartitionCost,
     PartitionSummary,
     SubgraphCost,
-    _lru_get,
-    _lru_put,
 )
 from .latency import compute_cycles, dram_cycles
+from .store import STORE_SIZE, _lru_get, _lru_put
 
 
 def price_subgraph_reference(
@@ -188,7 +188,16 @@ class ReferenceEvaluator(Evaluator):
     pricing, and every partition evaluation assembles the complete
     :class:`PartitionCost` including the bandwidth report. Results are
     bit-identical to :class:`Evaluator`; only the work per call differs.
+
+    Its profiles are its own: it never reads the graph's shared
+    :class:`~repro.cost.store.SubgraphStore`, so a fast evaluator that
+    warmed the store cannot leak its profiles into the oracle.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._facts = None
+        self._profiles: OrderedDict[frozenset[str], SubgraphProfile] = OrderedDict()
 
     def profile(self, members: Iterable[str]) -> SubgraphProfile:
         key = frozenset(members)
@@ -202,8 +211,11 @@ class ReferenceEvaluator(Evaluator):
             bytes_per_element=self.accel.bytes_per_element,
             tile_candidates=self.tile_candidates,
         )
-        _lru_put(self._profiles, key, profile, self._profile_cache_size)
+        _lru_put(self._profiles, key, profile, STORE_SIZE)
         return profile
+
+    def min_footprint(self, members: Iterable[str]) -> int:
+        return self.profile(members).min_activation_bytes
 
     def _price(self, profile: SubgraphProfile, memory: MemoryConfig) -> SubgraphCost:
         return price_subgraph_reference(self.accel, profile, memory, self.batch)

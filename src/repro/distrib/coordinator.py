@@ -127,6 +127,10 @@ class CoordinatorConfig:
         # wait on an empty fleet forever.
         if self.spawn_workers < 0:
             raise ConfigError("worker count must be non-negative")
+        # A negative wait fails in ``sleep`` only after the manifest is
+        # written and a worker has run.
+        if self.poll_interval < 0:
+            raise ConfigError("poll interval must be non-negative")
 
 
 def run_distributed(

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..errors import ConfigError
 from ..obs import TelemetrySink
 from ..runs.registry import CHECKPOINT_FILENAME, RunRegistry
 from ..runs.suite import SuiteCellTask, SuiteMatrix, matrix_from_dict
@@ -77,6 +78,11 @@ class WorkerConfig:
     #: Injectable idle wait, paired with ``clock`` (a FakeClock's
     #: ``sleep`` advances logical time and returns immediately).
     sleep: Callable[[float], None] = time.sleep
+
+    def __post_init__(self) -> None:
+        # Rejected before a cell is claimed, not by ``sleep`` mid-campaign.
+        if self.poll_interval < 0:
+            raise ConfigError("poll interval must be non-negative")
 
 
 @dataclass

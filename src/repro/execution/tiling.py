@@ -33,7 +33,8 @@ Two implementations coexist:
 * :class:`TilingStructure` — the single-pass engine used by the
   evaluation hot path. It derives the subgraph's *structure* (local
   adjacency, consumption ratios, window offsets, production/consumption
-  rate relations) exactly once, solves the stages at tile size 1, and
+  rate relations) exactly once — over graph ids, from the per-graph
+  :class:`TilingTable` — solves the stages at tile size 1, and
   re-prices further tile candidates by exact linear rescaling (LCMs over
   positive rationals scale linearly, and the rate vector is invariant
   under that scaling) whenever no output-height cap binds — falling back
@@ -302,17 +303,89 @@ def derive_tiling(
 #: Consumer kinds, in the priority order the reference walk checks them.
 _STREAMING, _FULL, _UPSAMPLE, _WINDOW = 0, 1, 2, 3
 
+#: Tuples a :class:`TilingTable` interns before it starts over (about
+#: 10 MB at ~150 B per entry). Structures keep the copies they hold, so
+#: starting over only stops later structures sharing with earlier ones.
+_SHARED_SIZE = 65_536
+
+
+class TilingTable:
+    """Per-graph, id-indexed layer and edge facts every structure reads.
+
+    Ids are :class:`~repro.graphs.topology.GraphTopology` ids (topological
+    positions). Built once per graph, on the first
+    :class:`TilingStructure` build (``graph.tiling_table()``), so a
+    structure build does no name lookups and no whole-graph scan:
+
+    * ``heights[i]`` — the output height of layer ``i``;
+    * ``consumers[i]`` — per consumer ``v`` of ``i``, in successor order,
+      ``(v, kind, stage2_ratio, stage3_ratio, offset)``: the consumer
+      kind, the consumption ratios the reference walk derives, and the
+      edge's window requirement offset (``kernel - stride`` for a
+      window, 0 for streaming and upsample, ``None`` for full input).
+
+    :meth:`share` interns the small tuples structures hold (child-info
+    entries and per-node child tuples), so the structures of one graph
+    reference one copy of each instead of holding their own. The
+    interned set grows with the distinct local shapes a process builds,
+    up to :data:`_SHARED_SIZE` entries.
+    """
+
+    __slots__ = ("topology", "heights", "consumers", "_shared")
+
+    def __init__(self, graph: ComputationGraph) -> None:
+        topology = graph.topology()
+        names = topology.names
+        self.topology = topology
+        specs = [graph.layer(name) for name in names]
+        self.heights: tuple[int, ...] = tuple(spec.shape.height for spec in specs)
+        consumers = []
+        for u, name in enumerate(names):
+            row = []
+            for v in topology.succs[u]:
+                spec = specs[v]
+                ratio = _consumption_ratio(graph, name, names[v])
+                if spec.streaming:
+                    row.append((v, _STREAMING, None, ratio, 0))
+                elif spec.full_input:
+                    row.append((v, _FULL, ratio, ratio, None))
+                elif spec.upsample_factor > 1:
+                    row.append((v, _UPSAMPLE, ratio, ratio, 0))
+                else:
+                    row.append((v, _WINDOW, ratio, ratio, spec.kernel - spec.stride))
+            consumers.append(tuple(row))
+        self.consumers: tuple[tuple[tuple, ...], ...] = tuple(consumers)
+        self._shared: dict[tuple, tuple] = {}
+
+    def share(self, value: tuple) -> tuple:
+        """The graph's one copy of an immutable tuple equal to ``value``."""
+        shared = self._shared
+        if len(shared) >= _SHARED_SIZE:
+            shared.clear()
+        return shared.setdefault(value, value)
+
+
+def _reject_members(graph: ComputationGraph, members: frozenset[str]) -> None:
+    """Raise what :func:`derive_tiling` raises for an invalid member set."""
+    if not members:
+        raise TilingError("cannot derive tiling for an empty subgraph")
+    for name in sorted(members):
+        if graph.layer(name).is_input:
+            raise TilingError(f"model input {name!r} cannot be a subgraph member")
+
 
 class TilingStructure:
     """The tile-size-independent structure of one subgraph's tiling.
 
-    Construction performs the only graph traversal: it resolves the local
-    adjacency (members plus interface inputs), classifies every local
-    edge (streaming / full-input / upsample / window), precomputes each
-    node's window requirement offset and full-input constant, and solves
-    stages 1-3 at ``output_tile_rows = 1`` (which also validates the
+    Construction is the only graph access. It lists the local nodes —
+    the members and their interface inputs, as ascending graph ids,
+    which is a topological order — and reads their heights, local
+    children, consumer kinds, window offsets and consumption ratios from
+    the graph's :class:`TilingTable`. It then solves stages 1-3 at
+    ``output_tile_rows = 1``, which also validates the
     production/consumption balance, raising :class:`TilingError` exactly
-    where :func:`derive_tiling` would).
+    where :func:`derive_tiling` would (as it does for an empty set, an
+    unknown layer or a model input as a member).
 
     Pricing a tile candidate ``t`` afterwards touches no graph state:
 
@@ -325,12 +398,15 @@ class TilingStructure:
     * ``t > scale_limit``: a full numeric walk over the precomputed
       structure (still no graph access, no layer lookups).
 
-    Both paths reproduce :func:`derive_tiling` bit-for-bit.
+    Both paths reproduce :func:`derive_tiling` bit-for-bit. Per-node
+    fields are tuples, which :attr:`signature` references rather than
+    copies, and child-info tuples are the table's shared copies, so a
+    structure kept in a long-lived store stays small.
     """
 
     __slots__ = (
         "members",
-        "names",
+        "ids",
         "heights",
         "is_member",
         "kids_info",
@@ -338,6 +414,7 @@ class TilingStructure:
         "full_req",
         "leaves",
         "scale_limit",
+        "_table",
         "_saturation",
         "_saturated",
         "_base",
@@ -351,72 +428,65 @@ class TilingStructure:
         solve_base: bool = True,
     ) -> None:
         members = frozenset(members)
-        if not members:
-            raise TilingError("cannot derive tiling for an empty subgraph")
-        for name in sorted(members):
-            if graph.layer(name).is_input:
-                raise TilingError(
-                    f"model input {name!r} cannot be a subgraph member"
-                )
+        table = graph.tiling_table()
+        topology = table.topology
+        index = topology.index
+        try:
+            member_ids = sorted(index[name] for name in members)
+        except KeyError:
+            member_ids = []
+        compute = topology.compute_mask
+        if not member_ids or not all(compute[i] for i in member_ids):
+            _reject_members(graph, members)
         self.members = members
-        succ_map = graph.successor_map()
-        pred_map = graph.predecessor_map()
-        children: dict[str, tuple[str, ...]] = {}
-        for name in sorted(members):
-            children[name] = tuple(s for s in succ_map[name] if s in members)
-            for parent in pred_map[name]:
-                if parent not in members and parent not in children:
-                    children[parent] = tuple(
-                        s for s in succ_map[parent] if s in members
-                    )
-        topo = [n for n in graph.topological_order() if n in children]
-        local = {name: i for i, name in enumerate(topo)}
-        count = len(topo)
+        self._table = table
+        inside = set(member_ids)
+        local = set(member_ids)
+        preds = topology.preds
+        for i in member_ids:
+            local.update(preds[i])
+        ids = tuple(sorted(local))
+        position = {u: k for k, u in enumerate(ids)}
+        all_heights = table.heights
+        consumers = table.consumers
+        share = table.share
 
-        self.names: tuple[str, ...] = tuple(topo)
-        self.heights: list[int] = [graph.layer(n).shape.height for n in topo]
-        self.is_member: list[bool] = [n in members for n in topo]
+        #: Graph ids of the local nodes, ascending (a topological order).
+        self.ids: tuple[int, ...] = ids
+        self.heights: tuple[int, ...] = tuple(all_heights[u] for u in ids)
+        self.is_member: tuple[bool, ...] = tuple(u in inside for u in ids)
         # Per node: ((kid_local, kind, stage2_ratio, stage3_ratio), ...).
         kids_info: list[tuple[tuple, ...]] = []
         aff_max: list[int | None] = []
         full_req: list[int | None] = []
-        for i, name in enumerate(topo):
+        for u in ids:
             infos = []
             affine: int | None = None
             full: int | None = None
-            for kid in children[name]:
-                spec = graph.layer(kid)
-                ratio3 = _consumption_ratio(graph, name, kid)
-                if spec.streaming:
-                    infos.append((local[kid], _STREAMING, None, ratio3))
-                    affine = max(affine, 0) if affine is not None else 0
-                elif spec.full_input:
-                    infos.append((local[kid], _FULL, ratio3, ratio3))
-                    full = self.heights[i]
-                elif spec.upsample_factor > 1:
-                    infos.append((local[kid], _UPSAMPLE, ratio3, ratio3))
-                    affine = max(affine, 0) if affine is not None else 0
-                else:
-                    infos.append((local[kid], _WINDOW, ratio3, ratio3))
-                    offset = spec.kernel - spec.stride
-                    affine = (
-                        max(affine, offset) if affine is not None else offset
-                    )
-            kids_info.append(tuple(infos))
+            for v, kind, ratio2, ratio3, offset in consumers[u]:
+                if v not in inside:
+                    continue
+                infos.append(share((position[v], kind, ratio2, ratio3)))
+                if offset is None:
+                    full = all_heights[u]
+                elif affine is None or offset > affine:
+                    affine = offset
+            kids_info.append(share(tuple(infos)))
             aff_max.append(affine)
             full_req.append(full)
-        self.kids_info = kids_info
-        self.aff_max = aff_max
-        self.full_req = full_req
+        self.kids_info: tuple[tuple[tuple, ...], ...] = tuple(kids_info)
+        self.aff_max: tuple[int | None, ...] = tuple(aff_max)
+        self.full_req: tuple[int | None, ...] = tuple(full_req)
         # Interface inputs always have member consumers, so every leaf is
         # a member output node; its height is where the stage-1 cap binds.
         self.leaves: tuple[int, ...] = tuple(
-            i for i in range(count) if not kids_info[i]
+            k for k, info in enumerate(kids_info) if not info
         )
-        self.scale_limit: int = min(self.heights[i] for i in self.leaves)
+        leaf_heights = [self.heights[k] for k in self.leaves]
+        self.scale_limit: int = min(leaf_heights)
         # Above every leaf height the stage-1 caps all bind, so the whole
         # solution is constant in the tile size; solved lazily, once.
-        self._saturation: int = max(self.heights[i] for i in self.leaves)
+        self._saturation: int = max(leaf_heights)
         self._saturated: tuple[list, list, list[int]] | None = None
         self._signature: tuple | None = None
         # The base solve also validates the production/consumption
@@ -425,6 +495,12 @@ class TilingStructure:
         self._base: tuple[list, list, list[int]] | None = None
         if solve_base:
             _ = self.base
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Layer names of the local nodes, in :attr:`ids` order."""
+        names = self._table.topology.names
+        return tuple(names[u] for u in self.ids)
 
     # ------------------------------------------------------------------
     @property
@@ -459,11 +535,11 @@ class TilingStructure:
         sig = self._signature
         if sig is None:
             sig = (
-                tuple(self.heights),
-                tuple(self.is_member),
-                tuple(self.kids_info),
-                tuple(self.aff_max),
-                tuple(self.full_req),
+                self.heights,
+                self.is_member,
+                self.kids_info,
+                self.aff_max,
+                self.full_req,
             )
             self._signature = sig
         return sig
@@ -543,7 +619,8 @@ class TilingStructure:
                     elif existing != implied:
                         raise TilingError(
                             f"inconsistent production/consumption balance at "
-                            f"{self.names[other]!r}: {existing} vs {implied}"
+                            f"{self._table.topology.names[self.ids[other]]!r}: "
+                            f"{existing} vs {implied}"
                         )
         if all_int:
             # Every component's root is pinned to 1, so the integer rate

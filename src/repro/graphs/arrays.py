@@ -13,7 +13,7 @@ stays an exact integer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as _np
 
@@ -38,6 +38,8 @@ class GraphArrays:
         "heights",
         "row_bytes",
         "bytes_per_element",
+        "_row_bytes_list",
+        "_layer_weights",
     )
 
     def __init__(self, graph: "ComputationGraph", bytes_per_element: int = 1):
@@ -64,12 +66,27 @@ class GraphArrays:
         self.output_bytes = _np.asarray(output_bytes, dtype=_np.int64)
         self.heights = _np.asarray(heights, dtype=_np.int64)
         self.row_bytes = _np.asarray(row_bytes, dtype=_np.int64)
+        self._row_bytes_list: list[int] | None = None
+        self._layer_weights: tuple[tuple[str, int], ...] | None = None
 
     # ------------------------------------------------------------------
-    def indices(self, names: Iterable[str]) -> list[int]:
-        """Topological positions of ``names`` (in iteration order)."""
-        index = self.index
-        return [index[n] for n in names]
+    def local_row_bytes(self, ids: Sequence[int]) -> list[int]:
+        """Bytes per output row at each of ``ids``, as Python ints."""
+        row_bytes = self._row_bytes_list
+        if row_bytes is None:
+            row_bytes = self._row_bytes_list = self.row_bytes.tolist()
+        return [row_bytes[i] for i in ids]
+
+    @property
+    def layer_weights(self) -> tuple[tuple[str, int], ...]:
+        """``(name, weight_bytes)`` per position: the pairs a profile's
+        ``layer_weights`` lists, shared rather than rebuilt per profile."""
+        pairs = self._layer_weights
+        if pairs is None:
+            pairs = self._layer_weights = tuple(
+                zip(self.names, self.weight_bytes.tolist())
+            )
+        return pairs
 
     @staticmethod
     def total(array, indices: Sequence[int]) -> int:

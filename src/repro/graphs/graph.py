@@ -32,6 +32,8 @@ class ComputationGraph:
         self._compute_cache: tuple[str, ...] | None = None
         self._topology_cache: GraphTopology | None = None
         self._arrays_cache: dict[int, object] = {}
+        self._tiling_cache: object | None = None
+        self._store_cache: object | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -64,6 +66,8 @@ class ComputationGraph:
         self._compute_cache = None
         self._topology_cache = None
         self._arrays_cache.clear()
+        self._tiling_cache = None
+        self._store_cache = None
         return spec.name
 
     # ------------------------------------------------------------------
@@ -201,6 +205,35 @@ class ComputationGraph:
             cached = GraphArrays(self, bytes_per_element)
             self._arrays_cache[bytes_per_element] = cached
         return cached
+
+    def tiling_table(self):
+        """Cached :class:`~repro.execution.tiling.TilingTable` for this graph.
+
+        Per-layer heights and per-edge consumer kinds, consumption ratios
+        and window offsets, indexed by topological position, so a
+        :class:`~repro.execution.tiling.TilingStructure` build reads them
+        instead of walking the graph by name. Built on first use, not
+        with the graph.
+        """
+        if self._tiling_cache is None:
+            from ..execution.tiling import TilingTable
+
+            self._tiling_cache = TilingTable(self)
+        return self._tiling_cache
+
+    def subgraph_store(self):
+        """Cached :class:`~repro.cost.store.SubgraphStore` for this graph.
+
+        The memory-independent facts of this graph's subgraphs (tiling
+        structures, profiles, minimum footprints), shared by every
+        evaluator of the graph in the process. Built empty on first use,
+        not with the graph, and dropped by :meth:`add_layer`.
+        """
+        if self._store_cache is None:
+            from ..cost.store import SubgraphStore
+
+            self._store_cache = SubgraphStore(self)
+        return self._store_cache
 
     def depth(self) -> dict[str, int]:
         """Longest-path depth of each layer (inputs have depth 0)."""

@@ -344,6 +344,10 @@ class TestSuiteRejectsBadInput:
                 ("--distributed", "--budget", "-5", "--timeout", "20"),
                 "budget must be non-negative",
             ),
+            (
+                ("--distributed", "--poll", "-1", "--timeout", "20"),
+                "poll interval must be non-negative",
+            ),
         ],
     )
     def test_rejected_before_anything_runs(
@@ -466,6 +470,19 @@ class TestWorkerCommand:
         )
         assert code == 0
         assert "1 completed" in out
+
+    def test_negative_poll_rejected_before_claiming(self, capsys, tmp_path):
+        registry = tmp_path / "registry"
+        code, out = run_cli(
+            capsys, "worker", "--registry", str(registry),
+            "--networks", "vgg16", "--schemes", "sa", "--scale", "tiny",
+            "--poll", "-1",
+        )
+        assert code == 1
+        assert out.splitlines() == ["error: poll interval must be non-negative"]
+        # No manifest, and no cell was claimed: the registry is untouched.
+        assert not (registry / "campaign.json").exists()
+        assert not registry.exists() or not any(registry.iterdir())
 
     def test_worker_without_matrix_or_manifest_fails_cleanly(
         self, capsys, tmp_path

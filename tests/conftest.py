@@ -149,6 +149,34 @@ def build_random_dag(seed: int, num_layers: int = 10) -> ComputationGraph:
     return g
 
 
+def fresh_model(name: str) -> ComputationGraph:
+    """A newly built zoo network, with an empty subgraph store.
+
+    ``get_model`` returns one cached graph per name, and every evaluator
+    of that graph shares its store, so earlier tests may have derived
+    its subgraphs already. A test that counts an evaluator's own work
+    (profiles derived, keys batch-priced) builds its graph here.
+    """
+    from repro.graphs import zoo
+
+    return getattr(zoo, name)()
+
+
+def fresh_copy(graph: ComputationGraph) -> ComputationGraph:
+    """A layer-for-layer copy of ``graph``, with an empty subgraph store.
+
+    Same names, specs, insertion order and input order, so the copy has
+    the same topological order and prices every member set the same. A
+    test that needs two evaluators of one network to derive everything
+    independently (a cold evaluator, or a serial baseline for the batch
+    pricer) gives the second one a copy.
+    """
+    copy = ComputationGraph(graph.name)
+    for name in graph.layer_names:
+        copy.add_layer(graph.layer(name), graph.predecessors(name))
+    return copy
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------

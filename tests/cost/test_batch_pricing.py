@@ -23,7 +23,7 @@ from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
 from repro.units import kb, mb
 
-from ..conftest import build_chain, build_random_dag
+from ..conftest import build_chain, build_random_dag, fresh_copy, fresh_model
 
 MEMORIES = (
     MemoryConfig.separate(mb(1), kb(1152)),
@@ -54,9 +54,11 @@ class TestPopulationIdentity:
         graph = get_model(name)
         accel = paper_accelerator()
         pops, mems = _population(graph, seed=13)
-        serial = Evaluator(graph, accel)
+        # Each evaluator on a graph of its own: evaluators of one graph
+        # share its store, and warm keys are priced serially, not batched.
+        serial = Evaluator(fresh_model(name), accel)
         expected = [serial.summarize(p, m) for p, m in zip(pops, mems)]
-        batch = Evaluator(graph, accel)
+        batch = Evaluator(fresh_model(name), accel)
         assert batch.summarize_population(pops, mems) == expected
         assert batch.num_batch_priced > 0
         assert batch.num_batch_direct > 0  # the closed form actually fires
@@ -77,9 +79,9 @@ class TestPopulationIdentity:
         )
         reference = ReferenceEvaluator(graph, accel, batch=batch)
         expected = [reference.summarize(p, m) for p, m in zip(pops, mems)]
-        serial = Evaluator(graph, accel, batch=batch)
+        serial = Evaluator(fresh_model(name), accel, batch=batch)
         assert [serial.summarize(p, m) for p, m in zip(pops, mems)] == expected
-        batched = Evaluator(graph, accel, batch=batch)
+        batched = Evaluator(fresh_model(name), accel, batch=batch)
         assert batched.summarize_population(pops, mems) == expected
         assert batched.num_batch_priced > 0
         assert (batched.num_batch_direct > 0) == (mode == "separate")
@@ -99,15 +101,19 @@ class TestPopulationIdentity:
         pops, mems = _population(graph, seed=seed)
         serial = Evaluator(graph, accel)
         expected = [serial.summarize(p, m) for p, m in zip(pops, mems)]
-        assert Evaluator(graph, accel).summarize_population(pops, mems) == expected
+        batch = Evaluator(fresh_copy(graph), accel)
+        assert batch.summarize_population(pops, mems) == expected
+        assert batch.num_batch_priced > 0
 
     def test_default_memory_broadcast(self):
-        graph = get_model("googlenet")
+        graph = fresh_model("googlenet")
         accel = paper_accelerator()
         pops, _ = _population(graph, seed=9, count=4)
         serial = Evaluator(graph, accel)
         expected = [serial.summarize(p) for p in pops]
-        assert Evaluator(graph, accel).summarize_population(pops) == expected
+        batch = Evaluator(fresh_copy(graph), accel)
+        assert batch.summarize_population(pops) == expected
+        assert batch.num_batch_priced > 0
 
     def test_warm_population_is_pure_cache_read(self):
         graph = get_model("resnet50")
@@ -121,12 +127,13 @@ class TestPopulationIdentity:
         assert evaluator.num_batch_hits > 0
 
     def test_prime_then_summarize_matches_cold_serial(self):
-        graph = get_model("unet")
+        graph = fresh_model("unet")
         accel = paper_accelerator()
         pops, mems = _population(graph, seed=4, count=4)
         primed = Evaluator(graph, accel)
         primed.prime_summaries(pops, mems)
-        cold = Evaluator(graph, accel)
+        assert primed.num_batch_priced > 0
+        cold = Evaluator(fresh_copy(graph), accel)
         for p, m in zip(pops, mems):
             assert primed.summarize(p, m) == cold.summarize(p, m)
 
@@ -139,7 +146,7 @@ class TestErrorFallback:
         members = frozenset(graph.compute_names)
         with pytest.raises(TilingError) as serial_err:
             Evaluator(
-                graph, paper_accelerator(), tile_candidates=()
+                fresh_copy(graph), paper_accelerator(), tile_candidates=()
             ).summarize([members])
         with pytest.raises(TilingError) as batch_err:
             evaluator.summarize_population([[members]])
@@ -185,7 +192,7 @@ class TestSummaryCacheLRU:
 class TestStatsPlumbing:
     @pytest.mark.parametrize("timed", [False, True])
     def test_batch_counters_reported(self, timed):
-        graph = get_model("googlenet")
+        graph = fresh_model("googlenet")
         evaluator = Evaluator(graph, paper_accelerator(), collect_timings=timed)
         pops, mems = _population(graph, seed=2, count=3)
         evaluator.summarize_population(pops, mems)
@@ -205,9 +212,10 @@ class TestStatsPlumbing:
         assert stats["batch_direct"] == evaluator.num_batch_direct
 
     def test_feasible_direct_probe_skips_profiling(self):
-        graph = get_model("resnet50")
+        graph = fresh_model("resnet50")
         evaluator = Evaluator(graph, paper_accelerator())
-        baseline = Evaluator(graph, paper_accelerator())
+        # Its own graph, so its profiles do not answer evaluator's probes.
+        baseline = Evaluator(fresh_model("resnet50"), paper_accelerator())
         partition = random_partition(graph, random.Random(0))
         for memory in MEMORIES[:2]:
             for members in partition.subgraph_sets:
@@ -222,11 +230,12 @@ class TestStatsPlumbing:
 class TestWarmStateInterop:
     def test_batch_priced_summaries_ship_like_serial(self):
         """Exported warm entries from a batch run absorb bit-identically."""
-        graph = get_model("googlenet")
+        graph = fresh_model("googlenet")
         accel = paper_accelerator()
         producer = Evaluator(graph, accel)
         pops, mems = _population(graph, seed=6, count=4)
         expected = producer.summarize_population(pops, mems)
+        assert producer.num_batch_priced > 0
         entries = producer.export_summaries()
         assert entries
         consumer = Evaluator(graph, accel)

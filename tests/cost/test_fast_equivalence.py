@@ -29,7 +29,7 @@ from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
 from repro.units import kb, mb
 
-from ..conftest import build_random_dag, random_dags
+from ..conftest import build_random_dag, fresh_copy, random_dags
 
 MEMORIES = (
     MemoryConfig.separate(mb(1), kb(1152)),
@@ -160,7 +160,8 @@ class TestSummaryEquivalence:
         memory = MEMORIES[0]
         first = warm.summarize(partition.subgraph_sets, memory)
         again = warm.summarize(partition.subgraph_sets, memory)
-        cold = Evaluator(graph, paper_accelerator()).summarize(
+        # A copy of the graph: its store holds nothing warm derived.
+        cold = Evaluator(fresh_copy(graph), paper_accelerator()).summarize(
             partition.subgraph_sets, memory
         )
         assert first == again == cold
@@ -226,8 +227,11 @@ class TestKernelDifferential:
                 latency_cycles=reference.latency_cycles,
             )
         ]
+        assert batched.num_batch_priced == 1
         assert batched.feasible(members, memory) == reference.feasible
-        serial = Evaluator(graph, accel, batch=batch)
+        # A copy of the graph, so the serial probe and pricing derive
+        # their own structure and profile instead of reading batched's.
+        serial = Evaluator(fresh_copy(graph), accel, batch=batch)
         assert serial.feasible(members, memory) == reference.feasible
         assert serial.subgraph_cost(members, memory) == reference.subgraphs[0]
         assert serial.feasible(members, memory) == reference.feasible

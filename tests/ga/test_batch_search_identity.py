@@ -6,6 +6,8 @@ costs. These tests run each searcher twice with identical seeds, on the
 :class:`Evaluator` and on the :class:`ReferenceEvaluator` (which prices
 nothing in batch and every genome in full), and demand identical
 trajectories: best cost, best genome, evaluation counts, and history.
+Each fast run gets a newly built graph, so its batch counters count
+its own pricing, not what an earlier test left in the graph's store.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from repro.experiments.common import paper_accelerator
 from repro.ga.engine import GAConfig, GeneticEngine
 from repro.ga.islands import IslandConfig, island_search
 from repro.ga.problem import OptimizationProblem
-from repro.graphs.zoo import get_model
 from repro.search_space import CapacitySpace
 from repro.units import kb, mb
+
+from ..conftest import fresh_model
 
 MEMORY = MemoryConfig.separate(mb(1), kb(1152))
 
@@ -33,7 +36,7 @@ def _problem(
     name: str = "resnet50", evaluator_cls=Evaluator
 ) -> OptimizationProblem:
     return OptimizationProblem(
-        evaluator=evaluator_cls(get_model(name), paper_accelerator()),
+        evaluator=evaluator_cls(fresh_model(name), paper_accelerator()),
         metric=Metric.EMA,
         fixed_memory=MEMORY,
     )
@@ -93,7 +96,7 @@ class TestNSGAIdentity:
     def test_nsga_identical(self, seed):
         def run(evaluator_cls):
             evaluator = evaluator_cls(
-                get_model("googlenet"), paper_accelerator()
+                fresh_model("googlenet"), paper_accelerator()
             )
             config = NSGAConfig(population_size=10, generations=2, seed=seed)
             result = nsga2_co_optimize(
@@ -116,7 +119,7 @@ class TestNSGAIdentity:
 class TestTwoStepIdentity:
     def test_random_search_ga_identical(self):
         def run(evaluator_cls):
-            evaluator = evaluator_cls(get_model("unet"), paper_accelerator())
+            evaluator = evaluator_cls(fresh_model("unet"), paper_accelerator())
             result = random_search_ga(
                 evaluator,
                 CapacitySpace.paper_separate(),

@@ -132,8 +132,11 @@ class TestEngineResume:
         full = GeneticEngine(co_problem(graph), GA_CONFIG).run()
         checkpoint = capture_checkpoints(graph)[3]
         blob = json.dumps(ga_checkpoint_to_dict(checkpoint))
-        restored = ga_checkpoint_from_dict(json.loads(blob), graph)
-        resumed = GeneticEngine(co_problem(graph), GA_CONFIG).resume(restored)
+        # A fresh graph: evaluators of one graph share its subgraph
+        # store, so resuming on ``graph`` would read warm derivations.
+        cold_graph = build_chain(depth=6)
+        restored = ga_checkpoint_from_dict(json.loads(blob), cold_graph)
+        resumed = GeneticEngine(co_problem(cold_graph), GA_CONFIG).resume(restored)
         assert ga_results_equal(resumed, full)
 
     def test_resume_with_process_pool_backend(self, graph):
