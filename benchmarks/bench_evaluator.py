@@ -2,13 +2,10 @@
 
 Times every stage of the genome-evaluation pipeline — memory-independent
 subgraph profiling, memory-dependent pricing, fresh-population evaluation
-(repair + objective), cross-genome batched population pricing
-(``summarize_population``: shape-class tensor batching + GOMA-style
-closed-form direct solves, vs the per-genome incremental loop), and a
-short GA generation loop — once through the fast pipeline
-(:class:`repro.cost.evaluator.Evaluator`, single-pass
-tiling + vectorized kernels + incremental summaries) and once through the
-retained pre-optimization reference
+(repair + objective), and a short GA generation loop — once through the
+fast pipeline (:class:`repro.cost.evaluator.Evaluator`, single-pass
+tiling + closed-form option tables + incremental summaries) and once
+through the retained pre-optimization reference
 (:class:`repro.cost.reference.ReferenceEvaluator`). Results are asserted
 bit-identical at every stage; only the wall-clock may differ.
 
@@ -62,9 +59,6 @@ from repro.units import kb, mb
 
 #: The acceptance bar for the population-evaluation microbenchmark.
 TARGET_SPEEDUP = 3.0
-#: The acceptance bar for batched population pricing vs the incremental
-#: (per-genome) path on a cold evaluator.
-TARGET_BATCH_SPEEDUP = 2.0
 #: A committed-baseline speedup may degrade by at most this factor.
 REGRESSION_TOLERANCE = 2.0
 #: Telemetry (sink active, events streaming to disk) may slow the
@@ -248,75 +242,6 @@ def stage_population(graph, accel, population: int, seed: int, reps: int) -> dic
     }
 
 
-def stage_population_batch(
-    graph, accel, population: int, seed: int, reps: int
-) -> dict:
-    """Tensorized population pricing vs per-genome incremental pricing.
-
-    Summarizes one fresh population of random partitions on a *cold*
-    evaluator (each fast rep on a graph whose store is empty) three
-    ways — ``summarize_population`` (shape-class batched
-    tensor pricing + GOMA-style direct solves), a per-genome
-    ``summarize`` loop (the incremental path), and the pre-optimization
-    reference — asserting all three bit-identical. ``speedup`` is
-    batch-vs-incremental (both share the PR 2 single-subgraph kernels,
-    so the ratio isolates what cross-genome batching adds);
-    ``speedup_vs_reference`` tracks the full distance to the naive
-    pipeline.
-    """
-    memory = paper_memory()
-    rng = random.Random(seed)
-    pops = [
-        random_partition(graph, rng).subgraph_sets for _ in range(population)
-    ]
-
-    batch_ev = Evaluator(_cold(graph), accel)
-    batched = batch_ev.summarize_population(pops, memory)
-    incremental = [Evaluator(graph, accel).summarize(p, memory) for p in pops]
-    reference = [
-        ReferenceEvaluator(graph, accel).summarize(p, memory) for p in pops
-    ]
-    if batched != incremental or batched != reference:
-        raise AssertionError("batched population pricing diverged")
-    if batch_ev.num_batch_priced == 0:
-        raise AssertionError("batch path did not run")
-
-    def timed_batch() -> float:
-        ev = Evaluator(_cold(graph), accel)
-        t0 = time.perf_counter()
-        ev.summarize_population(pops, memory)
-        return time.perf_counter() - t0
-
-    def timed_incremental() -> float:
-        ev = Evaluator(_cold(graph), accel)
-        t0 = time.perf_counter()
-        for p in pops:
-            ev.summarize(p, memory)
-        return time.perf_counter() - t0
-
-    def timed_reference() -> float:
-        ev = ReferenceEvaluator(graph, accel)
-        t0 = time.perf_counter()
-        for p in pops:
-            ev.summarize(p, memory)
-        return time.perf_counter() - t0
-
-    t_batch = _best_of(reps, timed_batch)
-    t_incr = _best_of(reps, timed_incremental)
-    t_ref = _best_of(reps, timed_reference)
-    return {
-        "ops": population,
-        "fast_ops_per_sec": population / t_batch,
-        "incremental_ops_per_sec": population / t_incr,
-        "reference_ops_per_sec": population / t_ref,
-        "speedup": t_incr / t_batch,
-        "speedup_vs_reference": t_ref / t_batch,
-        "direct_solve_share": (
-            batch_ev.num_batch_direct / batch_ev.num_batch_priced
-        ),
-    }
-
-
 def stage_generations(
     graph, accel, population: int, generations: int, seed: int, reps: int
 ) -> dict:
@@ -463,9 +388,6 @@ def measure(
         "profile": stage_profile(graph, subgraphs, accel, reps),
         "price": stage_price(graph, subgraphs, accel, reps),
         "population": stage_population(graph, accel, population, seed, reps),
-        "population_batch": stage_population_batch(
-            graph, accel, population, seed, reps
-        ),
         "generations": stage_generations(
             graph, accel, population, generations, seed, reps
         ),
@@ -528,16 +450,6 @@ def test_population_eval_speedup(once):
         f"expected >= {TARGET_SPEEDUP}x population-evaluation speedup, "
         f"measured {stage['speedup']:.2f}x"
     )
-    batch = report["stages"]["population_batch"]
-    sys.stderr.write(
-        f"[bench_evaluator] population_batch: {batch['speedup']:.2f}x vs "
-        f"incremental, {batch['speedup_vs_reference']:.2f}x vs reference, "
-        f"direct-solve share {batch['direct_solve_share']:.0%}\n"
-    )
-    assert batch["speedup"] >= TARGET_BATCH_SPEEDUP, (
-        f"expected >= {TARGET_BATCH_SPEEDUP}x batched population pricing "
-        f"over the incremental path, measured {batch['speedup']:.2f}x"
-    )
     telemetry = report["stages"]["telemetry"]
     sys.stderr.write(
         f"[bench_evaluator] telemetry: {telemetry['overhead']:+.1%} "
@@ -554,8 +466,7 @@ def test_quick_identity(once):
     report = once(measure, model="googlenet", population=16, generations=2,
                   num_subgraphs=30, reps=1)
     assert set(report["stages"]) == {
-        "profile", "price", "population", "population_batch", "generations",
-        "telemetry",
+        "profile", "price", "population", "generations", "telemetry",
     }
     for stage in report["stages"].values():
         assert stage["speedup"] > 0

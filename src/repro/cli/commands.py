@@ -41,9 +41,9 @@ def _timing_breakdown(evaluator: Evaluator, wall_seconds: float) -> list[str]:
     """Per-stage timing lines for ``--profile-timings``.
 
     The instrumented stages are subgraph profiling, memory-dependent
-    pricing, batch pricing and partition aggregation; the remainder of
-    the wall clock is search machinery (breeding, selection, repair
-    bookkeeping).
+    pricing (every ``_price`` call, primed or not) and partition
+    aggregation; the remainder of the wall clock is search machinery
+    (breeding, selection, repair bookkeeping).
     """
     timings = evaluator.timings
     staged = sum(timings.values())
@@ -52,14 +52,14 @@ def _timing_breakdown(evaluator: Evaluator, wall_seconds: float) -> list[str]:
     for label, key in (
         ("profile", "profile_s"),
         ("price", "price_s"),
-        ("batch", "batch_s"),
         ("aggregate", "aggregate_s"),
     ):
         lines.append(f"    {label:<10}: {timings.get(key, 0.0):8.3f}s")
     lines.append(f"    {'other':<10}: {other:8.3f}s (search)")
     lines.append(f"    {'total':<10}: {wall_seconds:8.3f}s wall")
     lines.append(
-        f"    profiles   : {evaluator.num_profile_calls} derived, "
+        f"    profiles   : {evaluator.num_profile_calls} derived "
+        f"({evaluator.num_direct_profiles} in closed form), "
         f"{evaluator.num_cost_calls} subgraphs priced"
     )
     calls = evaluator.num_batch_calls
@@ -69,9 +69,7 @@ def _timing_breakdown(evaluator: Evaluator, wall_seconds: float) -> list[str]:
         lines.append(
             f"    batch      : {priced} keys in {calls} batches "
             f"(avg {priced / calls:.1f}/batch), "
-            f"direct-solve {_rate(evaluator.num_batch_direct, priced)}, "
-            f"cache hits {_rate(evaluator.num_batch_hits, seen)}, "
-            f"{evaluator.num_direct_probes} analytic feasibility probes"
+            f"cache hits {_rate(evaluator.num_batch_hits, seen)}"
         )
     return lines
 

@@ -18,8 +18,11 @@ feasible one.
 
 :func:`profile_subgraph` is the fast single-pass implementation: one
 :class:`~repro.execution.tiling.TilingStructure` derivation prices all
-tile candidates, and the per-layer byte/MAC aggregations run over the
-graph's precomputed :class:`~repro.graphs.arrays.GraphArrays`.
+tile candidates — a shape class with a closed form
+(:class:`~repro.execution.tiling_batch.LinearTileModel`) solves none and
+takes its option table from two dot products — and the per-layer
+byte/MAC sums run over the graph's precomputed
+:class:`~repro.graphs.arrays.GraphArrays`.
 :func:`profile_subgraph_reference` retains the naive implementation
 (one full :func:`~repro.execution.tiling.derive_tiling` walk per
 candidate, per-node generator sums) as the equivalence oracle — both
@@ -28,12 +31,13 @@ produce bit-identical :class:`SubgraphProfile` objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from ..errors import TilingError
 from ..execution.footprint import activation_footprint
 from ..execution.tiling import TilingStructure, derive_tiling
-from ..execution.tiling_batch import member_max_height
+from ..execution.tiling_batch import linear_model, member_max_height
 from ..graphs.graph import ComputationGraph
 
 #: Output-row tile sizes stage 1 may choose from (powers of two, as the
@@ -158,11 +162,15 @@ def profile_subgraph(
     """Build the memory-independent profile of one subgraph (fast path).
 
     One :class:`TilingStructure` derivation serves every tile candidate
-    (pass ``structure`` to reuse one derived earlier, e.g. by a
-    feasibility probe), and all byte/MAC totals are array reductions over
-    ``graph.arrays(bytes_per_element)``. A :class:`TilingError` from an
-    individual candidate is fatal, since it indicates an inconsistent
-    graph rather than a capacity problem.
+    (pass ``structure`` to reuse one derived earlier), and all byte/MAC
+    totals are sums over ``graph.arrays(bytes_per_element)``. When the
+    structure's shape class has a
+    :class:`~repro.execution.tiling_batch.LinearTileModel`, the option
+    table is its closed form — option ``c`` costs ``A*c + B`` bytes, the
+    local row bytes dotted with the model's slope and intercept — and no
+    candidate is solved; otherwise the candidates are scanned. A
+    :class:`TilingError` from an individual candidate is fatal, since it
+    indicates an inconsistent graph rather than a capacity problem.
     """
     members = frozenset(members)
     if structure is None:
@@ -183,15 +191,23 @@ def profile_subgraph(
     member_activation_bytes = arrays.total(arrays.output_bytes, member_ids)
     pairs = arrays.layer_weights
     layer_weights = tuple(sorted((pairs[u] for u in member_ids), key=_heaviest_first))
-    max_height = member_max_height(structure)
 
     local_row_bytes = arrays.local_row_bytes(ids)
-    options = _select_options(
-        lambda tile_rows: structure.option(tile_rows, local_row_bytes),
-        tile_candidates,
-        max_height,
-        stable_after=structure.saturation,
-    )
+    model = linear_model(structure, tile_candidates)
+    if model is None:
+        options = _select_options(
+            lambda tile_rows: structure.option(tile_rows, local_row_bytes),
+            tile_candidates,
+            member_max_height(structure),
+            stable_after=structure.saturation,
+        )
+    else:
+        slope = sum(map(operator.mul, local_row_bytes, model.slope))
+        intercept = sum(map(operator.mul, local_row_bytes, model.intercept))
+        options = [
+            TileOption(c, slope * c + intercept, ops)
+            for c, ops in zip(model.kept, model.kept_ops)
+        ]
     if not options:
         raise TilingError(f"no tile candidates for subgraph {sorted(members)}")
     return SubgraphProfile(

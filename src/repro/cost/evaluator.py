@@ -5,36 +5,42 @@ the evaluation of latency and energy" (Sec 5.1.2), restructured as a
 layered, throughput-oriented pipeline:
 
 1. :meth:`Evaluator.profile` — memory-*independent* subgraph profiles
-   (tilings, footprints, MAC/weight/IO byte counts), produced by the
-   single-pass :func:`~repro.cost.ema.profile_subgraph` (one
+   (tile options, footprints, MAC/weight/IO byte counts), produced by the
+   single-pass :func:`~repro.cost.ema.profile_subgraph` over the graph's
+   precomputed constant columns: one
    :class:`~repro.execution.tiling.TilingStructure` derivation prices all
-   tile candidates) over the graph's precomputed constant arrays. These
-   facts live *per graph*, in ``graph.subgraph_store()``
-   (:mod:`repro.cost.store`): every evaluator of the graph in the
-   process shares its tiling structures, and its profiles and minimum
-   footprints at the same element width and tile candidates.
-2. :meth:`Evaluator.subgraph_cost` — memory-*dependent* pricing of one
-   profile: the tile options are ranked on EMA alone (weight caching
-   included, the greedy selection run once per distinct budget), and
-   only the winner is priced in energy and latency, by the kernel.
+   tile candidates, and a shape class with a closed form
+   (:class:`~repro.execution.tiling_batch.LinearTileModel`) takes its
+   option table from two dot products instead. These facts live *per
+   graph*, in ``graph.subgraph_store()`` (:mod:`repro.cost.store`): every
+   evaluator of the graph in the process shares its tiling structures,
+   and its profiles and finest-tile footprints at the same element width
+   and tile candidates.
+2. :meth:`Evaluator._price` — memory-*dependent* pricing of one profile,
+   the one pricing path every key takes: the tile options are ranked on
+   EMA alone (weight caching included, the greedy selection run once per
+   distinct budget), and only the winner is priced in energy and
+   latency, by the kernel. :meth:`Evaluator.subgraph_cost` caches the
+   full :class:`SubgraphCost`; the search loops only keep its summary.
 3. :meth:`Evaluator.evaluate` / :meth:`Evaluator.summarize` — partition
    aggregation. ``evaluate`` builds the full :class:`PartitionCost`
    (bandwidth report included); ``summarize`` is the incremental path the
    search loops use: per-subgraph scalar aggregates are cached, so a
    child genome that shares most cut points with its parents re-prices
    only the subgraphs that differ, and the partition total is a running
-   sum over cached scalars. :meth:`Evaluator.feasible` answers the
-   in-situ repair probe from the stored minimum footprint without
-   pricing at all.
+   sum over cached scalars. :meth:`Evaluator.prime_summaries` prices a
+   whole genome batch's unseen keys up front, in the order ``summarize``
+   would, and :meth:`Evaluator.feasible` answers the in-situ repair probe
+   from the profile's minimum footprint without pricing at all.
 
 What depends on memory, cores or batch lives *per evaluator*: the
-subgraph costs, the summary scalars and the energy rates, in bounded
-LRUs. Every fast path is bit-identical to the retained reference
-pipeline in :mod:`repro.cost.reference` (enforced by ``tests/cost/``),
-whose evaluator keeps private caches and never reads the store.
-:meth:`Evaluator.stats` counts this evaluator's own work, so its
-``profile_calls`` and ``direct_probes`` are lower when another evaluator
-of the graph already derived what it asks for.
+subgraph costs, the summary scalars and the energy rates, in LRUs of
+:data:`COST_CACHE_SIZE` entries. Every fast path is bit-identical to the
+retained reference pipeline in :mod:`repro.cost.reference` (enforced by
+``tests/cost/``), whose evaluator keeps private caches and never reads
+the store. :meth:`Evaluator.stats` counts this evaluator's own work, so
+its ``profile_calls`` and ``direct_profiles`` are lower when another
+evaluator of the graph already derived what it asks for.
 
 Every path prices ``accel.num_cores`` cores running ``batch`` samples
 (Sec 5.4.2-5.4.3; one core and one sample by default) through one fit
@@ -66,6 +72,7 @@ from typing import Iterable, Sequence
 
 from ..config import AcceleratorConfig, BufferMode, MemoryConfig
 from ..errors import ConfigError
+from ..execution.tiling_batch import linear_model
 from ..graphs.graph import ComputationGraph
 from ..multicore.crossbar import crossbar_cycles, crossbar_energy_pj
 from ..obs import span
@@ -79,6 +86,9 @@ from .ema import (
 from .energy import EnergyBreakdown, EnergyRates
 from .latency import dram_bytes_per_cycle, effective_macs_per_cycle
 from .store import _lru_get, _lru_put
+
+#: Entries each per-evaluator LRU (subgraph costs, summary scalars) keeps.
+COST_CACHE_SIZE = 200_000
 
 
 @dataclass(frozen=True)
@@ -137,15 +147,6 @@ class PartitionSummary:
     latency_cycles: float
 
 
-#: Process-wide direct-solve models keyed by (shape signature, tile
-#: candidates). The signature fully determines the model, so the cache
-#: is shared by every evaluator in the process; entries are 1-tuples so
-#: a ``None`` model (failed preconditions) is distinguishable from a
-#: miss. A few thousand shape classes cover even the deepest zoo nets.
-_LINEAR_MODELS: OrderedDict[tuple, tuple] = OrderedDict()
-_CLASS_CACHE_SIZE = 8192
-
-
 def weight_budget(memory: MemoryConfig, cores: int, act: int) -> int | None:
     """Weight bytes ``cores`` cores cache beside a tile of ``act``
     activation bytes, or ``None`` when one core's share does not fit
@@ -183,7 +184,6 @@ class Evaluator:
         accel: AcceleratorConfig | None = None,
         batch: int = 1,
         tile_candidates: tuple[int, ...] = DEFAULT_TILE_CANDIDATES,
-        cost_cache_size: int = 200_000,
         collect_timings: bool = False,
     ) -> None:
         if batch < 1:
@@ -199,16 +199,14 @@ class Evaluator:
             self.accel.bytes_per_element, tile_candidates
         )
         self._costs: OrderedDict[tuple, SubgraphCost] = OrderedDict()
-        self._cost_cache_size = cost_cache_size
         # This evaluator's own work: a warm store lowers these counts.
         self.num_profile_calls = 0
+        self.num_direct_profiles = 0
         self.num_cost_calls = 0
-        # Batch-pricing telemetry (reported through stats).
+        # Priming telemetry (reported through stats).
         self.num_batch_calls = 0
         self.num_batch_priced = 0
-        self.num_batch_direct = 0
         self.num_batch_hits = 0
-        self.num_direct_probes = 0
         # Per-(memory, accel) energy rates, hoisted out of _tile_cost.
         self._rates: dict[tuple, EnergyRates] = {}
         # Per-subgraph scalar aggregates for the incremental summarize
@@ -219,7 +217,6 @@ class Evaluator:
             "profile_s": 0.0,
             "price_s": 0.0,
             "aggregate_s": 0.0,
-            "batch_s": 0.0,
         }
 
     # ------------------------------------------------------------------
@@ -232,13 +229,16 @@ class Evaluator:
             return hit
         self.num_profile_calls += 1
         started = time.perf_counter() if self.collect_timings else 0.0
+        structure = facts.store.structure(key)
         profile = profile_subgraph(
             self.graph,
             key,
             bytes_per_element=self.accel.bytes_per_element,
             tile_candidates=self.tile_candidates,
-            structure=facts.store.structure(key),
+            structure=structure,
         )
+        if linear_model(structure, self.tile_candidates) is not None:
+            self.num_direct_profiles += 1
         if self.collect_timings:
             self.timings["profile_s"] += time.perf_counter() - started
         facts.add_profile(key, profile)
@@ -264,26 +264,6 @@ class Evaluator:
             facts.add_min_footprint(key, value)
         return value
 
-    def _linear_model(self, structure):
-        """Cached closed-form direct-solve model of a shape class.
-
-        ``None`` marks a class that failed the
-        :class:`~repro.execution.tiling_batch.LinearTileModel`
-        preconditions (the scan path handles it). The cache is
-        process-wide: a shape signature fully determines the model, so
-        every evaluator of the same network (suite cells, pool workers,
-        islands) shares one build per class.
-        """
-        key = (structure.signature, self.tile_candidates)
-        hit = _lru_get(_LINEAR_MODELS, key)
-        if hit is not None:
-            return hit[0]
-        from ..execution.tiling_batch import LinearTileModel
-
-        model = LinearTileModel.build(structure, self.tile_candidates)
-        _lru_put(_LINEAR_MODELS, key, (model,), _CLASS_CACHE_SIZE)
-        return model
-
     def feasible(
         self, members: Iterable[str], memory: MemoryConfig | None = None
     ) -> bool:
@@ -292,34 +272,13 @@ class Evaluator:
         Equivalent to ``subgraph_cost(members, memory).feasible`` — a
         subgraph is feasible exactly when its smallest tile option's
         per-core activation share fits the activation capacity — but
-        answered without pricing. In-situ capacity repair probes far more
-        candidate sets than ever get priced, so this is its dedicated
-        fast path: a stored profile answers directly; otherwise, for
-        shape classes with a closed-form direct solve, the minimum
-        footprint is one dot product (no option table at all — the
-        population batch pricer later prices such subgraphs without one
-        either); everything else profiles as before.
+        answered from the profile's ``min_activation_bytes`` without
+        pricing. In-situ capacity repair probes every subgraph of every
+        child; nearly every probed set is priced later, and the profile
+        the probe derives is the one that pricing reads.
         """
         memory = memory or self.accel.memory
-        key = frozenset(members)
-        facts = self._facts
-        profile = _lru_get(facts.profiles, key)
-        if profile is not None:
-            min_act = profile.min_activation_bytes
-        else:
-            min_act = _lru_get(facts.min_acts, key)
-            if min_act is None:
-                structure = facts.store.structure(key)
-                model = self._linear_model(structure)
-                if model is None:
-                    min_act = self.profile(key).min_activation_bytes
-                else:
-                    arrays = self.graph.arrays(self.accel.bytes_per_element)
-                    min_act = model.min_activation_bytes(
-                        arrays.local_row_bytes(structure.ids)
-                    )
-                    facts.add_min_act(key, min_act)
-                    self.num_direct_probes += 1
+        min_act = self.profile(members).min_activation_bytes
         return weight_budget(memory, self.accel.num_cores, min_act) is not None
 
     # ------------------------------------------------------------------
@@ -332,19 +291,19 @@ class Evaluator:
         hit = _lru_get(self._costs, key)
         if hit is not None:
             return hit
+        cost = self._priced(key[0], memory)
+        _lru_put(self._costs, key, cost, COST_CACHE_SIZE)
+        return cost
+
+    def _priced(self, members: frozenset[str], memory: MemoryConfig) -> SubgraphCost:
+        """Price one uncached key; the ``_price`` call bills ``price_s``."""
+        profile = self.profile(members)
         self.num_cost_calls += 1
-        if self.collect_timings:
-            # The profile may be derived inside this window; subtract its
-            # time so the stage buckets stay mutually exclusive.
-            started = time.perf_counter()
-            profiled_before = self.timings["profile_s"]
-            cost = self._price(self.profile(key[0]), memory)
-            elapsed = time.perf_counter() - started
-            nested = self.timings["profile_s"] - profiled_before
-            self.timings["price_s"] += elapsed - nested
-        else:
-            cost = self._price(self.profile(key[0]), memory)
-        _lru_put(self._costs, key, cost, self._cost_cache_size)
+        if not self.collect_timings:
+            return self._price(profile, memory)
+        started = time.perf_counter()
+        cost = self._price(profile, memory)
+        self.timings["price_s"] += time.perf_counter() - started
         return cost
 
     def _energy_rates(self, memory: MemoryConfig) -> EnergyRates:
@@ -553,8 +512,8 @@ class Evaluator:
         hit = _lru_get(self._summaries, key)
         if hit is not None:
             return hit
-        summary = self.subgraph_cost(members, memory).summary
-        _lru_put(self._summaries, key, summary, self._cost_cache_size)
+        summary = self._priced(members, memory).summary
+        _lru_put(self._summaries, key, summary, COST_CACHE_SIZE)
         return summary
 
     def summarize(
@@ -607,48 +566,30 @@ class Evaluator:
             self.timings["aggregate_s"] += elapsed - nested
         return result
 
-    # ------------------------------------------------------------------
-    # Population-level batch pricing (tensorized; bit-identical).
-    # ------------------------------------------------------------------
-    def _population_memories(
-        self,
-        populations: Sequence[Sequence[frozenset[str]]],
-        memories: "MemoryConfig | Sequence[MemoryConfig] | None",
-    ) -> list[MemoryConfig]:
-        """One memory per partition (broadcast a single/default config)."""
-        if memories is None:
-            memories = self.accel.memory
-        if isinstance(memories, MemoryConfig):
-            return [memories] * len(populations)
-        return list(memories)
-
     def prime_summaries(
         self,
         populations: Sequence[Sequence[frozenset[str]]],
         memories: "MemoryConfig | Sequence[MemoryConfig] | None" = None,
     ) -> int:
-        """Batch-price every unseen subgraph key across a population.
+        """Price every unseen subgraph key of a batch of partitions.
 
-        Collects the distinct ``(subgraph, memory)`` keys of all
-        partitions that are not in the summary cache yet, prices the
-        profile-cold ones through :func:`repro.cost.batch.
-        price_population` (shape-class tensor ops plus closed-form
-        direct solves), and the profile-warm rest serially — then
-        installs everything into the summary cache *in first-seen
-        order*, exactly as a serial sweep would have. Subsequent
-        :meth:`summarize` calls for these partitions are pure cache
-        reads; semantics, drain/absorb warm-state, and LRU behaviour
-        are unchanged, and every value is bit-identical to the serial
-        path. Returns the number of keys priced.
+        ``memories`` is one memory per partition, or one for all (the
+        accelerator's by default). The distinct ``(subgraph, memory)``
+        keys not in the summary cache yet are priced in first-seen order,
+        the order a serial sweep of :meth:`summarize` would price them
+        in, inside one ``evaluator.batch`` span; the ``summarize`` calls
+        that follow are pure cache reads. Returns the number of keys
+        priced.
         """
-        mems = self._population_memories(populations, memories)
-        order: list[tuple] = []
+        if memories is None:
+            memories = self.accel.memory
+        if isinstance(memories, MemoryConfig):
+            memories = [memories] * len(populations)
+        order: list[tuple[frozenset[str], MemoryConfig, tuple]] = []
         seen: set[tuple] = set()
-        mem_of: dict[tuple, MemoryConfig] = {}
         summaries = self._summaries
-        for subgraph_sets, memory in zip(populations, mems):
+        for subgraph_sets, memory in zip(populations, memories):
             mem_key = _memory_key(memory)
-            mem_of.setdefault(mem_key, memory)
             for members in subgraph_sets:
                 key = (members, mem_key)
                 if key in seen:
@@ -657,58 +598,17 @@ class Evaluator:
                 if key in summaries:
                     self.num_batch_hits += 1
                     continue
-                order.append(key)
+                order.append((members, memory, mem_key))
         if not order:
             return 0
         self.num_batch_calls += 1
-        timed = self.collect_timings
-        if timed:
-            # Serially-repriced keys bill their own profile/price
-            # buckets inside this window; count only the batch work.
-            started = time.perf_counter()
-            nested_before = self.timings["profile_s"] + self.timings["price_s"]
-        from .batch import price_population
-
         profiles = self._facts.profiles
-        cold = [key for key in order if key[0] not in profiles]
-        with span("evaluator.batch", keys=len(order), cold=len(cold)):
-            priced = price_population(self, cold, mem_of)
-            self.num_batch_priced += len(priced)
-            for key in order:
-                summary = priced.get(key)
-                if summary is not None:
-                    _lru_put(
-                        self._summaries, key, summary, self._cost_cache_size
-                    )
-                else:
-                    self._subgraph_summary(key[0], mem_of[key[1]], key[1])
-        if timed:
-            elapsed = time.perf_counter() - started
-            nested = (
-                self.timings["profile_s"] + self.timings["price_s"]
-            ) - nested_before
-            self.timings["batch_s"] += elapsed - nested
+        cold = sum(members not in profiles for members, _, _ in order)
+        with span("evaluator.batch", keys=len(order), cold=cold):
+            for members, memory, mem_key in order:
+                self._subgraph_summary(members, memory, mem_key)
+        self.num_batch_priced += len(order)
         return len(order)
-
-    def summarize_population(
-        self,
-        populations: Sequence[Sequence[frozenset[str]]],
-        memories: "MemoryConfig | Sequence[MemoryConfig] | None" = None,
-    ) -> list[PartitionSummary]:
-        """Summaries for a whole population of partitions (batch-priced).
-
-        Equivalent to ``[summarize(sets, memory) ...]`` — and
-        bit-identical to it — but all unseen subgraph keys are priced
-        first as one deduplicated, shape-class-batched unit via
-        :meth:`prime_summaries`, so the per-partition aggregation runs
-        entirely over cached scalars.
-        """
-        mems = self._population_memories(populations, memories)
-        self.prime_summaries(populations, mems)
-        return [
-            self.summarize(subgraph_sets, memory)
-            for subgraph_sets, memory in zip(populations, mems)
-        ]
 
     # ------------------------------------------------------------------
     # Summary persistence (the registry's warm files).
@@ -722,7 +622,7 @@ class Evaluator:
         summaries = self._summaries
         for key, summary in entries:
             if key not in summaries:
-                _lru_put(summaries, key, summary, self._cost_cache_size)
+                _lru_put(summaries, key, summary, COST_CACHE_SIZE)
 
     def export_summaries(self) -> list[tuple[tuple, tuple]]:
         """Every cached subgraph summary, oldest first (for persistence)."""
@@ -734,11 +634,10 @@ class Evaluator:
         in the shared store are not counted again."""
         out: dict[str, float] = {
             "profile_calls": self.num_profile_calls,
+            "direct_profiles": self.num_direct_profiles,
             "cost_calls": self.num_cost_calls,
-            "direct_probes": self.num_direct_probes,
             "batch_calls": self.num_batch_calls,
             "batch_priced": self.num_batch_priced,
-            "batch_direct": self.num_batch_direct,
             "batch_hits": self.num_batch_hits,
         }
         if self.collect_timings:

@@ -246,6 +246,6 @@ class ReferenceEvaluator(Evaluator):
         populations: Sequence[Sequence[frozenset[str]]],
         memories: MemoryConfig | Sequence[MemoryConfig] | None = None,
     ) -> int:
-        # No batch pricing: it would leave fast-path profiles in the
-        # profile cache for the naive pipeline to read back.
+        # No priming: this summarize builds the full PartitionCost of
+        # every genome and never reads the summary cache.
         return 0

@@ -1,19 +1,20 @@
 """One per-graph store of memory-independent subgraph facts.
 
-A subgraph's tiling structure, its profile and its minimum activation
-footprint depend on the graph, the member set, the element width and
-the tile candidates — never on buffer sizes, cores or batch. So every
-evaluator of one graph in a process (the suite cells of one network in
-a pool worker, the islands of an island search, the points of a
-capacity sweep) shares them through the graph's store,
+A subgraph's tiling structure, its profile and its finest-tile
+activation footprint depend on the graph, the member set, the element
+width and the tile candidates — never on buffer sizes, cores or batch.
+So every evaluator of one graph in a process (the suite cells of one
+network in a pool worker, the islands of an island search, the points
+of a capacity sweep) shares them through the graph's store,
 ``graph.subgraph_store()``, and each member set is derived once per
 process instead of once per evaluator. The values are pure functions of
 their keys, so sharing them cannot change a result — the argument the
-process-wide direct-solve models of :mod:`repro.cost.evaluator` rest on.
+process-wide closed-form models of :mod:`repro.execution.tiling_batch`
+rest on.
 
 * :class:`SubgraphStore` keeps the structures, keyed by member set.
-* :class:`SubgraphFacts` keeps the profiles and minimum footprints of
-  one element width and tile-candidate tuple, keyed by member set.
+* :class:`SubgraphFacts` keeps the profiles and finest-tile footprints
+  of one element width and tile-candidate tuple, keyed by member set.
 
 The id-indexed tables the derivations read live on the graph beside
 ``topology()`` and ``arrays()`` (``graph.tiling_table()``). Every map
@@ -72,21 +73,15 @@ class SubgraphStore:
     def structure(self, members: frozenset[str]) -> TilingStructure:
         """The cached tiling structure of a member set.
 
-        Feasibility probes, profiling and batch pricing share it, so
-        each member set pays for one derivation in the process no
-        matter which path asks first.
+        Profiling and enumeration pruning share it, so each member set
+        pays for one derivation in the process no matter which asks
+        first.
         """
         hit = _lru_get(self.structures, members)
         if hit is None:
             hit = TilingStructure(self.graph, members)
-            self.add_structure(members, hit)
+            _lru_put(self.structures, members, hit, STORE_SIZE)
         return hit
-
-    def add_structure(
-        self, members: frozenset[str], structure: TilingStructure
-    ) -> None:
-        """Store a structure derived elsewhere (the batch pricer's)."""
-        _lru_put(self.structures, members, structure, STORE_SIZE)
 
     def facts(
         self, bytes_per_element: int, tile_candidates: tuple[int, ...]
@@ -100,28 +95,23 @@ class SubgraphStore:
 
 
 class SubgraphFacts:
-    """Profiles and minimum footprints at one element width and tile
+    """Profiles and finest-tile footprints at one element width and tile
     candidates, keyed by member set.
 
-    ``min_acts`` holds the direct-solve minimum footprints of member
-    sets that have no profile; a profile, when present, answers the
-    same question from its ``min_activation_bytes``. ``min_footprints``
-    holds the finest-tile footprints enumeration pruning asks for.
+    A profile answers every repair probe, from its
+    ``min_activation_bytes``. ``min_footprints`` holds the finest-tile
+    footprints enumeration pruning asks for without a profile.
     """
 
-    __slots__ = ("store", "profiles", "min_acts", "min_footprints")
+    __slots__ = ("store", "profiles", "min_footprints")
 
     def __init__(self, store: SubgraphStore) -> None:
         self.store = store
         self.profiles: OrderedDict[frozenset[str], SubgraphProfile] = OrderedDict()
-        self.min_acts: OrderedDict[frozenset[str], int] = OrderedDict()
         self.min_footprints: OrderedDict[frozenset[str], int] = OrderedDict()
 
     def add_profile(self, members: frozenset[str], profile: SubgraphProfile) -> None:
         _lru_put(self.profiles, members, profile, STORE_SIZE)
-
-    def add_min_act(self, members: frozenset[str], min_act: int) -> None:
-        _lru_put(self.min_acts, members, min_act, STORE_SIZE)
 
     def add_min_footprint(self, members: frozenset[str], footprint: int) -> None:
         _lru_put(self.min_footprints, members, footprint, STORE_SIZE)

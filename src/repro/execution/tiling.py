@@ -417,15 +417,12 @@ class TilingStructure:
         "_table",
         "_saturation",
         "_saturated",
-        "_base",
+        "base",
         "_signature",
     )
 
     def __init__(
-        self,
-        graph: ComputationGraph,
-        members: frozenset[str] | set[str],
-        solve_base: bool = True,
+        self, graph: ComputationGraph, members: frozenset[str] | set[str]
     ) -> None:
         members = frozenset(members)
         table = graph.tiling_table()
@@ -489,12 +486,12 @@ class TilingStructure:
         self._saturation: int = max(leaf_heights)
         self._saturated: tuple[list, list, list[int]] | None = None
         self._signature: tuple | None = None
-        # The base solve also validates the production/consumption
-        # balance; ``solve_base=False`` (population batch pricing) defers
-        # it so one representative per shape class can solve for all.
-        self._base: tuple[list, list, list[int]] | None = None
-        if solve_base:
-            _ = self.base
+        # The tile-size-1 ``(delta, tile, upd)`` solution; solving it
+        # also validates the production/consumption balance.
+        delta, tile = self._solve_deltas(1)
+        self.base: tuple[list, list, list[int]] = (
+            delta, tile, self._solve_rates(delta)
+        )
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -503,25 +500,6 @@ class TilingStructure:
         return tuple(names[u] for u in self.ids)
 
     # ------------------------------------------------------------------
-    @property
-    def base(self) -> tuple[list, list, list[int]]:
-        """The tile-size-1 ``(delta, tile, upd)`` solution (solved once)."""
-        if self._base is None:
-            base_delta, base_tile = self._solve_deltas(1)
-            self._base = (base_delta, base_tile, self._solve_rates(base_delta))
-        return self._base
-
-    def adopt_base(self, other: "TilingStructure") -> None:
-        """Share another structure's base solution.
-
-        Only valid between structures with equal :attr:`signature`: the
-        stage 1-3 solves read nothing but signature data, so the vectors
-        are identical and the batch pricer solves one representative per
-        shape class instead of every member. The vectors are never
-        mutated after the solve, so sharing the lists is safe.
-        """
-        self._base = other.base
-
     @property
     def signature(self) -> tuple:
         """Shape-class key: everything the tile-size solves depend on.

@@ -1,14 +1,10 @@
-"""Shape-class batching and analytical direct solves for tiling options.
+"""Closed-form option tables for tiling shape classes.
 
-Population pricing (:mod:`repro.cost.batch`) dedupes the unseen
-subgraphs of a whole population and groups them by
-:attr:`~repro.execution.tiling.TilingStructure.signature`. Every input
-of the stage 1-3 solves lives in that signature, so a shape class pays
-for one base solve, one option-table walk, and one saturation analysis
-no matter how many subgraphs (differing only in node names and per-row
-byte widths) share it — :func:`scan_table` produces the class-wide
-candidate table whose footprints each subgraph finishes with a single
-dot product against its own row-byte vector.
+Every input of the stage 1-3 solves lives in a structure's
+:attr:`~repro.execution.tiling.TilingStructure.signature`, so subgraphs
+that share it (a *shape class*, differing only in node names and per-row
+byte widths) share one option scan up to the final footprint dot
+product.
 
 :class:`LinearTileModel` goes one step further, in the spirit of GOMA's
 analytical mapping (PAPERS.md): when the cost-vs-``output_tile_rows``
@@ -16,22 +12,30 @@ surface is provably linear over the scanned candidate range (integer
 base solution, no ``full_input`` requirement, no output-height cap
 binding), the activation footprint of candidate ``c`` is exactly
 ``A*c + B`` with per-subgraph constants, strictly increasing in ``c``,
-while the elementary-operation count is non-increasing. The pricing
-scan then collapses to a closed form — "largest kept candidate whose
-footprint fits the activation buffer" — and feasibility probes to
-"footprint of the first kept candidate". The preconditions are checked
-exactly; any class failing them keeps the ordinary scan, so results
-stay bit-identical to :mod:`repro.cost.reference` either way (locked by
-``tests/execution/test_tiling_batch.py`` over the whole model zoo).
+while the elementary-operation count is non-increasing. A subgraph's
+option table is then the class's kept candidates and operation counts
+plus two dot products (:func:`repro.cost.ema.profile_subgraph` builds it
+so, in either buffer mode). The preconditions are checked exactly; any
+class failing them keeps the ordinary scan, so results stay
+bit-identical to :mod:`repro.cost.reference` either way (locked by
+``tests/execution/test_tiling_batch.py`` and
+``tests/cost/test_closed_form_profiles.py`` over the whole model zoo).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from typing import Sequence
+from collections import OrderedDict
 
 from .tiling import TilingStructure
+
+#: Process-wide models keyed by (shape signature, tile candidates). The
+#: signature fully determines the model, so every structure of a class,
+#: in any graph, shares one build; entries are 1-tuples so a ``None``
+#: model (failed preconditions) is distinguishable from a miss. A few
+#: thousand shape classes cover even the deepest zoo nets.
+_MODELS: OrderedDict[tuple, tuple] = OrderedDict()
+_MODELS_SIZE = 8192
 
 
 def member_max_height(structure: TilingStructure) -> int:
@@ -43,44 +47,21 @@ def member_max_height(structure: TilingStructure) -> int:
     )
 
 
-def _materialize_rows(delta: list, tile: list, heights: list[int]) -> list[int]:
-    """Per-node resident rows ``x`` for one solved candidate (exact)."""
-    rows = []
-    for i, height in enumerate(heights):
-        d = min(max(1, math.ceil(delta[i])), height)
-        rows.append(min(max(d, math.ceil(tile[i])), height))
-    return rows
-
-
-def scan_table(
+def linear_model(
     structure: TilingStructure, tile_candidates: tuple[int, ...]
-) -> list[tuple[int, list[int], int]]:
-    """Per-candidate ``(tile_rows, x_rows, num_ops)`` rows for one class.
-
-    Visits exactly the candidates
-    :func:`repro.cost.ema._select_options` asks a subgraph of this shape
-    class to price — its stop conditions (member height cutoff, first
-    single-operation schedule, saturation) read only class-level data —
-    so one table serves every member of the class. A subgraph's
-    activation footprint for a candidate is the dot product of that
-    candidate's ``x_rows`` with the subgraph's row-byte vector.
-    """
-    max_height = member_max_height(structure)
-    stable_after = structure.saturation
-    table: list[tuple[int, list[int], int]] = []
-    for tile_rows in tile_candidates:
-        if table and tile_rows > max_height:
-            break
-        delta, tile, upd = structure.solve(tile_rows)
-        num_ops = structure._num_ops(delta, upd)
-        table.append(
-            (tile_rows, _materialize_rows(delta, tile, structure.heights), num_ops)
-        )
-        if num_ops == 1:
-            break
-        if tile_rows >= stable_after:
-            break
-    return table
+) -> "LinearTileModel | None":
+    """The cached model of ``structure``'s shape class, or ``None`` when
+    the class fails the :class:`LinearTileModel` preconditions."""
+    key = (structure.signature, tuple(tile_candidates))
+    hit = _MODELS.get(key)
+    if hit is not None:
+        _MODELS.move_to_end(key)
+        return hit[0]
+    model = LinearTileModel.build(structure, tile_candidates)
+    _MODELS[key] = (model,)
+    if len(_MODELS) > _MODELS_SIZE:
+        _MODELS.popitem(last=False)
+    return model
 
 
 class LinearTileModel:
@@ -99,14 +80,11 @@ class LinearTileModel:
     ``slope[i] * c + intercept[i]`` (``slope`` = base delta,
     ``intercept`` = the non-negative window overlap), hence a subgraph's
     activation footprint is ``A*c + B`` with ``A = rows . slope >= 1``
-    and ``B = rows . intercept`` — strictly increasing in ``c`` — while
-    the elementary-operation count ``ceil(h / (upd * slope * c))`` never
-    increases. Under a separate activation buffer the serial pricing
-    scan (which skips worse-EMA options and breaks ties toward larger
-    tiles) therefore always settles on the *largest kept candidate whose
-    footprint fits*, and the profile's minimum activation footprint is
-    the *first* kept candidate's — both answered here without building
-    any per-subgraph option table.
+    and ``B = rows . intercept`` — strictly increasing in ``c``, so no
+    two kept candidates collapse into one option — while the
+    elementary-operation count ``ceil(h / (upd * slope * c))`` never
+    increases. ``kept`` and ``kept_ops`` are exactly the tile sizes and
+    operation counts of the options the candidate scan keeps.
     """
 
     __slots__ = ("kept", "kept_ops", "slope", "intercept")
@@ -128,8 +106,8 @@ class LinearTileModel:
         cls, structure: TilingStructure, tile_candidates: tuple[int, ...]
     ) -> "LinearTileModel | None":
         """The model for one shape class, or ``None`` on any failed check."""
-        if not tile_candidates:
-            return None
+        if not tile_candidates or tile_candidates[0] < 1:
+            return None  # the scan raises what it raises for these
         if any(b <= a for a, b in zip(tile_candidates, tile_candidates[1:])):
             return None  # the monotonicity argument needs ascending candidates
         if any(full is not None for full in structure.full_req):
@@ -179,23 +157,3 @@ class LinearTileModel:
             if c >= stable_after:
                 break
         return cls(tuple(kept), tuple(kept_ops), slope, tuple(intercept))
-
-    # ------------------------------------------------------------------
-    def min_activation_bytes(self, row_bytes: Sequence[int]) -> int:
-        """Footprint of the smallest kept candidate (= the profile's min)."""
-        c = self.kept[0]
-        total = 0
-        for s, o, r in zip(self.slope, self.intercept, row_bytes):
-            total += (c * s + o) * r
-        return total
-
-    def choose(
-        self, footprint_slope: int, footprint_intercept: int, capacity: int
-    ) -> int:
-        """Index of the best feasible kept candidate, or ``-1``.
-
-        ``footprint_slope``/``footprint_intercept`` are the subgraph's
-        ``A``/``B`` constants; feasibility is ``A*c + B <= capacity``.
-        """
-        c_max = (capacity - footprint_intercept) // footprint_slope
-        return bisect_right(self.kept, c_max) - 1

@@ -87,14 +87,13 @@ class OptimizationProblem:
         return genome.with_partition(repaired)
 
     def prime(self, genomes: Sequence[Genome]) -> None:
-        """Batch-price all unseen subgraphs of a genome batch at once.
+        """Price all unseen subgraphs of a genome batch at once.
 
         Hands them to :meth:`~repro.cost.evaluator.Evaluator.
-        prime_summaries` — deduped, shape-class batched tensor pricing
-        with closed-form direct solves (see :mod:`repro.cost.batch`).
-        Priming only fills the evaluator's summary cache, so the
-        subsequent per-genome :meth:`cost` calls return bit-identical
-        values — just without per-genome pricing work.
+        prime_summaries`, which prices each distinct unseen key once, in
+        the order the per-genome calls would. Priming only fills the
+        evaluator's summary cache, so the subsequent per-genome
+        :meth:`cost` calls return bit-identical values, as cache reads.
         """
         if not genomes:
             return

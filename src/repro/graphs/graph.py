@@ -194,9 +194,10 @@ class ComputationGraph:
     def arrays(self, bytes_per_element: int = 1):
         """Cached :class:`~repro.graphs.arrays.GraphArrays` for this graph.
 
-        Per-layer constant arrays (weight bytes, MACs, output bytes,
-        heights) indexed by topological position, so hot-path aggregations
-        run as array reductions instead of per-node attribute walks.
+        Per-layer constant columns (weight bytes, MACs, output bytes,
+        row bytes) as tuples of ints indexed by topological position, so
+        hot-path aggregations sum over ids instead of walking layers by
+        name.
         """
         cached = self._arrays_cache.get(bytes_per_element)
         if cached is None:

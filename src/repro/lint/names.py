@@ -2,8 +2,8 @@
 
 The rules match calls against fully-qualified names (``time.time``,
 ``numpy.random.randint``) regardless of how the module was imported —
-``import time``, ``from time import time``, ``import numpy as np`` all
-resolve to the same canonical chain. Resolution is import-anchored: a
+``import time``, ``from time import time``, ``import time as clock``
+all resolve to the same canonical chain. Resolution is import-anchored: a
 dotted chain whose first segment is not an import binding resolves to
 ``None``, so a local variable that happens to be called ``random``
 never false-positives a module-level-RNG rule (method-name heuristics,
@@ -51,7 +51,7 @@ class ImportMap:
                     if alias.asname:
                         imports.aliases[alias.asname] = alias.name
                     else:
-                        # ``import numpy.random`` binds only ``numpy``.
+                        # ``import os.path`` binds only ``os``.
                         root = alias.name.split(".", 1)[0]
                         imports.aliases[root] = root
             elif isinstance(node, ast.ImportFrom):

@@ -175,13 +175,17 @@ class TestProfileTimings:
         start = lines.index("  timing breakdown:")
         labels = [line.split(":")[0].strip() for line in lines[start + 1:]]
         assert labels == [
-            "profile", "price", "batch", "aggregate", "other", "total",
+            "profile", "price", "aggregate", "other", "total",
             "profiles", "batch",
         ]
         keys, batches = re.search(
             r"(\d+) keys in (\d+) batches", lines[-1]
         ).groups()
         assert int(keys) > 0 and int(batches) > 0
+        derived, closed = re.search(
+            r"(\d+) derived \((\d+) in closed form\)", lines[-2]
+        ).groups()
+        assert int(derived) >= int(closed) > 0
 
 
 class TestExperiment:

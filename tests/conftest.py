@@ -149,13 +149,33 @@ def build_random_dag(seed: int, num_layers: int = 10) -> ComputationGraph:
     return g
 
 
+def connected_members(graph, rng: random.Random, size: int) -> frozenset[str]:
+    """A weakly connected set of compute layers grown from a random seed."""
+    compute = graph.compute_names
+    members = {rng.choice(compute)}
+    while len(members) < size:
+        frontier = sorted(
+            {
+                other
+                for name in members
+                for other in (*graph.predecessors(name), *graph.successors(name))
+                if not graph.layer(other).is_input
+            }
+            - members
+        )
+        if not frontier:
+            break
+        members.add(rng.choice(frontier))
+    return frozenset(members)
+
+
 def fresh_model(name: str) -> ComputationGraph:
     """A newly built zoo network, with an empty subgraph store.
 
     ``get_model`` returns one cached graph per name, and every evaluator
     of that graph shares its store, so earlier tests may have derived
     its subgraphs already. A test that counts an evaluator's own work
-    (profiles derived, keys batch-priced) builds its graph here.
+    (profiles derived, keys primed) builds its graph here.
     """
     from repro.graphs import zoo
 
@@ -168,8 +188,8 @@ def fresh_copy(graph: ComputationGraph) -> ComputationGraph:
     Same names, specs, insertion order and input order, so the copy has
     the same topological order and prices every member set the same. A
     test that needs two evaluators of one network to derive everything
-    independently (a cold evaluator, or a serial baseline for the batch
-    pricer) gives the second one a copy.
+    independently (a cold evaluator, or a serial baseline for priming)
+    gives the second one a copy.
     """
     copy = ComputationGraph(graph.name)
     for name in graph.layer_names:

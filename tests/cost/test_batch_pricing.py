@@ -1,9 +1,11 @@
-"""Population batch pricing: bit-identity, cache semantics, stats.
+"""Priming a genome batch: bit-identity, cache semantics, stats.
 
-``summarize_population`` / ``prime_summaries`` must be invisible except
-for speed: identical summaries to serial ``summarize`` (and the naive
-reference) on any core count and batch, identical error behaviour, and
-summary/warm-state caches in the same logical state afterwards. The LRU
+``prime_summaries`` followed by ``summarize`` must be invisible except
+for when keys are priced: identical summaries to serial ``summarize``
+(and the naive reference) on any core count and batch, identical error
+behaviour, and summary/warm-state caches in the same logical state
+afterwards. Every key takes the one pricing path, whose profiles take a
+shape class's closed-form option table in either buffer mode. The LRU
 regression test pins that summary-cache hits refresh recency, so hot
 entries are not the first evicted.
 """
@@ -15,9 +17,13 @@ import random
 import pytest
 
 from repro.config import MemoryConfig
+from repro.cost import evaluator as evaluator_module
+from repro.cost.ema import DEFAULT_TILE_CANDIDATES
 from repro.cost.evaluator import Evaluator
 from repro.cost.reference import ReferenceEvaluator
 from repro.errors import TilingError
+from repro.execution.tiling import TilingStructure
+from repro.execution.tiling_batch import linear_model
 from repro.experiments.common import paper_accelerator
 from repro.graphs.zoo import get_model
 from repro.partition.random_init import random_partition
@@ -48,6 +54,14 @@ def _population(graph, seed: int, count: int = 8, memories=MEMORIES):
     return pops, mems
 
 
+def _primed(evaluator, pops, mems=None):
+    """Prime the whole batch, then summarize each partition."""
+    evaluator.prime_summaries(pops, mems)
+    if mems is None:
+        return [evaluator.summarize(p) for p in pops]
+    return [evaluator.summarize(p, m) for p, m in zip(pops, mems)]
+
+
 class TestPopulationIdentity:
     @pytest.mark.parametrize("name", ("resnet50", "googlenet", "transformer"))
     def test_zoo_population_matches_serial(self, name):
@@ -55,22 +69,21 @@ class TestPopulationIdentity:
         accel = paper_accelerator()
         pops, mems = _population(graph, seed=13)
         # Each evaluator on a graph of its own: evaluators of one graph
-        # share its store, and warm keys are priced serially, not batched.
+        # share its store, so the primed one derives its own profiles.
         serial = Evaluator(fresh_model(name), accel)
         expected = [serial.summarize(p, m) for p, m in zip(pops, mems)]
         batch = Evaluator(fresh_model(name), accel)
-        assert batch.summarize_population(pops, mems) == expected
+        assert _primed(batch, pops, mems) == expected
         assert batch.num_batch_priced > 0
-        assert batch.num_batch_direct > 0  # the closed form actually fires
+        assert batch.num_direct_profiles > 0  # the closed form actually fires
 
     @pytest.mark.parametrize("cores,batch", CORES_BATCH)
     @pytest.mark.parametrize("name", ("resnet50", "googlenet"))
     @pytest.mark.parametrize("mode", tuple(MODE_MEMORIES))
     def test_cores_and_batch_match_reference(self, mode, name, cores, batch):
-        """Batch, serial and naive pricing agree on every core count.
+        """Primed, serial and naive pricing agree on every core count.
 
-        Separate-buffer keys take the direct solve, shared ones the
-        scan, so both batch paths price cores and batch.
+        Closed-form option tables feed the pricing in both buffer modes.
         """
         graph = get_model(name)
         accel = paper_accelerator(num_cores=cores)
@@ -82,9 +95,9 @@ class TestPopulationIdentity:
         serial = Evaluator(fresh_model(name), accel, batch=batch)
         assert [serial.summarize(p, m) for p, m in zip(pops, mems)] == expected
         batched = Evaluator(fresh_model(name), accel, batch=batch)
-        assert batched.summarize_population(pops, mems) == expected
+        assert _primed(batched, pops, mems) == expected
         assert batched.num_batch_priced > 0
-        assert (batched.num_batch_direct > 0) == (mode == "separate")
+        assert batched.num_direct_profiles > 0
 
     def test_zoo_population_matches_reference(self):
         graph = get_model("mobilenet_v2")
@@ -92,7 +105,7 @@ class TestPopulationIdentity:
         pops, mems = _population(graph, seed=3, count=5)
         reference = ReferenceEvaluator(graph, accel)
         expected = [reference.summarize(p, m) for p, m in zip(pops, mems)]
-        assert Evaluator(graph, accel).summarize_population(pops, mems) == expected
+        assert _primed(Evaluator(graph, accel), pops, mems) == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_dag_population_matches_serial(self, seed):
@@ -102,7 +115,7 @@ class TestPopulationIdentity:
         serial = Evaluator(graph, accel)
         expected = [serial.summarize(p, m) for p, m in zip(pops, mems)]
         batch = Evaluator(fresh_copy(graph), accel)
-        assert batch.summarize_population(pops, mems) == expected
+        assert _primed(batch, pops, mems) == expected
         assert batch.num_batch_priced > 0
 
     def test_default_memory_broadcast(self):
@@ -112,16 +125,16 @@ class TestPopulationIdentity:
         serial = Evaluator(graph, accel)
         expected = [serial.summarize(p) for p in pops]
         batch = Evaluator(fresh_copy(graph), accel)
-        assert batch.summarize_population(pops) == expected
+        assert _primed(batch, pops) == expected
         assert batch.num_batch_priced > 0
 
     def test_warm_population_is_pure_cache_read(self):
         graph = get_model("resnet50")
         evaluator = Evaluator(graph, paper_accelerator())
         pops, mems = _population(graph, seed=1, count=4)
-        first = evaluator.summarize_population(pops, mems)
+        first = _primed(evaluator, pops, mems)
         priced = evaluator.num_batch_priced
-        again = evaluator.summarize_population(pops, mems)
+        again = _primed(evaluator, pops, mems)
         assert again == first
         assert evaluator.num_batch_priced == priced  # nothing re-priced
         assert evaluator.num_batch_hits > 0
@@ -140,7 +153,7 @@ class TestPopulationIdentity:
 
 class TestErrorFallback:
     def test_infeasible_structures_raise_like_serial(self):
-        """Keys the batch cannot price raise serially, same exception."""
+        """A key priming cannot profile raises as summarize does."""
         graph = build_chain(depth=4)
         evaluator = Evaluator(graph, paper_accelerator(), tile_candidates=())
         members = frozenset(graph.compute_names)
@@ -149,16 +162,17 @@ class TestErrorFallback:
                 fresh_copy(graph), paper_accelerator(), tile_candidates=()
             ).summarize([members])
         with pytest.raises(TilingError) as batch_err:
-            evaluator.summarize_population([[members]])
+            _primed(evaluator, [[members]])
         assert str(batch_err.value) == str(serial_err.value)
 
 
 class TestSummaryCacheLRU:
-    def test_hot_entries_survive_eviction(self):
+    def test_hot_entries_survive_eviction(self, monkeypatch):
         """Regression: a summary-cache hit must refresh recency."""
+        monkeypatch.setattr(evaluator_module, "COST_CACHE_SIZE", 2)
         graph = build_chain(depth=6)
         names = sorted(graph.compute_names)
-        evaluator = Evaluator(graph, paper_accelerator(), cost_cache_size=2)
+        evaluator = Evaluator(graph, paper_accelerator())
         memory = MEMORIES[0]
         hot = [frozenset([names[0]])]
         cold = [frozenset([names[1]])]
@@ -176,9 +190,10 @@ class TestSummaryCacheLRU:
         evaluator.summarize(cold, memory)
         assert hot[0] not in keys()  # hot is now genuinely the LRU victim
 
-    def test_absorb_respects_capacity(self):
+    def test_absorb_respects_capacity(self, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "COST_CACHE_SIZE", 2)
         graph = build_chain(depth=6)
-        evaluator = Evaluator(graph, paper_accelerator(), cost_cache_size=2)
+        evaluator = Evaluator(graph, paper_accelerator())
         entries = [
             ((frozenset([f"s{i}"]), ("separate", 1, 1)), (True, i, 1.0, 1.0))
             for i in range(5)
@@ -195,46 +210,67 @@ class TestStatsPlumbing:
         graph = fresh_model("googlenet")
         evaluator = Evaluator(graph, paper_accelerator(), collect_timings=timed)
         pops, mems = _population(graph, seed=2, count=3)
-        evaluator.summarize_population(pops, mems)
+        _primed(evaluator, pops, mems)
         stats = evaluator.stats()
-        for key in (
+        counters = {key for key in stats if not key.endswith("_s")}
+        assert counters == {
+            "profile_calls",
+            "direct_profiles",
+            "cost_calls",
             "batch_calls",
             "batch_priced",
-            "batch_direct",
             "batch_hits",
-            "direct_probes",
-        ):
-            assert key in stats
+        }
         # Stage timings are reported only when collected.
         timings = {key for key in stats if key.endswith("_s")}
         assert timings == (set(evaluator.timings) if timed else set())
         assert stats["batch_priced"] == evaluator.num_batch_priced > 0
-        assert stats["batch_direct"] == evaluator.num_batch_direct
+        assert stats["direct_profiles"] == evaluator.num_direct_profiles > 0
 
-    def test_feasible_direct_probe_skips_profiling(self):
+    def test_linear_class_probe_solves_no_candidate(self, monkeypatch):
+        """A repair probe of a set whose shape class has a closed form
+        never solves a tile candidate; a class without one scans."""
+        solved: list[frozenset[str]] = []
+        option = TilingStructure.option
+
+        def counting(structure, output_tile_rows, row_bytes):
+            solved.append(structure.members)
+            return option(structure, output_tile_rows, row_bytes)
+
+        monkeypatch.setattr(TilingStructure, "option", counting)
         graph = fresh_model("resnet50")
         evaluator = Evaluator(graph, paper_accelerator())
-        # Its own graph, so its profiles do not answer evaluator's probes.
-        baseline = Evaluator(fresh_model("resnet50"), paper_accelerator())
+        reference = ReferenceEvaluator(graph, paper_accelerator())
+        store = graph.subgraph_store()
         partition = random_partition(graph, random.Random(0))
-        for memory in MEMORIES[:2]:
+        linear = 0
+        for memory in MEMORIES:
             for members in partition.subgraph_sets:
-                assert evaluator.feasible(members, memory) == (
-                    baseline.profile(members).min_activation_bytes
-                    <= memory.activation_capacity
+                assert evaluator.feasible(members, memory) == reference.feasible(
+                    members, memory
                 )
-        assert evaluator.num_direct_probes > 0
-        assert evaluator.num_profile_calls < baseline.num_profile_calls
+                model = linear_model(store.structure(members), DEFAULT_TILE_CANDIDATES)
+                if model is not None:
+                    linear += 1
+                    assert members not in solved
+        assert linear > 0
+        assert evaluator.num_direct_profiles > 0
+        # Candidates that do not ascend build no model: the probe scans.
+        descending = Evaluator(graph, paper_accelerator(), tile_candidates=(8, 4, 2, 1))
+        members = partition.subgraph_sets[0]
+        descending.feasible(members)
+        assert members in solved
+        assert descending.num_direct_profiles == 0
 
 
 class TestWarmStateInterop:
     def test_batch_priced_summaries_ship_like_serial(self):
-        """Exported warm entries from a batch run absorb bit-identically."""
+        """Exported warm entries from a primed run absorb bit-identically."""
         graph = fresh_model("googlenet")
         accel = paper_accelerator()
         producer = Evaluator(graph, accel)
         pops, mems = _population(graph, seed=6, count=4)
-        expected = producer.summarize_population(pops, mems)
+        expected = _primed(producer, pops, mems)
         assert producer.num_batch_priced > 0
         entries = producer.export_summaries()
         assert entries

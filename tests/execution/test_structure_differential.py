@@ -25,27 +25,7 @@ from repro.execution import tiling
 from repro.execution.tiling import TilingStructure, derive_tiling
 from repro.graphs.zoo import available_models, get_model
 
-from ..conftest import fresh_model
-
-
-def connected_members(graph, rng: random.Random, size: int) -> frozenset[str]:
-    """A weakly connected set of compute layers grown from a random seed."""
-    compute = graph.compute_names
-    members = {rng.choice(compute)}
-    while len(members) < size:
-        frontier = sorted(
-            {
-                other
-                for name in members
-                for other in (*graph.predecessors(name), *graph.successors(name))
-                if not graph.layer(other).is_input
-            }
-            - members
-        )
-        if not frontier:
-            break
-        members.add(rng.choice(frontier))
-    return frozenset(members)
+from ..conftest import connected_members, fresh_model
 
 
 def _outcome(build):

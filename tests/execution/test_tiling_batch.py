@@ -1,39 +1,24 @@
-"""Shape-class batching and analytical direct solves vs the real scan.
+"""Shape classes and their closed-form option tables vs the real scan.
 
 The GOMA-style :class:`~repro.execution.tiling_batch.LinearTileModel`
-replaces the per-candidate pricing scan with a closed form whenever its
+replaces the per-candidate scan with a closed form whenever its
 linearity preconditions hold. These tests pin the claim that matters:
 on every zoo network, at both element widths, the closed form and the
-scan agree *exactly* — on the kept candidate list, the chosen tile, the
-minimum activation footprint, and the resulting summary scalars.
+scan agree *exactly* — on the kept candidate list, the operation
+counts, and every option's activation footprint.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from repro.config import MemoryConfig
-from repro.cost.ema import DEFAULT_TILE_CANDIDATES, profile_subgraph
-from repro.cost.evaluator import Evaluator
+from repro.cost.ema import DEFAULT_TILE_CANDIDATES, _select_options
 from repro.execution.tiling import TilingStructure
-from repro.execution.tiling_batch import (
-    LinearTileModel,
-    member_max_height,
-    scan_table,
-)
-from repro.experiments.common import paper_accelerator
+from repro.execution.tiling_batch import LinearTileModel, member_max_height
 from repro.graphs.zoo import available_models, get_model
 from repro.partition.random_init import random_partition
-from repro.units import kb, mb
-
-SEPARATE_MEMORIES = (
-    MemoryConfig.separate(mb(1), kb(1152)),
-    MemoryConfig.separate(kb(64), kb(64)),
-    MemoryConfig.separate(kb(16), kb(1152)),
-)
 
 
 def _structures(graph, seed: int, count: int = 2):
@@ -49,67 +34,33 @@ def _structures(graph, seed: int, count: int = 2):
 @pytest.mark.parametrize("name", available_models())
 @pytest.mark.parametrize("bpe", (1, 2))
 def test_direct_solve_matches_scan(name, bpe):
-    """Closed-form pick == scan pick on every zoo network, both widths."""
+    """Closed-form table == scanned table on every zoo network, both widths."""
     graph = get_model(name)
-    accel = replace(paper_accelerator(), bytes_per_element=bpe)
-    evaluator = Evaluator(graph, accel)
+    arrays = graph.arrays(bpe)
     models_built = 0
     for members, structure in _structures(graph, seed=17):
         model = LinearTileModel.build(structure, DEFAULT_TILE_CANDIDATES)
-        profile = profile_subgraph(graph, members, accel.bytes_per_element)
         if model is None:
             continue
         models_built += 1
-        # The kept candidate list is exactly the profiled option list.
-        assert model.kept == tuple(o.tile_rows for o in profile.tile_options)
-        assert model.kept_ops == tuple(
-            o.num_elementary_ops for o in profile.tile_options
+        rows = [arrays.row_bytes[arrays.index[n]] for n in structure.names]
+        scanned = _select_options(
+            lambda tile_rows: structure.option(tile_rows, rows),
+            DEFAULT_TILE_CANDIDATES,
+            member_max_height(structure),
+            stable_after=structure.saturation,
         )
-        arrays = graph.arrays(accel.bytes_per_element)
-        rows = [int(arrays.row_bytes[arrays.index[n]]) for n in structure.names]
-        assert model.min_activation_bytes(rows) == profile.min_activation_bytes
+        # The kept candidate list is exactly the scanned option list.
+        assert model.kept == tuple(o.tile_rows for o in scanned)
+        assert model.kept_ops == tuple(o.num_elementary_ops for o in scanned)
         # The closed-form footprint A*c + B equals each option's footprint.
         slope = sum(r * s for r, s in zip(rows, model.slope))
         icept = sum(r * o for r, o in zip(rows, model.intercept))
-        for option in profile.tile_options:
-            assert (
-                slope * option.tile_rows + icept == option.activation_bytes
-            )
-        # The analytic pick equals the priced pick for separate buffers.
-        for memory in SEPARATE_MEMORIES:
-            choice = model.choose(slope, icept, memory.global_buffer_bytes)
-            cost = evaluator.subgraph_cost(members, memory)
-            if choice < 0:
-                assert not cost.feasible
-            else:
-                assert cost.feasible
-                assert model.kept[choice] == cost.tile_rows
-                assert model.kept_ops[choice] == cost.num_elementary_ops
+        for option in scanned:
+            assert slope * option.tile_rows + icept == option.activation_bytes
     # The model zoo is conv/MLP-dominated: the linear preconditions must
     # actually fire, otherwise the fast path is dead code.
     assert models_built > 0
-
-
-@pytest.mark.parametrize("name", ("resnet50", "transformer", "unet"))
-def test_scan_table_matches_profiled_options(name):
-    """The class-wide table reproduces each subgraph's profiled options."""
-    graph = get_model(name)
-    arrays = graph.arrays(1)
-    for members, structure in _structures(graph, seed=5):
-        table = scan_table(structure, DEFAULT_TILE_CANDIDATES)
-        profile = profile_subgraph(graph, members)
-        rows = [int(arrays.row_bytes[arrays.index[n]]) for n in structure.names]
-        by_tile = {
-            row[0]: (sum(r * x for r, x in zip(rows, row[1])), row[2])
-            for row in table
-        }
-        for option in profile.tile_options:
-            act, ops = by_tile[option.tile_rows]
-            assert act == option.activation_bytes
-            assert ops == option.num_elementary_ops
-        # Table visits at least every kept option (supersets only from
-        # candidates the selection skipped as dominated).
-        assert set(o.tile_rows for o in profile.tile_options) <= set(by_tile)
 
 
 def test_member_max_height_matches_members():
@@ -124,6 +75,8 @@ def test_model_rejects_unordered_candidates():
     members, structure = next(iter(_structures(graph, seed=2, count=1)))
     assert LinearTileModel.build(structure, (8, 4, 2)) is None
     assert LinearTileModel.build(structure, ()) is None
+    # The scan raises for a non-positive tile size; so must the profile.
+    assert LinearTileModel.build(structure, (0, 4)) is None
 
 
 def test_shape_signature_groups_solve_identically():
@@ -138,17 +91,3 @@ def test_shape_signature_groups_solve_identically():
         rep = group[0]
         for other in group[1:]:
             assert other.base == rep.base
-
-
-def test_adopt_base_skips_resolve():
-    graph = get_model("resnet152")
-    groups: dict[tuple, list[frozenset[str]]] = {}
-    for members, structure in _structures(graph, seed=3):
-        groups.setdefault(structure.signature, []).append(members)
-    group = next(g for g in groups.values() if len(g) > 1)
-    rep = TilingStructure(graph, group[0])
-    lazy = TilingStructure(graph, group[1], solve_base=False)
-    lazy.adopt_base(rep)
-    eager = TilingStructure(graph, group[1])
-    assert lazy.base == eager.base
-    assert lazy.solve(4) == eager.solve(4)

@@ -1,13 +1,14 @@
-"""Batch pricing is invisible to every search loop.
+"""Priming is invisible to every search loop.
 
-Batch pricing only changes *when* subgraphs are priced (all at once,
-per batch, through the tensorized fast path) — never what any genome
-costs. These tests run each searcher twice with identical seeds, on the
-:class:`Evaluator` and on the :class:`ReferenceEvaluator` (which prices
-nothing in batch and every genome in full), and demand identical
-trajectories: best cost, best genome, evaluation counts, and history.
-Each fast run gets a newly built graph, so its batch counters count
-its own pricing, not what an earlier test left in the graph's store.
+Priming only changes *when* subgraphs are priced (all of a genome
+batch's unseen keys at once, before its per-genome calls) — never what
+any genome costs. These tests run each searcher twice with identical
+seeds, on the :class:`Evaluator` and on the :class:`ReferenceEvaluator`
+(which primes nothing and prices every genome in full), and demand
+identical trajectories: best cost, best genome, evaluation counts, and
+history. Each fast run gets a newly built graph, so its priming counters
+count its own pricing, not what an earlier test left in the graph's
+store.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class TestGAIdentity:
         fast = _ga_trace(Evaluator, seed)
         reference = _ga_trace(ReferenceEvaluator, seed)
         assert fast[:4] == reference[:4]
-        assert fast[4] > 0  # the batch path actually ran
+        assert fast[4] > 0  # priming actually ran
         assert reference[4] == 0
 
 

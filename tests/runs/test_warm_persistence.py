@@ -127,7 +127,8 @@ class TestEvaluatorInterop:
         producer = Evaluator(graph, accel)
         rng = random.Random(2)
         pops = [random_partition(graph, rng).subgraph_sets for _ in range(4)]
-        expected = producer.summarize_population(pops)
+        producer.prime_summaries(pops)
+        expected = [producer.summarize(p) for p in pops]
         registry = RunRegistry(tmp_path / "reg")
         registry.save_warm_summaries("googlenet", 1, producer.export_summaries())
         consumer = Evaluator(graph, accel)

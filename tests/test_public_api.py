@@ -104,3 +104,26 @@ class TestPublicApi:
             capture_output=True, text=True, env=env, check=True,
         )
         assert result.stdout.strip() == "False"
+
+    def test_no_module_loads_numpy(self):
+        """The package depends on networkx alone: importing every module
+        and building a RandWire graph's cost columns leave NumPy
+        unloaded."""
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        script = (
+            "import importlib, pkgutil, sys, repro\n"
+            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not m.name.endswith('__main__'):\n"
+            "        importlib.import_module(m.name)\n"
+            "from repro.graphs.zoo import get_model\n"
+            "get_model('randwire_a').arrays(1)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == "False"
